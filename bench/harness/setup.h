@@ -7,8 +7,10 @@
 #include <string>
 
 #include "bench/harness/runner.h"
+#include "cdb/cdb.h"
 #include "common/key_codec.h"
 #include "minuet/cluster.h"
+#include "ycsb/workload.h"
 
 namespace minuet::bench {
 
@@ -86,7 +88,7 @@ inline void PrintHeader(const char* title, const char* columns) {
   std::printf("# %s\n", title);
   std::printf(
       "# Real protocol execution; time via the calibrated cost model "
-      "(bench/harness/cost_model.h). See EXPERIMENTS.md.\n");
+      "(bench/harness/cost_model.h; docs/ARCHITECTURE.md).\n");
   std::printf("%s\n", columns);
 }
 

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "common/key_codec.h"
+#include "common/random.h"
 #include "minuet/cluster.h"
 
 int main() {

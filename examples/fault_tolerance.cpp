@@ -5,6 +5,7 @@
 //   $ ./build/examples/fault_tolerance
 #include <cstdio>
 
+#include "common/key_codec.h"
 #include "minuet/cluster.h"
 
 int main() {

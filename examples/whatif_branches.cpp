@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/key_codec.h"
 #include "minuet/cluster.h"
 
 namespace {

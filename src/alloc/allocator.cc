@@ -300,6 +300,9 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
       live_[memnode]->fetch_sub(1, std::memory_order_relaxed);
       return taken.status();
     }
+    // An attempt that installs nothing hands the slab back; otherwise it
+    // would stay counted by MetaLiveSlabs yet be no node the GC can free.
+    txn.OnDiscard([this, memnode, slab = *taken] { Unreserve(memnode, slab); });
     AllocatedSlab slab;
     slab.ref = layout_.SlabRef(Addr{memnode, taken->first});
     slab.fresh = taken->second;
@@ -338,6 +341,7 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
       !st.ok()) {
     return fail(st);
   }
+  txn.OnDiscard([this, memnode] { DecrementLive(memnode); });
   return slab;
 }
 
@@ -362,14 +366,31 @@ Status NodeAllocator::Free(txn::DynamicTxn& txn, Addr slab) {
   meta.free_count++;
   MINUET_RETURN_NOT_OK(
       txn.Write(layout_.MetaRef(memnode), SerializeMeta(meta)));
-  if (memnode < n_memnodes()) {
-    auto& live = *live_[memnode];
-    uint64_t cur = live.load(std::memory_order_relaxed);
-    while (cur > 0 && !live.compare_exchange_weak(
-                          cur, cur - 1, std::memory_order_relaxed)) {
-    }
-  }
+  if (memnode < n_memnodes()) DecrementLive(memnode);
   return Status::OK();
+}
+
+void NodeAllocator::DecrementLive(MemnodeId m) {
+  auto& live = *live_[m];
+  uint64_t cur = live.load(std::memory_order_relaxed);
+  while (cur > 0 && !live.compare_exchange_weak(cur, cur - 1,
+                                                std::memory_order_relaxed)) {
+  }
+}
+
+void NodeAllocator::Unreserve(MemnodeId m, std::pair<uint64_t, bool> slab) {
+  DecrementLive(m);
+  {
+    Reservation& r = *reserved_[m];
+    std::lock_guard<std::mutex> g(r.mu);
+    r.pool.push_back(slab);
+  }
+  // BeginDrain flushed this node's pool before the slab came back: pass it
+  // on to the free list too. If that fails the slab stays pooled, and the
+  // next (idempotent) BeginDrain flushes it.
+  if (placement_state(m) != PlacementState::kActive) {
+    IgnoreStatus(FlushReservation(m));
+  }
 }
 
 }  // namespace minuet::alloc

@@ -11,9 +11,10 @@
 // To keep concurrent splits from serializing on the metadata object's
 // sequence number, proxies may reserve slabs in batches: a small standalone
 // transaction advances the bump pointer by `batch` slabs and the proxy hands
-// them out locally (slabs from an unused reservation are simply recycled by
-// the proxy, never leaked to other proxies' view since they were never
-// linked into the tree).
+// them out locally. A slab handed to a transaction attempt that installs
+// nothing (aborted before commit, or a commit that failed a compare or
+// found its locks Busy) comes back to the pool; it was never linked into
+// the tree, so no other proxy can have seen it.
 //
 // Placement is LOAD-AWARE: the allocator tracks an in-process live-slab
 // count per memnode (handed out minus freed) and NextPlacement compares the
@@ -130,9 +131,10 @@ class NodeAllocator {
 
   // --- Occupancy (placement weighting, rebalancer, monitoring) ------------
   // In-process estimate of live slabs on `m`: handed out minus freed,
-  // adjusted eagerly (before the enclosing transaction commits), so
-  // aborted attempts leave residual drift. Cheap and monotone with real
-  // load between ResyncLiveCounters calls, which re-anchor it.
+  // adjusted eagerly (before the enclosing transaction commits). An
+  // allocation whose attempt installs nothing is taken back, but aborted
+  // frees and in-doubt commits leave residual drift. Cheap and monotone
+  // with real load between ResyncLiveCounters calls, which re-anchor it.
   uint64_t ApproxLiveSlabs(MemnodeId m) const {
     return live_[m]->load(std::memory_order_relaxed);
   }
@@ -144,8 +146,15 @@ class NodeAllocator {
   // Reads the metadata in a standalone transaction.
   Result<uint64_t> MetaLiveSlabs(MemnodeId m);
 
+  // Slabs waiting in this allocator's reservation pool for `m`: counted by
+  // MetaLiveSlabs, but not (yet) nodes.
+  size_t ReservedSlabs(MemnodeId m) const {
+    std::lock_guard<std::mutex> g(reserved_[m]->mu);
+    return reserved_[m]->pool.size();
+  }
+
   // Re-anchor every live counter to MetaLiveSlabs, erasing the drift that
-  // aborted allocate/free attempts accumulate in the eager adjustments.
+  // aborted frees and in-doubt commits accumulate in the eager adjustments.
   // The rebalancer calls this once per round; callers with long-lived
   // clusters and no rebalancer may want to as well.
   Status ResyncLiveCounters();
@@ -156,6 +165,13 @@ class NodeAllocator {
   // replenishment drains the shared free list first (so garbage-collected
   // slabs are reused), then falls back to the bump pointer.
   Result<std::pair<uint64_t, bool>> TakeReserved(MemnodeId memnode);
+
+  // Take back a reserved slab whose transaction installed nothing
+  // (DynamicTxn::OnDiscard): into the pool, or on to the free list when
+  // `m` is draining.
+  void Unreserve(MemnodeId m, std::pair<uint64_t, bool> slab);
+  // Saturating decrement of the in-process live count.
+  void DecrementLive(MemnodeId m);
 
   // Return every slab in `m`'s reservation pool to the shared free list
   // (one standalone transaction). BeginDrain calls this so reserved-but-
@@ -170,7 +186,7 @@ class NodeAllocator {
   std::atomic<uint64_t> allocated_{0};
 
   struct Reservation {
-    std::mutex mu;
+    mutable std::mutex mu;
     // (offset, fresh) pairs awaiting hand-out. Recycled slabs (fresh=false)
     // come from the shared free list during replenishment.
     std::vector<std::pair<uint64_t, bool>> pool;

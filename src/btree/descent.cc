@@ -261,18 +261,7 @@ Status BTree::ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
 }
 
 Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
-                               const std::vector<WriteOp>& ops) {
-  return ApplyWritesToTip(txn, ops, /*branch=*/false, /*branch_sid=*/0);
-}
-
-Status BTree::BranchApplyWritesInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                     const std::vector<WriteOp>& ops) {
-  return ApplyWritesToTip(txn, ops, /*branch=*/true, branch_sid);
-}
-
-Status BTree::ApplyWritesToTip(DynamicTxn& txn,
-                               const std::vector<WriteOp>& ops, bool branch,
-                               uint64_t branch_sid) {
+                               const std::vector<WriteOp>& ops, Tip tip) {
   if (ops.empty()) return Status::OK();
   std::vector<std::string> keys;
   keys.reserve(ops.size());
@@ -280,14 +269,10 @@ Status BTree::ApplyWritesToTip(DynamicTxn& txn,
     MINUET_RETURN_NOT_OK(CheckKeyValue(op.key, op.value));
     keys.push_back(op.key);
   }
-  // The branch flavor resolves (and validates) the catalog entry instead
-  // of the linear tip; writability is enforced there, inside this very
+  // A branch tip resolves (and validates) its catalog entry instead of the
+  // linear tip; writability is enforced there, inside this very
   // transaction.
-  auto read_tip = [&](DynamicTxn& t) {
-    return branch ? ReadBranchTipInTxn(t, branch_sid, /*for_write=*/true)
-                  : ReadTipInTxn(t);
-  };
-  auto tip0 = read_tip(txn);
+  auto tip0 = ReadTipInTxn(txn, tip, /*for_write=*/true);
   if (!tip0.ok()) return tip0.status();
 
   // Cold-path collapse + per-leaf dedupe: one level-synchronized descent
@@ -325,9 +310,10 @@ Status BTree::ApplyWritesToTip(DynamicTxn& txn,
     std::sort(g.key_idx.begin(), g.key_idx.end());
     size_t next = 0;
     while (next < g.key_idx.size()) {
-      auto tip = read_tip(txn);  // an earlier flush may have moved it
-      if (!tip.ok()) return tip.status();
-      auto path = Traverse(txn, tip->sid, tip->root, ops[g.key_idx[next]].key,
+      // An earlier flush may have moved the root.
+      auto ctx = ReadTipInTxn(txn, tip, /*for_write=*/true);
+      if (!ctx.ok()) return ctx.status();
+      auto path = Traverse(txn, ctx->sid, ctx->root, ops[g.key_idx[next]].key,
                            TraverseMode::kUpToDate);
       if (!path.ok()) return path.status();
       auto decoded = path->back().view.ToNode();  // mutation boundary
@@ -360,7 +346,7 @@ Status BTree::ApplyWritesToTip(DynamicTxn& txn,
       }
       if (dirty) {
         MINUET_RETURN_NOT_OK(
-            ApplyLeafMutation(txn, *tip, *path, std::move(leaf)));
+            ApplyLeafMutation(txn, *ctx, *path, std::move(leaf)));
       }
       // `applied >= 1` always (Traverse guarantees the first key is in the
       // leaf's fence range), so the loop makes progress every iteration.
@@ -374,7 +360,7 @@ Result<std::vector<BTree::ScanPartition>> BTree::PartitionRange(
     uint32_t max_levels) {
   if (max_levels == 0) max_levels = 1;
   std::vector<ScanPartition> parts;
-  Status st = RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
+  Status st = TransactSnapshotRead(snap.sid, [&](DynamicTxn& txn) -> Status {
     parts.clear();
     std::vector<Addr> visited;
 
@@ -440,23 +426,21 @@ Status BTree::PrewarmSnapshotPaths(const SnapshotRef& snap,
                                    const std::vector<std::string>& keys) {
   if (keys.empty() || cache_ == nullptr) return Status::OK();
   // A handful of attempts only: this is an optimization pass, and callers
-  // proceed cold if the tree is churning too hard to settle.
-  Status last = Status::OK();
-  for (uint32_t attempt = 0; attempt < 3; attempt++) {
-    DynamicTxn txn(coord_, cache_);
-    std::vector<LeafGroup> groups;
-    last = ResolveLeafGroups(txn, snap.sid, snap.root,
-                             TraverseMode::kSnapshotRead, keys, &groups,
-                             nullptr);
-    if (last.ok() || !last.IsRetryable()) return last;
-  }
-  return last;
+  // proceed cold if the tree is churning too hard to settle. The descent
+  // only dirty-reads, so each attempt's commit is free.
+  return txn::RunTransaction(
+      coord_, cache_, {}, /*max_attempts=*/3, [&](DynamicTxn& txn) {
+        std::vector<LeafGroup> groups;
+        return ResolveLeafGroups(txn, snap.sid, snap.root,
+                                 TraverseMode::kSnapshotRead, keys, &groups,
+                                 nullptr);
+      });
 }
 
 Result<uint32_t> BTree::Depth() {
   uint32_t depth = 0;
-  Status st = RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadTipInTxn(txn);
+  Status st = Transact([&](DynamicTxn& txn) -> Status {
+    auto tip = ReadTipInTxn(txn, Tip::Linear(), /*for_write=*/false);
     if (!tip.ok()) return tip.status();
     auto node = FetchView(txn, tip->root, /*as_leaf=*/false,
                           TraverseMode::kSnapshotRead);

@@ -25,9 +25,9 @@
 namespace minuet::btree {
 
 Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
-  return RunOp([&](DynamicTxn& txn) -> Status {
+  return Transact([&](DynamicTxn& txn) -> Status {
     out->clear();
-    auto tip = ReadTipInTxn(txn);
+    auto tip = ReadTipInTxn(txn, Tip::Linear(), /*for_write=*/false);
     if (!tip.ok()) return tip.status();
 
     std::vector<Addr> visited;
@@ -63,8 +63,8 @@ Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
     // service tree) has since swung in place — the §4.2 settle checks all
     // pass on such a node, so the walk would report pre-migration homes
     // forever. Joining the walk into the read set makes the commit inside
-    // RunOp validate every internal node; a stale parent aborts, the retry
-    // refetches fresh state, and the listing converges to the truth.
+    // Transact validate every internal node; a stale parent aborts, the
+    // retry refetches fresh state, and the listing converges to the truth.
     return VisitFrontier(txn, tip->sid, TraverseMode::kUpToDate,
                          /*validated_path=*/true,
                          {FrontierItem{tip->root, -1, 0}}, cb, &visited);
@@ -79,7 +79,7 @@ Status BTree::MigrateNodeInTxn(DynamicTxn& txn, const NodePlacement& expected,
   }
   if (expected.addr.memnode == dest) return Status::OK();  // already home
 
-  auto tip = ReadTipInTxn(txn);
+  auto tip = ReadTipInTxn(txn, Tip::Linear(), /*for_write=*/true);
   if (!tip.ok()) return tip.status();
   auto path = Traverse(txn, tip->sid, tip->root, expected.routing_key,
                        TraverseMode::kUpToDate);
@@ -173,7 +173,7 @@ Status BTree::MigrateNodeInTxn(DynamicTxn& txn, const NodePlacement& expected,
 
 Status BTree::MigrateNode(const NodePlacement& expected,
                           sinfonia::MemnodeId dest, bool* migrated) {
-  Status st = RunOp([&](DynamicTxn& txn) -> Status {
+  Status st = Transact([&](DynamicTxn& txn) -> Status {
     return MigrateNodeInTxn(txn, expected, dest, migrated);
   });
   // Count COMMITTED relocations only (the in-txn flag alone may belong to

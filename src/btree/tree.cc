@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include <cassert>
-#include <chrono>
-#include <thread>
 
 #include "common/byteio.h"
 
@@ -120,7 +118,29 @@ Status BTree::CreateTree() {
 // ---------------------------------------------------------------------------
 // Tip plumbing
 
-Result<TipContext> BTree::ReadTipInTxn(DynamicTxn& txn) {
+Result<TipContext> BTree::ReadTipInTxn(DynamicTxn& txn, Tip tip,
+                                       bool for_write) {
+  TipContext ctx;
+  if (tip.branch) {
+    auto raw = txn.ReadCachedView(layout().CatalogRef(tree_slot_, tip.sid));
+    if (!raw.ok()) return raw.status();
+    const CatalogEntry entry = DecodeCatalogEntry(raw->data);
+    if (entry.root == sinfonia::kNullAddr) {
+      return Status::NotFound("no such snapshot");
+    }
+    if (for_write && entry.branch_id != 0) {
+      // A branch has been created from this snapshot: it is read-only now.
+      // (The cached entry may be stale the other way — claiming writable
+      // when it is not — but then the commit-time validation of this
+      // catalog read aborts the transaction, which is exactly the paper's
+      // §5.1 rule.)
+      return Status::ReadOnly("snapshot has branches");
+    }
+    ctx.sid = tip.sid;
+    ctx.root = entry.root;
+    ctx.branch = true;
+    return ctx;
+  }
   // The proxy validates its CACHED tip copy (paper §4.1): no fetch in the
   // common case, and commit/leaf-fetch validation catches staleness. On a
   // cold cache the pair is fetched in ONE batched round, not two; when
@@ -129,67 +149,26 @@ Result<TipContext> BTree::ReadTipInTxn(DynamicTxn& txn) {
   // straight from the read/write set with no batch machinery.
   const ObjectRef id_ref = layout().TipIdRef(tree_slot_);
   const ObjectRef root_ref = layout().TipRootRef(tree_slot_);
-  TipContext tip;
   const std::optional<Slice> id_raw = txn.Peek(id_ref);
   const std::optional<Slice> root_raw = txn.Peek(root_ref);
   if (id_raw && root_raw) {
-    tip.sid = DecodeTipId(*id_raw);
-    tip.root = DecodeRootLoc(*root_raw);
+    ctx.sid = DecodeTipId(*id_raw);
+    ctx.root = DecodeRootLoc(*root_raw);
   } else {
     auto raw = txn.ReadCachedBatchViews({id_ref, root_ref});
     if (!raw.ok()) return raw.status();
-    tip.sid = DecodeTipId((*raw)[0].data);
-    tip.root = DecodeRootLoc((*raw)[1].data);
+    ctx.sid = DecodeTipId((*raw)[0].data);
+    ctx.root = DecodeRootLoc((*raw)[1].data);
   }
-  tip.source = TipContext::Source::kLinearTip;
-  if (tip.root == sinfonia::kNullAddr) {
+  if (ctx.root == sinfonia::kNullAddr) {
     return Status::InvalidArgument("tree not created");
   }
-  return tip;
-}
-
-Result<TipContext> BTree::ReadBranchTipInTxn(DynamicTxn& txn,
-                                             uint64_t branch_sid,
-                                             bool for_write) {
-  auto raw = txn.ReadCachedView(layout().CatalogRef(tree_slot_, branch_sid));
-  if (!raw.ok()) return raw.status();
-  const CatalogEntry entry = DecodeCatalogEntry(raw->data);
-  if (entry.root == sinfonia::kNullAddr) {
-    return Status::NotFound("no such snapshot");
-  }
-  if (for_write && entry.branch_id != 0) {
-    // A branch has been created from this snapshot: it is read-only now.
-    // (The cached entry may be stale the other way — claiming writable when
-    // it is not — but then the commit-time validation of this catalog read
-    // aborts the transaction, which is exactly the paper's §5.1 rule.)
-    return Status::ReadOnly("snapshot has branches");
-  }
-  TipContext tip;
-  tip.sid = branch_sid;
-  tip.root = entry.root;
-  tip.source = TipContext::Source::kBranch;
-  return tip;
-}
-
-void BTree::InvalidateTipCache() {
-  if (cache_ == nullptr) return;
-  cache_->Invalidate(layout().TipIdRef(tree_slot_).addr);
-  cache_->Invalidate(layout().TipRootRef(tree_slot_).addr);
-}
-
-Result<Addr> BTree::BranchRootInTxn(DynamicTxn& txn, uint64_t sid) {
-  auto raw = txn.ReadCachedView(layout().CatalogRef(tree_slot_, sid));
-  if (!raw.ok()) return raw.status();
-  const CatalogEntry entry = DecodeCatalogEntry(raw->data);
-  if (entry.root == sinfonia::kNullAddr) {
-    return Status::NotFound("no such snapshot");
-  }
-  return entry.root;
+  return ctx;
 }
 
 Status BTree::PublishRoot(DynamicTxn& txn, const TipContext& tip,
                           Addr new_root) {
-  if (tip.source == TipContext::Source::kLinearTip) {
+  if (!tip.branch) {
     return txn.Write(layout().TipRootRef(tree_slot_),
                      EncodeRootLoc(new_root));
   }
@@ -637,11 +616,11 @@ Status LeafLookup(const NodeView& leaf, const std::string& key,
 }  // namespace
 
 Status BTree::GetInTxn(DynamicTxn& txn, const std::string& key,
-                       std::string* value) {
+                       std::string* value, Tip tip) {
   MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  auto path = Traverse(txn, tip->sid, tip->root, key,
+  auto ctx = ReadTipInTxn(txn, tip, /*for_write=*/false);
+  if (!ctx.ok()) return ctx.status();
+  auto path = Traverse(txn, ctx->sid, ctx->root, key,
                        TraverseMode::kUpToDate);
   if (!path.ok()) return path.status();
   return LeafLookup(path->back().view, key, value);
@@ -745,16 +724,18 @@ Status BTree::MultiGetInTxn(DynamicTxn& txn,
   for (const std::string& key : keys) {
     MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
   }
-  auto tip = ReadTipInTxn(txn);
+  auto tip = ReadTipInTxn(txn, Tip::Linear(), /*for_write=*/false);
   if (!tip.ok()) return tip.status();
   return MultiGetAt(txn, tip->sid, tip->root, TraverseMode::kUpToDate, keys,
                     values);
 }
 
-Status BTree::UpsertLeafInTxn(DynamicTxn& txn, const TipContext& tip,
-                              const std::string& key,
-                              const std::string& value, bool strict) {
-  auto path = Traverse(txn, tip.sid, tip.root, key, TraverseMode::kUpToDate);
+Status BTree::UpsertInTxn(DynamicTxn& txn, const std::string& key,
+                          const std::string& value, Tip tip, bool strict) {
+  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
+  auto ctx = ReadTipInTxn(txn, tip, /*for_write=*/true);
+  if (!ctx.ok()) return ctx.status();
+  auto path = Traverse(txn, ctx->sid, ctx->root, key, TraverseMode::kUpToDate);
   if (!path.ok()) return path.status();
   const NodeView& leaf_view = path->back().view;
   if (strict && leaf_view.FindKey(key) != leaf_view.num_entries()) {
@@ -763,30 +744,24 @@ Status BTree::UpsertLeafInTxn(DynamicTxn& txn, const TipContext& tip,
   auto leaf = leaf_view.ToNode();  // mutation boundary: materialize
   if (!leaf.ok()) return leaf.status();
   leaf->Upsert(key, value, sinfonia::kNullAddr);
-  return ApplyLeafMutation(txn, tip, *path, std::move(*leaf));
+  return ApplyLeafMutation(txn, *ctx, *path, std::move(*leaf));
 }
 
 Status BTree::PutInTxn(DynamicTxn& txn, const std::string& key,
-                       const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/false);
+                       const std::string& value, Tip tip) {
+  return UpsertInTxn(txn, key, value, tip, /*strict=*/false);
 }
 
 Status BTree::InsertInTxn(DynamicTxn& txn, const std::string& key,
-                          const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/true);
+                          const std::string& value, Tip tip) {
+  return UpsertInTxn(txn, key, value, tip, /*strict=*/true);
 }
 
-Status BTree::RemoveInTxn(DynamicTxn& txn, const std::string& key) {
+Status BTree::RemoveInTxn(DynamicTxn& txn, const std::string& key, Tip tip) {
   MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  auto path = Traverse(txn, tip->sid, tip->root, key,
+  auto ctx = ReadTipInTxn(txn, tip, /*for_write=*/true);
+  if (!ctx.ok()) return ctx.status();
+  auto path = Traverse(txn, ctx->sid, ctx->root, key,
                        TraverseMode::kUpToDate);
   if (!path.ok()) return path.status();
   if (path->back().view.FindKey(key) == path->back().view.num_entries()) {
@@ -797,92 +772,28 @@ Status BTree::RemoveInTxn(DynamicTxn& txn, const std::string& key) {
   leaf->Erase(key);
   // Empty leaves are retained: they still own their fence range. (The
   // paper does not merge nodes either; compaction would be a GC concern.)
-  return ApplyLeafMutation(txn, *tip, *path, std::move(*leaf));
+  return ApplyLeafMutation(txn, *ctx, *path, std::move(*leaf));
 }
 
-Status BTree::Get(const std::string& key, std::string* value) {
-  return RunOp([&](DynamicTxn& txn) { return GetInTxn(txn, key, value); });
+Status BTree::Get(const std::string& key, std::string* value, Tip tip) {
+  return Transact(
+      [&](DynamicTxn& txn) { return GetInTxn(txn, key, value, tip); });
 }
 
-Status BTree::Put(const std::string& key, const std::string& value) {
-  return RunOp([&](DynamicTxn& txn) { return PutInTxn(txn, key, value); });
+Status BTree::Put(const std::string& key, const std::string& value,
+                  Tip tip) {
+  return Transact(
+      [&](DynamicTxn& txn) { return PutInTxn(txn, key, value, tip); });
 }
 
-Status BTree::Insert(const std::string& key, const std::string& value) {
-  return RunOp([&](DynamicTxn& txn) { return InsertInTxn(txn, key, value); });
+Status BTree::Insert(const std::string& key, const std::string& value,
+                     Tip tip) {
+  return Transact(
+      [&](DynamicTxn& txn) { return InsertInTxn(txn, key, value, tip); });
 }
 
-Status BTree::Remove(const std::string& key) {
-  return RunOp([&](DynamicTxn& txn) { return RemoveInTxn(txn, key); });
-}
-
-Status BTree::BranchGet(uint64_t branch_sid, const std::string& key,
-                        std::string* value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/false);
-    if (!tip.ok()) return tip.status();
-    auto path = Traverse(txn, tip->sid, tip->root, key,
-                         TraverseMode::kUpToDate);
-    if (!path.ok()) return path.status();
-    return LeafLookup(path->back().view, key, value);
-  });
-}
-
-Status BTree::BranchPut(uint64_t branch_sid, const std::string& key,
-                        const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/true);
-    if (!tip.ok()) return tip.status();
-    return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/false);
-  });
-}
-
-Status BTree::BranchInsert(uint64_t branch_sid, const std::string& key,
-                           const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/true);
-    if (!tip.ok()) return tip.status();
-    return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/true);
-  });
-}
-
-Status BTree::BranchPutInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                             const std::string& key,
-                             const std::string& value) {
-  WriteOp op;
-  op.kind = WriteOp::Kind::kPut;
-  op.key = key;
-  op.value = value;
-  return BranchApplyWritesInTxn(txn, branch_sid, {op});
-}
-
-Status BTree::BranchRemoveInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                const std::string& key) {
-  WriteOp op;
-  op.kind = WriteOp::Kind::kRemove;
-  op.key = key;
-  return BranchApplyWritesInTxn(txn, branch_sid, {op});
-}
-
-Status BTree::BranchRemove(uint64_t branch_sid, const std::string& key) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/true);
-    if (!tip.ok()) return tip.status();
-    auto path = Traverse(txn, tip->sid, tip->root, key,
-                         TraverseMode::kUpToDate);
-    if (!path.ok()) return path.status();
-    if (path->back().view.FindKey(key) == path->back().view.num_entries()) {
-      return Status::NotFound("key absent");
-    }
-    auto leaf = path->back().view.ToNode();  // mutation boundary
-    if (!leaf.ok()) return leaf.status();
-    leaf->Erase(key);
-    return ApplyLeafMutation(txn, *tip, *path, std::move(*leaf));
-  });
+Status BTree::Remove(const std::string& key, Tip tip) {
+  return Transact([&](DynamicTxn& txn) { return RemoveInTxn(txn, key, tip); });
 }
 
 // ---------------------------------------------------------------------------
@@ -909,7 +820,7 @@ Status BTree::CheckGcHorizon(uint64_t sid) {
 Status BTree::SnapshotGet(const SnapshotRef& snap, const std::string& key,
                           std::string* value) {
   MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  return RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
+  return TransactSnapshotRead(snap.sid, [&](DynamicTxn& txn) -> Status {
     auto path = Traverse(txn, snap.sid, snap.root, key,
                          TraverseMode::kSnapshotRead);
     if (!path.ok()) return path.status();
@@ -923,7 +834,7 @@ Status BTree::SnapshotMultiGet(
   for (const std::string& key : keys) {
     MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
   }
-  return RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
+  return TransactSnapshotRead(snap.sid, [&](DynamicTxn& txn) -> Status {
     return MultiGetAt(txn, snap.sid, snap.root, TraverseMode::kSnapshotRead,
                       keys, values);
   });
@@ -936,7 +847,7 @@ Status BTree::SnapshotScanChunk(
   // A scan start is a position, not a key: any byte string is valid ("" =
   // the beginning; cursor resume keys may exceed the max entry size).
   resume_key->clear();
-  return RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
+  return TransactSnapshotRead(snap.sid, [&](DynamicTxn& txn) -> Status {
     auto path = Traverse(txn, snap.sid, snap.root, start_key,
                          TraverseMode::kSnapshotRead);
     if (!path.ok()) return path.status();
@@ -975,9 +886,9 @@ Status BTree::TipScan(
     std::vector<std::pair<std::string, std::string>>* out) {
   // A scan start is a position, not a key: any byte string is valid ("" =
   // the beginning; cursor resume keys may exceed the max entry size).
-  return RunOp([&](DynamicTxn& txn) -> Status {
+  return Transact([&](DynamicTxn& txn) -> Status {
     out->clear();
-    auto tip = ReadTipInTxn(txn);
+    auto tip = ReadTipInTxn(txn, Tip::Linear(), /*for_write=*/false);
     if (!tip.ok()) return tip.status();
     std::string cursor = start_key;
     while (out->size() < limit) {

@@ -16,17 +16,16 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "alloc/allocator.h"
 #include "btree/node.h"
 #include "btree/node_view.h"
+#include "btree/tip.h"
 #include "btree/version_oracle.h"
 #include "common/payload.h"
 #include "common/status.h"
@@ -58,11 +57,12 @@ struct TreeOptions {
 };
 
 // A writable tip resolved inside a transaction: operating snapshot id, root
-// location, and where the root must be re-published if it moves.
+// location, and whether a moved root is re-published in the branch's
+// catalog entry (instead of the linear tip's root object).
 struct TipContext {
   uint64_t sid = 0;
   Addr root;
-  enum class Source { kLinearTip, kBranch } source = Source::kLinearTip;
+  bool branch = false;
 };
 
 // Read-only snapshot handle (returned by snapshot creation).
@@ -110,29 +110,26 @@ class BTree {
   // empty root leaf. Exactly one proxy calls this per tree.
   Status CreateTree();
 
-  // --- Single-key operations on the (linear) tip snapshot ------------------
-  Status Get(const std::string& key, std::string* value);
-  Status Put(const std::string& key, const std::string& value);
+  // --- Single-key operations on a writable tip ----------------------------
+  // `tip` selects the linear tip or a writable branch (branching mode). A
+  // write to a branch that has been forked fails with ReadOnly.
+  Status Get(const std::string& key, std::string* value,
+             Tip tip = Tip::Linear());
+  Status Put(const std::string& key, const std::string& value,
+             Tip tip = Tip::Linear());
   // Strict insert: fails with AlreadyExists when the key is present (the
   // distinction CDB draws between its kInsert and kUpsert procedures).
-  Status Insert(const std::string& key, const std::string& value);
-  Status Remove(const std::string& key);
-
-  // --- Operations on a writable branch tip (branching mode) ---------------
-  Status BranchGet(uint64_t branch_sid, const std::string& key,
-                   std::string* value);
-  Status BranchPut(uint64_t branch_sid, const std::string& key,
-                   const std::string& value);
-  Status BranchInsert(uint64_t branch_sid, const std::string& key,
-                      const std::string& value);
-  Status BranchRemove(uint64_t branch_sid, const std::string& key);
-
+  Status Insert(const std::string& key, const std::string& value,
+                Tip tip = Tip::Linear());
+  // NotFound when the key is absent.
+  Status Remove(const std::string& key, Tip tip = Tip::Linear());
 
   // --- In-transaction variants (multi-key / multi-tree transactions) ------
   // The caller owns the transaction and its commit; these read the tip
-  // inside the caller's transaction so everything validates together.
-  Status GetInTxn(DynamicTxn& txn, const std::string& key,
-                  std::string* value);
+  // (and, for a branch, its writability) inside the caller's transaction
+  // so everything validates together.
+  Status GetInTxn(DynamicTxn& txn, const std::string& key, std::string* value,
+                  Tip tip = Tip::Linear());
   // Batched point reads (the Sinfonia batching the paper's §4.1 argument
   // rests on): every key's leaf address is resolved through shared dirty
   // inner-node descents, then ALL distinct leaves are fetched in ONE
@@ -142,15 +139,16 @@ class BTree {
   Status MultiGetInTxn(DynamicTxn& txn, const std::vector<std::string>& keys,
                        std::vector<std::optional<std::string>>* values);
   Status PutInTxn(DynamicTxn& txn, const std::string& key,
-                  const std::string& value);
+                  const std::string& value, Tip tip = Tip::Linear());
   // CAUTION: an AlreadyExists return must still COMMIT the enclosing
   // transaction (the answer comes from cached reads and needs commit-time
   // validation — RunTransaction handles this). In a multi-op transaction,
   // settle strict-insert existence via GetInTxn BEFORE buffering writes,
   // or the commit installs a partial result (see Proxy::Apply).
   Status InsertInTxn(DynamicTxn& txn, const std::string& key,
-                     const std::string& value);
-  Status RemoveInTxn(DynamicTxn& txn, const std::string& key);
+                     const std::string& value, Tip tip = Tip::Linear());
+  Status RemoveInTxn(DynamicTxn& txn, const std::string& key,
+                     Tip tip = Tip::Linear());
 
   // --- Read-only snapshot operations (§4.2: no validation, fence-key and
   // copied-snapshot checks only; traversals follow copies when stale) ------
@@ -259,27 +257,16 @@ class BTree {
     std::string key;
     std::string value;
   };
-  // Apply a batch of writes to the tip inside the caller's transaction,
+  // Apply a batch of writes to `tip` inside the caller's transaction,
   // with the batched cold path and per-leaf dedupe: all target leaves are
   // resolved with ONE level-synchronized descent (O(depth) rounds on a
   // cold cache) and fetched into the read set in ONE round (one commit
   // compare per leaf, not per key), then ops are applied grouped per leaf
   // — one traversal + one leaf mutation per flush instead of one per key.
-  Status ApplyWritesInTxn(DynamicTxn& txn, const std::vector<WriteOp>& ops);
-
-  // --- In-transaction branch-tip writes (branching mode) -------------------
-  // WriteBatch routing and multi-key transactions against a writable
-  // branch: the branch's writability is read (and validated) inside the
-  // caller's transaction, and the mutations ride the same batched
-  // ApplyWritesInTxn machinery as linear-tip batches. Remove here is BLIND
-  // (absent keys are tolerated, matching WriteOp semantics); use
-  // BranchRemove for the NotFound-reporting single op.
-  Status BranchApplyWritesInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                const std::vector<WriteOp>& ops);
-  Status BranchPutInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                        const std::string& key, const std::string& value);
-  Status BranchRemoveInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                           const std::string& key);
+  // A branch tip's writability is read (and validated) inside the same
+  // transaction, so a concurrent fork aborts the batch with ReadOnly.
+  Status ApplyWritesInTxn(DynamicTxn& txn, const std::vector<WriteOp>& ops,
+                          Tip tip = Tip::Linear());
 
   // --- Snapshot creation (Fig. 6; called via the mvcc snapshot service) ----
   // Freezes the current tip and installs tip id + 1. Returns the frozen
@@ -287,16 +274,11 @@ class BTree {
   Result<SnapshotRef> CreateSnapshotInTxn(DynamicTxn& txn);
 
   // --- Tip plumbing (shared with mvcc/version modules) ---------------------
-  Result<TipContext> ReadTipInTxn(DynamicTxn& txn);
-  Result<TipContext> ReadBranchTipInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                        bool for_write);
-  // Invalidate the proxy-cached tip objects (called after aborts so the
-  // retry refetches them).
-  void InvalidateTipCache();
-
-  // Resolve a read-only snapshot's root by following recorded root copies —
-  // used by readers that only know the sid (branch catalog lookups).
-  Result<Addr> BranchRootInTxn(DynamicTxn& txn, uint64_t sid);
+  // Resolve `tip` inside `txn`: the linear tip pair, or the branch's
+  // catalog entry (NotFound for an unknown sid; with `for_write`, ReadOnly
+  // once the branch has been forked). Either way the objects join the read
+  // set, so the commit validates what the operation based itself on.
+  Result<TipContext> ReadTipInTxn(DynamicTxn& txn, Tip tip, bool for_write);
 
   // Copy-on-write of an arbitrary node into snapshot `sid` (used by branch
   // creation to copy the root eagerly). Returns the copy's address.
@@ -462,18 +444,11 @@ class BTree {
                     TraverseMode mode, const std::vector<std::string>& keys,
                     std::vector<std::optional<std::string>>* values);
 
-  // Shared body of ApplyWritesInTxn / BranchApplyWritesInTxn (descent.cc):
-  // with `branch`, every tip read resolves the branch catalog entry for
-  // `branch_sid` (validated, writable-checked) instead of the linear tip.
-  Status ApplyWritesToTip(DynamicTxn& txn, const std::vector<WriteOp>& ops,
-                          bool branch, uint64_t branch_sid);
-
-  // Shared body of the four put/insert entry points: traverse to the leaf
-  // under `tip` and upsert `key`; with `strict`, fail AlreadyExists when
-  // the key is present.
-  Status UpsertLeafInTxn(DynamicTxn& txn, const TipContext& tip,
-                         const std::string& key, const std::string& value,
-                         bool strict);
+  // Shared body of PutInTxn / InsertInTxn: traverse to the leaf under
+  // `tip` and upsert `key`; with `strict`, fail AlreadyExists when the key
+  // is present.
+  Status UpsertInTxn(DynamicTxn& txn, const std::string& key,
+                     const std::string& value, Tip tip, bool strict);
 
   // Write back a modified leaf (path.back()), performing copy-on-write,
   // splits and parent updates as needed; re-publishes the root if it moves
@@ -501,16 +476,28 @@ class BTree {
   // garbage-collection horizon (such snapshots are no longer queryable).
   Status CheckGcHorizon(uint64_t sid);
 
-  // Retry wrapper for whole-operation optimistic retry.
+  // Run `body` under txn::RunTransaction with this tree's attempt budget,
+  // counting every retried attempt in op_aborts.
   template <typename Body>
-  Status RunOp(Body&& body);
+  Status Transact(Body&& body) {
+    return txn::RunTransaction(coord_, cache_, {}, options_.max_attempts,
+                               std::forward<Body>(body),
+                               [this] { stats_->op_aborts.Increment(); });
+  }
 
-  // Retry wrapper for validation-free snapshot reads (§4.2): `body` runs
-  // in a fresh fetch-only transaction per attempt (no commit), retryable
-  // aborts back off, and the GC horizon is consulted periodically so reads
-  // below it fail fast with InvalidArgument instead of retrying forever.
+  // Transact for a validation-free snapshot read of `sid` (§4.2). The body
+  // only fetches and never joins a read set, so each attempt's commit is
+  // free. Every 64th attempt first consults the GC horizon, so a read
+  // below it fails fast with InvalidArgument instead of retrying to the
+  // attempt budget.
   template <typename Body>
-  Status RunSnapshotOp(uint64_t sid, Body&& body);
+  Status TransactSnapshotRead(uint64_t sid, Body&& body) {
+    uint32_t attempt = 0;
+    return Transact([&](DynamicTxn& txn) -> Status {
+      if (attempt++ % 64 == 6) MINUET_RETURN_NOT_OK(CheckGcHorizon(sid));
+      return body(txn);
+    });
+  }
 
   sinfonia::Coordinator* coord_;
   NodeAllocator* allocator_;
@@ -531,83 +518,6 @@ std::string EncodeTipId(uint64_t sid);
 uint64_t DecodeTipId(Slice payload);
 std::string EncodeRootLoc(Addr root);
 Addr DecodeRootLoc(Slice payload);
-
-// Retry wrapper for whole-operation optimistic retry: defined here so the
-// batched-descent entry points in descent.cc can instantiate it too.
-template <typename Body>
-Status BTree::RunOp(Body&& body) {
-  Status last = Status::Aborted("no attempts");
-  for (uint32_t attempt = 0; attempt < options_.max_attempts; attempt++) {
-    DynamicTxn txn(coord_, cache_);
-    Status st = body(txn);
-    // A stale cache must not refuse an Insert or invent a miss: answers
-    // commit (validating the read set) before being reported, and retry
-    // if validation aborts.
-    if (st.IsCommittableAnswer()) {
-      Status cst = txn.Commit();
-      if (cst.ok()) {
-        coord_->RecordTxnAttempt(st);
-        return st;
-      }
-      if (!cst.IsRetryable()) {
-        coord_->RecordTxnAttempt(cst);
-        return cst;
-      }
-      last = cst;
-    } else if (st.IsRetryable()) {
-      last = st;
-    } else {
-      coord_->RecordTxnAttempt(st);
-      return st;
-    }
-    coord_->RecordTxnAttempt(last);
-    stats_->op_aborts.Increment();
-    // The failed validation implicates something the transaction read from
-    // the proxy cache (the tip objects, or — with dirty traversals off —
-    // cached internal nodes). Drop them all so the retry refetches.
-    if (cache_ != nullptr) {
-      for (const Addr& a : txn.ReadSetAddrs()) cache_->Invalidate(a);
-    }
-    InvalidateTipCache();
-    // Persistent conflicts on an oversubscribed host: let the conflicting
-    // writer actually run before retrying (see Coordinator::Execute).
-    if (attempt >= 3) {
-      // lint:allow(sleep-in-src): bounded contention backoff inside the
-      // retry loop; there is no event to wait on, only a conflicting
-      // writer that needs CPU time to finish.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  return last;
-}
-
-// The shared retry skeleton of every validation-free snapshot read: a
-// fresh fetch-only transaction per attempt (no commit, §4.2), backoff on
-// persistent aborts, and a periodic horizon check so reads below the GC
-// horizon fail fast instead of retrying to exhaustion.
-template <typename Body>
-Status BTree::RunSnapshotOp(uint64_t sid, Body&& body) {
-  Status last = Status::Aborted("no attempts");
-  for (uint32_t attempt = 0; attempt < options_.max_attempts; attempt++) {
-    DynamicTxn txn(coord_, cache_);
-    Status st = body(txn);
-    if (st.ok() || !st.IsRetryable()) {
-      coord_->RecordTxnAttempt(st);
-      return st;
-    }
-    last = st;
-    coord_->RecordTxnAttempt(last);
-    stats_->op_aborts.Increment();
-    if (attempt % 64 == 5) MINUET_RETURN_NOT_OK(CheckGcHorizon(sid));
-    if (attempt >= 3) {
-      // lint:allow(sleep-in-src): bounded contention backoff inside the
-      // retry loop; there is no event to wait on, only a conflicting
-      // writer that needs CPU time to finish.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  return last;
-}
 
 struct CatalogEntry {
   Addr root;

@@ -13,8 +13,8 @@ namespace minuet {
 
 // Why an optimistic retry attempt aborted (the taxonomy PR 9 replaced the
 // opaque Status::Aborted(...) strings with on the retry paths). Recorded per
-// attempt by txn::RunTransaction / BTree::RunOp and counted in the metrics
-// registry, so abort causes are queryable instead of buried in log strings.
+// attempt by txn::RunTransaction and counted in the metrics registry, so
+// abort causes are queryable instead of buried in log strings.
 enum class AbortReason : unsigned char {
   kNone = 0,              // not an abort (or reason unknown)
   kValidationConflict,    // seqnum compare failed (piggy-backed or commit)
@@ -117,8 +117,7 @@ class [[nodiscard]] Status {
   // Statuses a transaction body may conclude with that are ANSWERS derived
   // from (possibly cached) reads rather than failures: the enclosing retry
   // loop must COMMIT — validating the read set — before reporting them,
-  // and retry on a validation abort. Shared by txn::RunTransaction and
-  // btree's RunOp so the two loops cannot diverge.
+  // and retry on a validation abort (txn::RunTransaction).
   bool IsCommittableAnswer() const {
     return ok() || code_ == Code::kNotFound || code_ == Code::kAlreadyExists;
   }

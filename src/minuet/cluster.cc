@@ -596,16 +596,4 @@ Status Proxy::Scan(const TreeHandle& tree, const std::string& start,
   return view->NewCursor(start, copts)->Drain(limit, out);
 }
 
-// ---------------------------------------------------------------------------
-// ProxyKV
-
-Status ProxyKV::Scan(
-    const std::string& start, uint32_t count,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  if (scan_mode_ == ScanMode::kSnapshot) {
-    return proxy_->Scan(tree_, start, count, out, scan_options_);
-  }
-  return proxy_->Tip(tree_).Scan(start, count, out);
-}
-
 }  // namespace minuet

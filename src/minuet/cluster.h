@@ -40,7 +40,6 @@
 
 #include "alloc/allocator.h"
 #include "btree/tree.h"
-#include "cdb/cdb.h"
 #include "minuet/tree_catalog.h"
 #include "minuet/tree_handle.h"
 #include "minuet/view.h"
@@ -54,7 +53,6 @@
 #include "store/checkpointed_store.h"
 #include "version/version_manager.h"
 #include "wal/wal.h"
-#include "ycsb/workload.h"
 
 namespace minuet {
 
@@ -259,52 +257,6 @@ class Proxy {
   std::atomic<uint32_t> attached_{0};
   std::mutex attach_mu_;  // serializes attachment; leaf lock, no fabric I/O
   std::atomic<bool> detached_{false};
-};
-
-// Adapter: drive a Proxy through the YCSB KVInterface.
-class ProxyKV : public ycsb::KVInterface {
- public:
-  // scan_mode: kSnapshot uses the cluster snapshot policy (the paper's
-  // production configuration); kTip runs strictly serializable tip scans.
-  enum class ScanMode { kSnapshot, kTip };
-
-  // Snapshot scans default to refresh_lease=true: YCSB E's long scans run
-  // on unpinned policy snapshots and re-lease across the GC horizon (§4.4)
-  // instead of dying with InvalidArgument under GC pressure (or blocking
-  // GC with per-scan pins).
-  static Cursor::Options DefaultScanOptions() {
-    Cursor::Options copts;
-    copts.refresh_lease = true;
-    return copts;
-  }
-
-  ProxyKV(Proxy* proxy, TreeHandle tree,
-          ScanMode scan_mode = ScanMode::kSnapshot,
-          Cursor::Options scan_options = DefaultScanOptions())
-      : proxy_(proxy),
-        tree_(tree),
-        scan_mode_(scan_mode),
-        scan_options_(std::move(scan_options)) {}
-
-  Status Read(const std::string& key, std::string* value) override {
-    return proxy_->Tip(tree_).Get(key, value);
-  }
-  Status Update(const std::string& key, const std::string& value) override {
-    return proxy_->Tip(tree_).Put(key, value);
-  }
-  // True insert (not a Put alias): AlreadyExists on a present key, so YCSB
-  // load phases measure the same upsert-vs-insert distinction CDB draws.
-  Status Insert(const std::string& key, const std::string& value) override {
-    return proxy_->Tip(tree_).Insert(key, value);
-  }
-  Status Scan(const std::string& start, uint32_t count,
-              std::vector<std::pair<std::string, std::string>>* out) override;
-
- private:
-  Proxy* proxy_;
-  TreeHandle tree_;
-  ScanMode scan_mode_;
-  Cursor::Options scan_options_;
 };
 
 class Cluster {

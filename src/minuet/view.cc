@@ -228,35 +228,42 @@ Status View::Scan(const std::string& start, size_t limit,
 }
 
 // ---------------------------------------------------------------------------
-// TipView
+// TipBoundView: one body per point op for TipView and BranchView. Every op
+// validates the handle first, so a stale or foreign TreeHandle fails loudly
+// instead of dereferencing a tree it does not name.
 
-Status TipView::Get(const std::string& key, std::string* value) {
+Status TipBoundView::CheckTip() const {
+  MINUET_RETURN_NOT_OK(CheckUsable());
+  return tip_.branch ? Status::OK() : CheckLinearAccess(tree_);
+}
+
+Status TipBoundView::Get(const std::string& key, std::string* value) {
   OpObserver obs(proxy_, ClientOp::kGet);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Get(key, value);
+  MINUET_RETURN_NOT_OK(CheckTip());
+  return btree()->Get(key, value, tip_);
 }
 
-Status TipView::Put(const std::string& key, const std::string& value) {
+Status TipBoundView::Put(const std::string& key, const std::string& value) {
   OpObserver obs(proxy_, ClientOp::kPut);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Put(key, value);
+  MINUET_RETURN_NOT_OK(CheckTip());
+  return btree()->Put(key, value, tip_);
 }
 
-Status TipView::Insert(const std::string& key, const std::string& value) {
+Status TipBoundView::Insert(const std::string& key,
+                            const std::string& value) {
   OpObserver obs(proxy_, ClientOp::kInsert);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Insert(key, value);
+  MINUET_RETURN_NOT_OK(CheckTip());
+  return btree()->Insert(key, value, tip_);
 }
 
-Status TipView::Remove(const std::string& key) {
+Status TipBoundView::Remove(const std::string& key) {
   OpObserver obs(proxy_, ClientOp::kRemove);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Remove(key);
+  MINUET_RETURN_NOT_OK(CheckTip());
+  return btree()->Remove(key, tip_);
 }
+
+// ---------------------------------------------------------------------------
+// TipView
 
 Status TipView::MultiGet(const std::vector<std::string>& keys,
                          std::vector<std::optional<std::string>>* values) {
@@ -264,8 +271,7 @@ Status TipView::MultiGet(const std::vector<std::string>& keys,
   // All-or-nothing contract: every exit path of a failed MultiGet — early
   // validation errors included — leaves only nullopt answers behind.
   values->assign(keys.size(), std::nullopt);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
+  MINUET_RETURN_NOT_OK(CheckTip());
   // One transaction AND one batched leaf round (BTree::MultiGetInTxn): the
   // inner descents share the proxy cache, the distinct leaves are fetched
   // in a single minitransaction, and everything validates together at
@@ -283,8 +289,7 @@ Status TipView::MultiGet(const std::vector<std::string>& keys,
 Status TipView::Scan(const std::string& start, size_t limit,
                      std::vector<std::pair<std::string, std::string>>* out) {
   OpObserver obs(proxy_, ClientOp::kScan);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
+  MINUET_RETURN_NOT_OK(CheckTip());
   // One transaction end-to-end: the whole range validates together at
   // commit (the semantics ProxyKV's kTip mode and the Fig. 16 comparison
   // rely on). For unbounded streaming use NewCursor, which trades that
@@ -294,10 +299,7 @@ Status TipView::Scan(const std::string& start, size_t limit,
 
 std::unique_ptr<Cursor> TipView::NewCursor(const std::string& start,
                                            Cursor::Options options) {
-  if (Status st = CheckUsable(); !st.ok()) {
-    return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
-  }
-  if (Status st = CheckLinearAccess(tree_); !st.ok()) {
+  if (Status st = CheckTip(); !st.ok()) {
     return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
   }
   btree::BTree* tree = btree();
@@ -582,43 +584,16 @@ std::unique_ptr<Cursor> SnapshotView::NewCursor(const std::string& start,
 // ---------------------------------------------------------------------------
 // BranchView
 
-// Every BranchView operation validates the handle first (uniform with
-// TipView): a stale or foreign TreeHandle must fail loudly instead of
-// dereferencing a tree it does not name.
-Status BranchView::Get(const std::string& key, std::string* value) {
-  OpObserver obs(proxy_, ClientOp::kGet);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchGet(sid_, key, value);
-}
-
-Status BranchView::Put(const std::string& key, const std::string& value) {
-  OpObserver obs(proxy_, ClientOp::kPut);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchPut(sid_, key, value);
-}
-
-Status BranchView::Insert(const std::string& key, const std::string& value) {
-  OpObserver obs(proxy_, ClientOp::kInsert);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchInsert(sid_, key, value);
-}
-
-Status BranchView::Remove(const std::string& key) {
-  OpObserver obs(proxy_, ClientOp::kRemove);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchRemove(sid_, key);
-}
-
 Status BranchView::MultiGet(const std::vector<std::string>& keys,
                             std::vector<std::optional<std::string>>* values) {
   OpObserver obs(proxy_, ClientOp::kMultiGet);
   values->assign(keys.size(), std::nullopt);  // no partial answers, ever
   MINUET_RETURN_NOT_OK(CheckUsable());
-  auto info = proxy_->BranchInfo(tree_, sid_);
+  auto info = proxy_->BranchInfo(tree_, tip_.sid);
   if (!info.ok()) return info.status();
   // One resolved root, one batched leaf round (§4.2 read rules).
-  Status st = btree()->SnapshotMultiGet(btree::SnapshotRef{sid_, info->root},
-                                        keys, values);
+  Status st = btree()->SnapshotMultiGet(
+      btree::SnapshotRef{tip_.sid, info->root}, keys, values);
   if (!st.ok()) values->assign(keys.size(), std::nullopt);
   return st;
 }
@@ -632,12 +607,12 @@ std::unique_ptr<Cursor> BranchView::NewCursor(const std::string& start,
   // traversal (§4.2). Later COW activity from other versions cannot
   // disturb the scan; in-place writes at this still-writable branch tip
   // may (see the header note) — fork the branch for frozen semantics.
-  auto info = proxy_->BranchInfo(tree_, sid_);
+  auto info = proxy_->BranchInfo(tree_, tip_.sid);
   if (!info.ok()) {
     return std::unique_ptr<Cursor>(new Cursor(info.status()));
   }
   btree::BTree* tree = btree();
-  const btree::SnapshotRef snap{sid_, info->root};
+  const btree::SnapshotRef snap{tip_.sid, info->root};
   if (options.fanout > 1) {
     return NewFanoutCursor(proxy_, tree, snap, start, std::move(options));
   }

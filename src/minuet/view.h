@@ -196,20 +196,37 @@ class View {
   TreeHandle tree_;
 };
 
+// The shared body of the two writable-tip views: point operations run
+// against one tip selector — the linear tip (TipView) or a branch
+// (BranchView) — through the same B-tree code.
+class TipBoundView : public View {
+ public:
+  Status Get(const std::string& key, std::string* value) override;
+  Status Put(const std::string& key, const std::string& value) override;
+  Status Insert(const std::string& key, const std::string& value) override;
+  // NotFound when the key is absent.
+  Status Remove(const std::string& key) override;
+
+ protected:
+  TipBoundView(Proxy* proxy, TreeHandle tree, btree::Tip tip)
+      : View(proxy, tree), tip_(tip) {}
+  // CheckUsable, plus — for the linear tip — that the tree is linear
+  // (a branching tree's tips are its branches).
+  Status CheckTip() const;
+
+  btree::Tip tip_;
+};
+
 // Strictly serializable operations against the live tip. Note on cursors:
 // each fetched chunk is one strictly serializable transaction, so a
 // multi-chunk tip scan is piecewise-serializable, not atomic end-to-end —
 // exactly the operation the paper shows "may never commit" as one
 // transaction under contention. Prefer SnapshotView for long scans.
-class TipView : public View {
+class TipView : public TipBoundView {
  public:
   ViewKind kind() const override { return ViewKind::kTip; }
   bool writable() const override { return true; }
 
-  Status Get(const std::string& key, std::string* value) override;
-  Status Put(const std::string& key, const std::string& value) override;
-  Status Insert(const std::string& key, const std::string& value) override;
-  Status Remove(const std::string& key) override;
   Status MultiGet(const std::vector<std::string>& keys,
                   std::vector<std::optional<std::string>>* values) override;
   std::unique_ptr<Cursor> NewCursor(const std::string& start = "",
@@ -221,7 +238,8 @@ class TipView : public View {
 
  private:
   friend class Proxy;
-  TipView(Proxy* proxy, TreeHandle tree) : View(proxy, tree) {}
+  TipView(Proxy* proxy, TreeHandle tree)
+      : TipBoundView(proxy, tree, btree::Tip::Linear()) {}
 };
 
 // A frozen, consistent snapshot (§4.2 reads: no validation, fence-key and
@@ -269,16 +287,12 @@ class SnapshotView : public View {
 // observed when the view was created; if the branch is forked afterwards,
 // writes through a stale view still fail ReadOnly (the tree enforces the
 // catalog, not the cached flag).
-class BranchView : public View {
+class BranchView : public TipBoundView {
  public:
   ViewKind kind() const override { return ViewKind::kBranch; }
   bool writable() const override { return writable_; }
-  uint64_t sid() const { return sid_; }
+  uint64_t sid() const { return tip_.sid; }
 
-  Status Get(const std::string& key, std::string* value) override;
-  Status Put(const std::string& key, const std::string& value) override;
-  Status Insert(const std::string& key, const std::string& value) override;
-  Status Remove(const std::string& key) override;
   // All keys are read against one resolved branch root (same caveat as
   // NewCursor below for still-writable branches).
   Status MultiGet(const std::vector<std::string>& keys,
@@ -295,9 +309,9 @@ class BranchView : public View {
  private:
   friend class Proxy;
   BranchView(Proxy* proxy, TreeHandle tree, uint64_t sid, bool writable)
-      : View(proxy, tree), sid_(sid), writable_(writable) {}
+      : TipBoundView(proxy, tree, btree::Tip::Branch(sid)),
+        writable_(writable) {}
 
-  uint64_t sid_ = 0;
   bool writable_ = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "minuet/cluster.h"
 
@@ -9,29 +10,31 @@ namespace minuet {
 
 void WriteBatch::Put(const TreeHandle& tree, std::string key,
                      std::string value) {
-  ops_.push_back(
-      Op{tree, Kind::kPut, kNoBranch, std::move(key), std::move(value)});
+  ops_.push_back(Op{tree, Kind::kPut, btree::Tip::Linear(), std::move(key),
+                    std::move(value)});
 }
 
 void WriteBatch::Insert(const TreeHandle& tree, std::string key,
                         std::string value) {
-  ops_.push_back(
-      Op{tree, Kind::kInsert, kNoBranch, std::move(key), std::move(value)});
+  ops_.push_back(Op{tree, Kind::kInsert, btree::Tip::Linear(), std::move(key),
+                    std::move(value)});
 }
 
 void WriteBatch::Remove(const TreeHandle& tree, std::string key) {
-  ops_.push_back(Op{tree, Kind::kRemove, kNoBranch, std::move(key), {}});
+  ops_.push_back(
+      Op{tree, Kind::kRemove, btree::Tip::Linear(), std::move(key), {}});
 }
 
 void WriteBatch::BranchPut(const TreeHandle& tree, uint64_t branch_sid,
                            std::string key, std::string value) {
-  ops_.push_back(
-      Op{tree, Kind::kPut, branch_sid, std::move(key), std::move(value)});
+  ops_.push_back(Op{tree, Kind::kPut, btree::Tip::Branch(branch_sid),
+                    std::move(key), std::move(value)});
 }
 
 void WriteBatch::BranchRemove(const TreeHandle& tree, uint64_t branch_sid,
                               std::string key) {
-  ops_.push_back(Op{tree, Kind::kRemove, branch_sid, std::move(key), {}});
+  ops_.push_back(Op{tree, Kind::kRemove, btree::Tip::Branch(branch_sid),
+                    std::move(key), {}});
 }
 
 // Batch execution lives here with the batch's own definition; Proxy
@@ -41,7 +44,7 @@ Status Proxy::Apply(const WriteBatch& batch) {
   std::set<std::pair<uint32_t, std::string>> inserted;
   for (const WriteBatch::Op& op : batch.ops_) {
     MINUET_RETURN_NOT_OK(CheckHandle(op.tree));
-    if (op.branch_sid == WriteBatch::kNoBranch) {
+    if (!op.tip.branch) {
       MINUET_RETURN_NOT_OK(CheckLinearAccess(op.tree));
     } else if (!op.tree.branching()) {
       return Status::InvalidArgument(
@@ -63,12 +66,14 @@ Status Proxy::Apply(const WriteBatch& batch) {
   // can never invalidate them mid-transaction.
   struct PerTip {
     btree::BTree* bt = nullptr;
+    btree::Tip tip;
     std::vector<std::string> insert_keys;
     std::vector<btree::BTree::WriteOp> ops;
   };
-  std::map<std::pair<uint32_t, uint64_t>, PerTip> per_tip;
+  std::map<std::tuple<uint32_t, bool, uint64_t>, PerTip> per_tip;
   for (const WriteBatch::Op& op : batch.ops_) {
-    PerTip& pt = per_tip[{op.tree.slot(), op.branch_sid}];
+    PerTip& pt = per_tip[{op.tree.slot(), op.tip.branch, op.tip.sid}];
+    pt.tip = op.tip;
     if (pt.bt == nullptr) pt.bt = tree(op.tree.slot());
     btree::BTree::WriteOp wop;
     wop.key = op.key;
@@ -113,11 +118,7 @@ Status Proxy::Apply(const WriteBatch& batch) {
     // groups resolve (and validate) their catalog tip inside this same
     // transaction, so a concurrent fork aborts the whole batch.
     for (auto& [key, pt] : per_tip) {
-      const uint64_t branch_sid = key.second;
-      MINUET_RETURN_NOT_OK(
-          branch_sid == WriteBatch::kNoBranch
-              ? pt.bt->ApplyWritesInTxn(txn, pt.ops)
-              : pt.bt->BranchApplyWritesInTxn(txn, branch_sid, pt.ops));
+      MINUET_RETURN_NOT_OK(pt.bt->ApplyWritesInTxn(txn, pt.ops, pt.tip));
     }
     return Status::OK();
   });

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "btree/tip.h"
 #include "minuet/tree_handle.h"
 
 namespace minuet {
@@ -61,12 +62,10 @@ class WriteBatch {
   friend class Proxy;
 
   enum class Kind : uint8_t { kPut, kInsert, kRemove };
-  // Linear-tip ops carry kNoBranch; branch ops name their branch sid.
-  static constexpr uint64_t kNoBranch = ~0ULL;
   struct Op {
     TreeHandle tree;  // full handle, so Apply can reject foreign clusters
     Kind kind;
-    uint64_t branch_sid = kNoBranch;
+    btree::Tip tip;
     std::string key;
     std::string value;
   };

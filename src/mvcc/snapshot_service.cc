@@ -23,35 +23,26 @@ Result<SnapshotRef> SnapshotService::CreateLocked(bool pin,
   // minitransaction so snapshot storms degrade to queueing, not livelock.
   txn::DynamicTxn::Options topts;
   topts.blocking_commit = options_.blocking_commit;
-  Status last = Status::Aborted("no attempts");
-  for (uint32_t attempt = 0; attempt < options_.max_attempts; attempt++) {
-    txn::DynamicTxn txn(tree_->coordinator(), tree_->cache(), topts);
-    auto snap = tree_->CreateSnapshotInTxn(txn);
-    if (snap.ok()) {
-      Status st = txn.Commit();
-      if (st.ok()) {
-        {
-          std::lock_guard<std::mutex> g(last_mu_);
-          last_ = *snap;
-          last_created_at_ = clock_();
-          // Pin before last_mu_ drops: LowestRetained (which also takes
-          // last_mu_ first) can never see the new horizon without the pin.
-          if (pin) Pin(snap->sid, owner);
-        }
-        num_snapshots_.fetch_add(1, std::memory_order_release);
-        created_.fetch_add(1, std::memory_order_relaxed);
-        return *snap;
-      }
-      if (!st.IsRetryable()) return st;
-      last = st;
-    } else if (snap.status().IsRetryable()) {
-      last = snap.status();
-    } else {
-      return snap.status();
-    }
-    tree_->InvalidateTipCache();
+  SnapshotRef snap;
+  MINUET_RETURN_NOT_OK(txn::RunTransaction(
+      tree_->coordinator(), tree_->cache(), topts,
+      tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
+        auto created = tree_->CreateSnapshotInTxn(txn);
+        if (!created.ok()) return created.status();
+        snap = *created;
+        return Status::OK();
+      }));
+  {
+    std::lock_guard<std::mutex> g(last_mu_);
+    last_ = snap;
+    last_created_at_ = clock_();
+    // Pin before last_mu_ drops: LowestRetained (which also takes last_mu_
+    // first) can never see the new horizon without the pin.
+    if (pin) Pin(snap.sid, owner);
   }
-  return last;
+  num_snapshots_.fetch_add(1, std::memory_order_release);
+  created_.fetch_add(1, std::memory_order_relaxed);
+  return snap;
 }
 
 Result<SnapshotRef> SnapshotService::CreateSnapshot(bool pin,

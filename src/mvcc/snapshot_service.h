@@ -51,7 +51,6 @@ class SnapshotService {
     // Disable to measure the cost of naive per-request snapshot creation
     // (the paper's Fig. 15 comparison).
     bool enable_borrowing = true;
-    uint32_t max_attempts = 10000;
   };
 
   // `clock` returns seconds on a monotonic scale; injectable so benchmarks

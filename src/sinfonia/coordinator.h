@@ -43,10 +43,9 @@ class Coordinator {
  public:
   // Protocol-outcome counters, owned here and LINKED into the cluster's
   // MetricsRegistry at bind time (obs/metrics.h). The txn_* members are the
-  // shared accounting for every optimistic retry loop above the coordinator
-  // (txn::RunTransaction, BTree::RunOp/RunSnapshotOp) — the loops already
-  // hold a coordinator pointer, so per-attempt abort taxonomy lands here
-  // without extra plumbing.
+  // accounting of the one optimistic retry loop above the coordinator
+  // (txn::RunTransaction) — the loop already holds a coordinator pointer,
+  // so per-attempt abort taxonomy lands here without extra plumbing.
   struct Metrics {
     obs::Counter executions;       // Execute() calls
     obs::Counter one_phase;        // single-memnode collapsed executions

@@ -12,6 +12,11 @@ DynamicTxn::DynamicTxn(sinfonia::Coordinator* coord, ObjectCache* cache,
                        Options options)
     : coord_(coord), cache_(cache), options_(options) {}
 
+DynamicTxn::~DynamicTxn() {
+  if (committed_ || commit_in_doubt_) return;
+  for (const auto& undo : discard_) undo();
+}
+
 MemnodeId DynamicTxn::ReadHome(const ObjectRef& ref) const {
   if (!ref.replicated_data) return ref.addr.memnode;
   // Replicated object: prefer a replica on a memnode the transaction already
@@ -473,7 +478,12 @@ Status DynamicTxn::Commit() {
   }
 
   MiniResult result;
-  MINUET_RETURN_NOT_OK(coord_->Execute(mtx, &result));
+  if (Status st = coord_->Execute(mtx, &result); !st.ok()) {
+    // Busy: no participant kept its locks, so nothing landed. Anything
+    // else (Unavailable) may have committed somewhere.
+    commit_in_doubt_ = !st.IsBusy();
+    return st;
+  }
   if (!result.committed) {
     MarkAborted(AbortReason::kValidationConflict);
     if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->validation_aborts++;

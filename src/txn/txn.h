@@ -22,9 +22,12 @@
 //                whenever all touched objects validate there.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -51,6 +54,9 @@ class DynamicTxn {
       : DynamicTxn(coord, cache, Options()) {}
   DynamicTxn(sinfonia::Coordinator* coord, ObjectCache* cache,
              Options options);
+  ~DynamicTxn();  // runs the OnDiscard undos (see there)
+  DynamicTxn(const DynamicTxn&) = delete;
+  DynamicTxn& operator=(const DynamicTxn&) = delete;
 
   // --- Transactional operations ------------------------------------------
   //
@@ -139,6 +145,16 @@ class DynamicTxn {
   bool doomed() const { return doomed_; }
   AbortReason abort_reason() const { return abort_reason_; }
   bool committed() const { return committed_; }
+
+  // Undo a proxy-local side effect of this attempt (a slab taken from the
+  // allocator's reservation pool) when the attempt provably installed
+  // nothing: `undo` runs at destruction unless the commit succeeded or is
+  // in doubt. A transaction that never committed, or whose commit failed a
+  // compare or found its locks Busy, installed nothing; an Unavailable
+  // commit may have landed on some memnode, so its effects are kept.
+  void OnDiscard(std::function<void()> undo) {
+    discard_.push_back(std::move(undo));
+  }
 
   // --- Introspection (B-tree cache refresh, tests) ------------------------
   struct WriteRecord {
@@ -268,51 +284,61 @@ class DynamicTxn {
   bool doomed_ = false;
   AbortReason abort_reason_ = AbortReason::kNone;
   bool committed_ = false;
+  bool commit_in_doubt_ = false;
+  std::vector<std::function<void()>> discard_;
 };
 
-// Retry loop: run `body` in fresh transactions until it commits or fails
-// with a non-retryable status. `body` receives the transaction and returns
-// OK to request commit, Aborted to retry immediately, or any other status
-// to stop. NotFound and AlreadyExists are returned through WITH a commit:
-// a Get that misses (or a strict Insert that hits) is an ANSWER derived
-// from possibly-cached reads, so it must pass commit-time validation —
-// and retry on a validation abort — before being reported.
-template <typename Body>
+// RunTransaction's default on-retry callback: no caller bookkeeping.
+struct NoRetryHook {
+  void operator()() const {}
+};
+
+// The one optimistic retry loop (paper §3, over Sinfonia
+// minitransactions). Runs `body` in a fresh transaction per attempt until it
+// commits or fails with a non-retryable status, for at most `max_attempts`
+// attempts. `body` returns OK to request commit, Aborted (or Busy) to retry,
+// or any other status to stop. NotFound and AlreadyExists are returned
+// through WITH a commit: a Get that misses (or a strict Insert that hits) is
+// an ANSWER derived from possibly-cached reads, so it must pass commit-time
+// validation — and retry on a validation abort — before being reported.
+//
+// Every attempt is recorded with the coordinator (attempt count and abort
+// taxonomy). After a retryable attempt the loop drops the attempt's read
+// set from the proxy cache, so the retry refetches instead of failing
+// identically on the same stale entry (a cached tip pair joins the read
+// set, so it is dropped too), then calls `on_retry` — the caller's own
+// per-retry bookkeeping, e.g. a B-tree's op_aborts count — and from the
+// fourth attempt on backs off for 100 µs.
+template <typename Body, typename OnRetry = NoRetryHook>
 Status RunTransaction(sinfonia::Coordinator* coord, ObjectCache* cache,
                       DynamicTxn::Options options, uint32_t max_attempts,
-                      Body&& body) {
+                      Body&& body, OnRetry&& on_retry = OnRetry()) {
   Status last = Status::Aborted("no attempts");
-  for (uint32_t i = 0; i < max_attempts; i++) {
+  for (uint32_t attempt = 0; attempt < max_attempts; attempt++) {
     DynamicTxn txn(coord, cache, options);
     Status st = body(txn);
-    bool retryable = false;
     if (st.IsCommittableAnswer()) {
       Status cst = txn.Commit();
       if (cst.ok()) {
         coord->RecordTxnAttempt(st);
         return st;
       }
-      if (!cst.IsRetryable()) {
-        coord->RecordTxnAttempt(cst);
-        return cst;
-      }
-      last = cst;
-      retryable = true;
-    } else if (st.IsRetryable()) {
-      last = st;
-      retryable = true;
-    } else {
-      coord->RecordTxnAttempt(st);
-      return st;
+      st = std::move(cst);
     }
-    // Attempt ended retryable: count it (and its taxonomy reason) before
-    // looping.
-    coord->RecordTxnAttempt(last);
-    if (retryable && cache != nullptr) {
-      // The failed validation implicates something served from the proxy
-      // cache (e.g. a stale tip object); drop the transaction's cached
-      // reads so the retry refetches instead of failing identically.
+    coord->RecordTxnAttempt(st);
+    if (!st.IsRetryable()) return st;
+    last = std::move(st);
+    if (cache != nullptr) {
       for (const Addr& a : txn.ReadSetAddrs()) cache->Invalidate(a);
+    }
+    on_retry();
+    if (attempt >= 3) {
+      // Persistent conflicts on an oversubscribed host: let the conflicting
+      // writer actually run before retrying (see Coordinator::Execute).
+      // lint:allow(sleep-in-src): bounded contention backoff inside the
+      // retry loop; there is no event to wait on, only a conflicting
+      // writer that needs CPU time to finish.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
   return last;

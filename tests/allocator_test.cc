@@ -296,6 +296,88 @@ TEST_F(AllocatorTest, RetireRequiresZeroOccupancyAndZeroesMeta) {
   }
 }
 
+// --- Reserved slabs of attempts that install nothing ------------------------
+
+// N retried attempts that each allocate and then abort: every reserved slab
+// comes back, so the authoritative occupancy is exactly the live nodes plus
+// what waits in the reservation pool — no orphan the GC could never free.
+TEST_F(AllocatorTest, AbortedAttemptsGiveTheirSlabsBack) {
+  NodeAllocator alloc = MakeAllocator(8);
+  constexpr int kAborts = 20;
+  int attempts = 0;
+  Status st = txn::RunTransaction(
+      coord_.get(), nullptr, {}, kAborts + 1,
+      [&](txn::DynamicTxn& t) -> Status {
+        auto slab = alloc.Allocate(t, 0);
+        if (!slab.ok()) return slab.status();
+        MINUET_RETURN_NOT_OK(slab->fresh ? t.WriteNew(slab->ref, "node")
+                                         : t.Write(slab->ref, "node"));
+        if (++attempts <= kAborts) return Status::Aborted("forced abort");
+        return Status::OK();
+      });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(attempts, kAborts + 1);
+  const uint64_t live_nodes = 1;
+  auto meta_live = alloc.MetaLiveSlabs(0);
+  ASSERT_TRUE(meta_live.ok());
+  EXPECT_EQ(*meta_live, live_nodes + alloc.ReservedSlabs(0));
+  EXPECT_EQ(alloc.ApproxLiveSlabs(0), live_nodes);
+}
+
+// A commit whose compare fails installed nothing: its slab is handed back.
+TEST_F(AllocatorTest, CommitThatFailsValidationGivesItsSlabBack) {
+  NodeAllocator alloc = MakeAllocator(4);
+  const ObjectRef contended = layout_.SlabRef(Addr{1, layout_.slab_base()});
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 0);
+    ASSERT_TRUE(slab.ok());
+    ASSERT_TRUE(t.WriteNew(slab->ref, "loser").ok());
+    ASSERT_TRUE(t.Read(contended).ok());
+    txn::DynamicTxn rival(coord_.get(), nullptr);
+    ASSERT_TRUE(rival.Write(contended, "winner").ok());
+    ASSERT_TRUE(rival.Commit().ok());
+    EXPECT_TRUE(t.Commit().IsAborted());
+  }
+  EXPECT_EQ(alloc.ReservedSlabs(0), 4u);
+  auto meta_live = alloc.MetaLiveSlabs(0);
+  ASSERT_TRUE(meta_live.ok());
+  EXPECT_EQ(*meta_live, 4u);
+}
+
+// An in-doubt commit (Unavailable) may have landed: its slab stays out.
+TEST_F(AllocatorTest, InDoubtCommitKeepsItsSlab) {
+  NodeAllocator alloc = MakeAllocator(4);
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 0);
+    ASSERT_TRUE(slab.ok());
+    ASSERT_TRUE(t.WriteNew(slab->ref, "maybe").ok());
+    fabric_->SetUp(0, false);
+    EXPECT_TRUE(t.Commit().IsUnavailable());
+    fabric_->SetUp(0, true);
+  }
+  EXPECT_EQ(alloc.ReservedSlabs(0), 3u);
+}
+
+// A slab given back after BeginDrain flushed the pool goes on to the free
+// list, so the drained node can still reach zero occupancy and retire.
+TEST_F(AllocatorTest, SlabGivenBackAfterDrainGoesToTheFreeList) {
+  NodeAllocator alloc = MakeAllocator(4);
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 1);
+    ASSERT_TRUE(slab.ok());
+    ASSERT_TRUE(t.WriteNew(slab->ref, "never committed").ok());
+    ASSERT_TRUE(alloc.BeginDrain(1).ok());  // flushes the 3 pooled slabs
+  }
+  EXPECT_EQ(alloc.ReservedSlabs(1), 0u);
+  auto meta_live = alloc.MetaLiveSlabs(1);
+  ASSERT_TRUE(meta_live.ok());
+  EXPECT_EQ(*meta_live, 0u);
+  EXPECT_TRUE(alloc.Retire(1).ok());
+}
+
 TEST_F(AllocatorTest, CannotDrainLastActiveMemnode) {
   NodeAllocator alloc = MakeAllocator(0);
   ASSERT_TRUE(alloc.BeginDrain(0).ok());

@@ -8,6 +8,7 @@
 #include "common/key_codec.h"
 #include "common/random.h"
 #include "minuet/cluster.h"
+#include "minuet/proxy_kv.h"
 
 namespace minuet {
 namespace {

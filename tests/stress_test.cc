@@ -129,10 +129,17 @@ TEST(StressTest, MembershipChurnUnderConcurrentTraffic) {
 
   // The churn itself: each cycle brings a node online, rebalances real
   // population onto it, then drains and retires it again — all while the
-  // writers and reader above keep running.
-  for (int cycle = 0; cycle < 2; cycle++) {
+  // writers and reader above keep running. A failed step is recorded, not
+  // asserted on the spot: a fatal assertion here would return with those
+  // threads still running (std::terminate) and take the remaining storms
+  // down with it. Stop and join them first, then assert.
+  std::string churn_failure;
+  for (int cycle = 0; cycle < 2 && churn_failure.empty(); cycle++) {
     auto added = cluster.AddMemnode();
-    ASSERT_TRUE(added.ok()) << added.status().ToString();
+    if (!added.ok()) {
+      churn_failure = "AddMemnode: " + added.status().ToString();
+      break;
+    }
 
     rebalance::Options ropts;
     ropts.max_moves_per_round = 64;
@@ -140,8 +147,10 @@ TEST(StressTest, MembershipChurnUnderConcurrentTraffic) {
     auto balanced = rebalancer.RunUntilBalanced(32);
     // Under a concurrent write storm the round budget may expire before the
     // balance band is met; slabs still moved, which is all the churn needs.
-    ASSERT_TRUE(balanced.ok() || balanced.status().IsAborted())
-        << balanced.status().ToString();
+    if (!balanced.ok() && !balanced.status().IsAborted()) {
+      churn_failure = "RunUntilBalanced: " + balanced.status().ToString();
+      break;
+    }
 
     // Retire the node we just populated. Concurrent snapshot pins can hold
     // the reclaim phase at Busy; the node stays drain-only and the call
@@ -150,16 +159,17 @@ TEST(StressTest, MembershipChurnUnderConcurrentTraffic) {
     for (int attempt = 0; attempt < 50 && !removed.ok(); attempt++) {
       removed = cluster.RemoveMemnode(*added);
       if (!removed.ok()) {
-        ASSERT_TRUE(removed.IsBusy()) << removed.ToString();
+        if (!removed.IsBusy()) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     }
-    ASSERT_TRUE(removed.ok()) << removed.ToString();
+    if (!removed.ok()) churn_failure = "RemoveMemnode: " + removed.ToString();
   }
 
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : writers) t.join();
   reader.join();
+  ASSERT_TRUE(churn_failure.empty()) << churn_failure;
 
   // Every key a writer reported committed is readable through a different
   // proxy, and a full scan still sees the intact keyspace.

@@ -55,20 +55,20 @@ TEST_F(VersionTest, BranchZeroIsInitiallyWritable) {
   ASSERT_TRUE(info.ok());
   EXPECT_TRUE(info->writable);
   EXPECT_EQ(info->parent, btree::CatalogEntry::kNoParent);
-  ASSERT_TRUE(tree().BranchPut(0, "k", "v").ok());
+  ASSERT_TRUE(tree().Put("k", "v", btree::Tip::Branch(0)).ok());
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(0, "k", &value).ok());
+  ASSERT_TRUE(tree().Get("k", &value, btree::Tip::Branch(0)).ok());
   EXPECT_EQ(value, "v");
 }
 
 TEST_F(VersionTest, BranchingFreezesParent) {
-  ASSERT_TRUE(tree().BranchPut(0, "k", "v0").ok());
+  ASSERT_TRUE(tree().Put("k", "v0", btree::Tip::Branch(0)).ok());
   auto b1 = vm().CreateBranch(0);
   ASSERT_TRUE(b1.ok());
   EXPECT_EQ(*b1, 1u);
 
   // Snapshot 0 is read-only now.
-  EXPECT_TRUE(tree().BranchPut(0, "k", "poison").IsReadOnly());
+  EXPECT_TRUE(tree().Put("k", "poison", btree::Tip::Branch(0)).IsReadOnly());
   auto info = vm().Info(0);
   ASSERT_TRUE(info.ok());
   EXPECT_FALSE(info->writable);
@@ -76,10 +76,10 @@ TEST_F(VersionTest, BranchingFreezesParent) {
 
   // The branch carries the parent's data and accepts writes.
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(*b1, "k", &value).ok());
+  ASSERT_TRUE(tree().Get("k", &value, btree::Tip::Branch(*b1)).ok());
   EXPECT_EQ(value, "v0");
-  ASSERT_TRUE(tree().BranchPut(*b1, "k", "v1").ok());
-  ASSERT_TRUE(tree().BranchGet(*b1, "k", &value).ok());
+  ASSERT_TRUE(tree().Put("k", "v1", btree::Tip::Branch(*b1)).ok());
+  ASSERT_TRUE(tree().Get("k", &value, btree::Tip::Branch(*b1)).ok());
   EXPECT_EQ(value, "v1");
 
   // The frozen snapshot still reads the old value.
@@ -89,29 +89,35 @@ TEST_F(VersionTest, BranchingFreezesParent) {
 
 TEST_F(VersionTest, SiblingBranchesDiverge) {
   for (int i = 0; i < 50; i++) {
-    ASSERT_TRUE(tree().BranchPut(0, EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i),
+                           btree::Tip::Branch(0)).ok());
   }
   auto b1 = vm().CreateBranch(0);
   ASSERT_TRUE(b1.ok());
   auto b2 = vm().CreateBranch(0);
   ASSERT_TRUE(b2.ok());
 
-  ASSERT_TRUE(tree().BranchPut(*b1, EncodeUserKey(10),
-                                 EncodeValue(111)).ok());
-  ASSERT_TRUE(tree().BranchPut(*b2, EncodeUserKey(10),
-                                 EncodeValue(222)).ok());
-  ASSERT_TRUE(tree().BranchPut(*b1, "only-b1", "x").ok());
+  ASSERT_TRUE(tree().Put(EncodeUserKey(10), EncodeValue(111),
+                         btree::Tip::Branch(*b1)).ok());
+  ASSERT_TRUE(tree().Put(EncodeUserKey(10), EncodeValue(222),
+                         btree::Tip::Branch(*b2)).ok());
+  ASSERT_TRUE(tree().Put("only-b1", "x", btree::Tip::Branch(*b1)).ok());
 
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(*b1, EncodeUserKey(10), &value).ok());
+  ASSERT_TRUE(tree().Get(EncodeUserKey(10), &value,
+                         btree::Tip::Branch(*b1)).ok());
   EXPECT_EQ(DecodeValue(value), 111u);
-  ASSERT_TRUE(tree().BranchGet(*b2, EncodeUserKey(10), &value).ok());
+  ASSERT_TRUE(tree().Get(EncodeUserKey(10), &value,
+                         btree::Tip::Branch(*b2)).ok());
   EXPECT_EQ(DecodeValue(value), 222u);
-  EXPECT_TRUE(tree().BranchGet(*b2, "only-b1", &value).IsNotFound());
+  EXPECT_TRUE(tree().Get("only-b1", &value,
+                         btree::Tip::Branch(*b2)).IsNotFound());
   // Untouched keys are shared and visible in both.
-  ASSERT_TRUE(tree().BranchGet(*b1, EncodeUserKey(20), &value).ok());
+  ASSERT_TRUE(tree().Get(EncodeUserKey(20), &value,
+                         btree::Tip::Branch(*b1)).ok());
   EXPECT_EQ(DecodeValue(value), 20u);
-  ASSERT_TRUE(tree().BranchGet(*b2, EncodeUserKey(20), &value).ok());
+  ASSERT_TRUE(tree().Get(EncodeUserKey(20), &value,
+                         btree::Tip::Branch(*b2)).ok());
   EXPECT_EQ(DecodeValue(value), 20u);
 }
 
@@ -181,27 +187,31 @@ TEST_F(VersionTest, DiscretionaryCopiesBoundDescendantSets) {
   // Enough keys that the tree has real leaves below the root (the root
   // itself is copied eagerly at branch creation and never folds).
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(tree().BranchPut(0, EncodeUserKey(i), EncodeValue(0)).ok());
+    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(0),
+                           btree::Tip::Branch(0)).ok());
   }
   ASSERT_TRUE(vm().CreateBranch(0).ok());  // 1
   ASSERT_TRUE(vm().CreateBranch(0).ok());  // 2
   ASSERT_TRUE(vm().CreateBranch(1).ok());  // 3
   ASSERT_TRUE(vm().CreateBranch(1).ok());  // 4
 
-  ASSERT_TRUE(tree().BranchPut(3, EncodeUserKey(5), EncodeValue(3)).ok());
-  ASSERT_TRUE(tree().BranchPut(4, EncodeUserKey(5), EncodeValue(4)).ok());
+  ASSERT_TRUE(tree().Put(EncodeUserKey(5), EncodeValue(3),
+                         btree::Tip::Branch(3)).ok());
+  ASSERT_TRUE(tree().Put(EncodeUserKey(5), EncodeValue(4),
+                         btree::Tip::Branch(4)).ok());
   const uint64_t disc_before = tree().stats().discretionary_copies.Value();
-  ASSERT_TRUE(tree().BranchPut(2, EncodeUserKey(5), EncodeValue(2)).ok());
+  ASSERT_TRUE(tree().Put(EncodeUserKey(5), EncodeValue(2),
+                         btree::Tip::Branch(2)).ok());
   EXPECT_GT(tree().stats().discretionary_copies.Value(), disc_before);
 
   // Every version still reads its own value; the frozen interior versions
   // read the original.
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(3, EncodeUserKey(5), &value).ok());
+  ASSERT_TRUE(tree().Get(EncodeUserKey(5), &value, btree::Tip::Branch(3)).ok());
   EXPECT_EQ(DecodeValue(value), 3u);
-  ASSERT_TRUE(tree().BranchGet(4, EncodeUserKey(5), &value).ok());
+  ASSERT_TRUE(tree().Get(EncodeUserKey(5), &value, btree::Tip::Branch(4)).ok());
   EXPECT_EQ(DecodeValue(value), 4u);
-  ASSERT_TRUE(tree().BranchGet(2, EncodeUserKey(5), &value).ok());
+  ASSERT_TRUE(tree().Get(EncodeUserKey(5), &value, btree::Tip::Branch(2)).ok());
   EXPECT_EQ(DecodeValue(value), 2u);
   ASSERT_TRUE(GetAt(0, EncodeUserKey(5), &value).ok());
   EXPECT_EQ(DecodeValue(value), 0u);
@@ -210,14 +220,15 @@ TEST_F(VersionTest, DiscretionaryCopiesBoundDescendantSets) {
 }
 
 TEST_F(VersionTest, DeepBranchChainsStayCorrect) {
-  ASSERT_TRUE(tree().BranchPut(0, "k", "g0").ok());
+  ASSERT_TRUE(tree().Put("k", "g0", btree::Tip::Branch(0)).ok());
   uint64_t tip = 0;
   for (int gen = 1; gen <= 12; gen++) {
     auto next = vm().CreateBranch(tip);
     ASSERT_TRUE(next.ok());
     tip = *next;
     ASSERT_TRUE(
-        tree().BranchPut(tip, "k", "g" + std::to_string(gen)).ok());
+        tree().Put("k", "g" + std::to_string(gen),
+                   btree::Tip::Branch(tip)).ok());
   }
   // Every interior generation preserved its value.
   std::string value;
@@ -225,7 +236,7 @@ TEST_F(VersionTest, DeepBranchChainsStayCorrect) {
     ASSERT_TRUE(GetAt(gen, "k", &value).ok()) << gen;
     EXPECT_EQ(value, "g" + std::to_string(gen));
   }
-  ASSERT_TRUE(tree().BranchGet(tip, "k", &value).ok());
+  ASSERT_TRUE(tree().Get("k", &value, btree::Tip::Branch(tip)).ok());
   EXPECT_EQ(value, "g12");
 }
 
@@ -235,7 +246,8 @@ TEST_F(VersionTest, WhatIfAnalysisScenario) {
   constexpr int kKeys = 200;
   for (int i = 0; i < kKeys; i++) {
     ASSERT_TRUE(
-        tree().BranchPut(0, EncodeUserKey(i), EncodeValue(100)).ok());
+        tree().Put(EncodeUserKey(i), EncodeValue(100),
+                   btree::Tip::Branch(0)).ok());
   }
   auto mainline = vm().CreateBranch(0);
   ASSERT_TRUE(mainline.ok());
@@ -245,14 +257,16 @@ TEST_F(VersionTest, WhatIfAnalysisScenario) {
   // The what-if branch doubles a subset of values.
   for (int i = 0; i < kKeys; i += 4) {
     ASSERT_TRUE(
-        tree().BranchPut(*whatif, EncodeUserKey(i), EncodeValue(200)).ok());
+        tree().Put(EncodeUserKey(i), EncodeValue(200),
+                   btree::Tip::Branch(*whatif)).ok());
   }
 
   auto sum_at_branch = [&](uint64_t sid) {
     uint64_t sum = 0;
     std::string value;
     for (int i = 0; i < kKeys; i++) {
-      EXPECT_TRUE(tree().BranchGet(sid, EncodeUserKey(i), &value).ok());
+      EXPECT_TRUE(tree().Get(EncodeUserKey(i), &value,
+                             btree::Tip::Branch(sid)).ok());
       sum += DecodeValue(value);
     }
     return sum;
@@ -262,14 +276,14 @@ TEST_F(VersionTest, WhatIfAnalysisScenario) {
 }
 
 TEST_F(VersionTest, SecondProxySeesBranches) {
-  ASSERT_TRUE(tree(0).BranchPut(0, "k", "v0").ok());
+  ASSERT_TRUE(tree(0).Put("k", "v0", btree::Tip::Branch(0)).ok());
   auto b1 = vm(0).CreateBranch(0);
   ASSERT_TRUE(b1.ok());
-  ASSERT_TRUE(tree(0).BranchPut(*b1, "k", "v1").ok());
+  ASSERT_TRUE(tree(0).Put("k", "v1", btree::Tip::Branch(*b1)).ok());
 
   // Proxy 1 (separate cache, separate oracle) reads both versions.
   std::string value;
-  ASSERT_TRUE(tree(1).BranchGet(*b1, "k", &value).ok());
+  ASSERT_TRUE(tree(1).Get("k", &value, btree::Tip::Branch(*b1)).ok());
   EXPECT_EQ(value, "v1");
   auto info = vm(1).Info(0);
   ASSERT_TRUE(info.ok());
@@ -278,18 +292,20 @@ TEST_F(VersionTest, SecondProxySeesBranches) {
   EXPECT_EQ(value, "v0");
   // Proxy 1 writing to the frozen snapshot is refused even though its
   // cached catalog entry may be stale (validation catches it).
-  EXPECT_TRUE(tree(1).BranchPut(0, "k", "poison").IsReadOnly());
+  EXPECT_TRUE(tree(1).Put("k", "poison", btree::Tip::Branch(0)).IsReadOnly());
 }
 
 TEST_F(VersionTest, ScansWorkOnBranches) {
   for (int i = 0; i < 150; i++) {
-    ASSERT_TRUE(tree().BranchPut(0, EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i),
+                           btree::Tip::Branch(0)).ok());
   }
   auto b1 = vm().CreateBranch(0);
   ASSERT_TRUE(b1.ok());
   for (int i = 150; i < 300; i++) {
     ASSERT_TRUE(
-        tree().BranchPut(*b1, EncodeUserKey(i), EncodeValue(i)).ok());
+        tree().Put(EncodeUserKey(i), EncodeValue(i),
+                   btree::Tip::Branch(*b1)).ok());
   }
   // Scan the frozen parent: exactly the first 150 keys.
   auto info = vm().Info(0);
@@ -329,7 +345,7 @@ TEST_F(VersionTest, RandomizedBranchWorkloadMatchesReferenceModels) {
     }
     const std::string key = EncodeUserKey(rng.Uniform(60));
     const std::string value = EncodeValue(rng.Next());
-    ASSERT_TRUE(tree().BranchPut(branch, key, value).ok());
+    ASSERT_TRUE(tree().Put(key, value, btree::Tip::Branch(branch)).ok());
     models[branch][key] = value;
   }
 
@@ -337,7 +353,7 @@ TEST_F(VersionTest, RandomizedBranchWorkloadMatchesReferenceModels) {
   for (uint64_t b : writable) {
     for (const auto& [k, v] : models[b]) {
       std::string value;
-      ASSERT_TRUE(tree().BranchGet(b, k, &value).ok())
+      ASSERT_TRUE(tree().Get(k, &value, btree::Tip::Branch(b)).ok())
           << "branch " << b << " key " << k;
       EXPECT_EQ(value, v);
     }

@@ -1023,9 +1023,11 @@ TEST(ViewTest, WriteBatchAndTransactionReachBranchTips) {
   btree::BTree* lt = p.tree(linear->slot());
   ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
                  MINUET_RETURN_NOT_OK(
-                     bt->BranchPutInTxn(txn, *b1, EncodeUserKey(4), "forked"));
+                     bt->PutInTxn(txn, EncodeUserKey(4), "forked",
+                                  btree::Tip::Branch(*b1)));
                  MINUET_RETURN_NOT_OK(
-                     bt->BranchRemoveInTxn(txn, *b1, EncodeUserKey(2)));
+                     bt->RemoveInTxn(txn, EncodeUserKey(2),
+                                     btree::Tip::Branch(*b1)));
                  return lt->PutInTxn(txn, EncodeUserKey(4), "linear-too");
                }).ok());
   auto fork = p.Branch(*branchy, *b1);

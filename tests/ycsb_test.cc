@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "minuet/cluster.h"
+#include "minuet/proxy_kv.h"
 #include "ycsb/workload.h"
 
 namespace minuet::ycsb {

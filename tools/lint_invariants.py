@@ -33,6 +33,11 @@ docs/ARCHITECTURE.md, "Concurrency invariants & tooling"):
                       latency under their own locks is their contract
                       (group commit exists to amortize it), and all other
                       code must reach disk THROUGH them.
+  retry-loop          txn::RunTransaction is the one optimistic retry loop:
+                      a DynamicTxn constructed inside a for/while/do body
+                      in src/ outside src/txn/ is a second loop (its own
+                      attempt budget, backoff and abort accounting).
+                      Retry through RunTransaction instead.
   metrics             stat counters in src/ (outside src/obs/) must be
                       obs::Counter, not raw std::atomic integers — raw
                       atomics are invisible to the MetricsRegistry and
@@ -91,6 +96,12 @@ FABRIC_SEND_RE = re.compile(
 RAW_IO_RE = re.compile(
     r"\b(?:fsync|fdatasync|pread|pwrite|ftruncate|fopen)\s*\(|::open\s*\(")
 
+# Rule: retry-loop. A DynamicTxn object declaration with constructor
+# arguments (references and pointers do not match), and the loop keywords
+# whose bodies it must not appear in.
+TXN_CONSTRUCT_RE = re.compile(r"\bDynamicTxn\s+\w+\s*[({]")
+LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
+
 # Rule: metrics. A raw std::atomic integer DECLARATION whose identifier
 # reads like a stat counter. Matches plain members/globals and array forms
 # (e.g. unique_ptr<std::atomic<uint64_t>[]>); loads/stores of such members
@@ -141,6 +152,7 @@ def lint_file(path, rel, findings):
         raw_lines = f.read().splitlines()
 
     in_src = rel.startswith("src/")
+    check_retry_loop = in_src and not rel.startswith("src/txn/")
     in_block_comment = False
     # Active exclusive guards: stack of brace depths at declaration.
     guard_depths = []
@@ -148,6 +160,12 @@ def lint_file(path, rel, findings):
     constructs_thread = False
     has_join = False
     thread_sites = []
+    # retry-loop state: brace depths at which loop bodies opened, and the
+    # header being scanned ("paren" until its ')' closes, then "body"
+    # until the next '{' — or a ';', for a braceless single statement).
+    loop_depths = []
+    loop_header = None
+    header_parens = 0
 
     for i, raw in enumerate(raw_lines):
         code, _ = strip_code_line(raw)
@@ -231,13 +249,43 @@ def lint_file(path, rel, findings):
                              "is held; route durable writes through "
                              "wal::Wal / store::* (guard declared at brace "
                              "depth %d)" % guard_depths[-1])
-            for ch in code:
+            # --- retry-loop --------------------------------------------
+            constructs_txn = (check_retry_loop
+                              and TXN_CONSTRUCT_RE.search(code)
+                              and not allowed("retry-loop", raw_lines, i))
+            keywords = {m.start(): m.group(1)
+                        for m in LOOP_KEYWORD_RE.finditer(code)}
+            for pos, ch in enumerate(code):
+                keyword = keywords.get(pos)
+                if keyword is not None:
+                    # `while` closing a do-body is a header with no body.
+                    loop_header = "body" if keyword == "do" else "paren"
+                    header_parens = 0
+                if loop_header == "paren":
+                    if ch == "(":
+                        header_parens += 1
+                    elif ch == ")":
+                        header_parens -= 1
+                        if header_parens == 0:
+                            loop_header = "body"
+                elif loop_header == "body" and ch == ";":
+                    loop_header = None
                 if ch == "{":
+                    if loop_header == "body":
+                        loop_depths.append(depth)
+                        loop_header = None
                     depth += 1
                 elif ch == "}":
                     depth -= 1
                     while guard_depths and guard_depths[-1] >= depth:
                         guard_depths.pop()
+                    while loop_depths and loop_depths[-1] >= depth:
+                        loop_depths.pop()
+            if constructs_txn and loop_depths:
+                findings.add(rel, lineno, "retry-loop",
+                             "DynamicTxn constructed inside a loop body; "
+                             "retry through txn::RunTransaction, the one "
+                             "optimistic retry loop")
 
     if in_src and constructs_thread and not has_join and thread_sites:
         for lineno in thread_sites:
