@@ -54,7 +54,8 @@ Cluster::Cluster(ClusterOptions options) : options_(options) {
   memnodes_.reserve(capacity);
   std::vector<sinfonia::Memnode*> raw;
   for (uint32_t i = 0; i < options_.machines; i++) {
-    memnodes_.push_back(std::make_unique<sinfonia::Memnode>(i));
+    memnodes_.push_back(
+        std::make_unique<sinfonia::Memnode>(i, options_.node_size));
     raw.push_back(memnodes_.back().get());
   }
   sinfonia::Coordinator::Options copts;
@@ -292,7 +293,7 @@ void Cluster::DropProxyCaches() {
 
 Result<uint32_t> Cluster::AddMemnode() {
   const uint32_t id = coord_->n_memnodes();
-  auto node = std::make_unique<sinfonia::Memnode>(id);
+  auto node = std::make_unique<sinfonia::Memnode>(id, options_.node_size);
   // The durable store must exist BEFORE the node joins: its first
   // replicated write logs through it.
   if (options_.durability != wal::DurabilityMode::kNone) {

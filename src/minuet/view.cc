@@ -168,7 +168,7 @@ Status Cursor::Drain(size_t limit,
 // ---------------------------------------------------------------------------
 // View
 
-btree::BTree* View::btree() const { return proxy_->tree(tree_); }
+btree::BTree* View::btree() const { return proxy_->tree(tree_.slot()); }
 
 Status View::CheckUsable() const { return proxy_->CheckHandle(tree_); }
 

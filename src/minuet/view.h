@@ -178,6 +178,9 @@ class View {
 
  protected:
   View(Proxy* proxy, TreeHandle tree) : proxy_(proxy), tree_(tree) {}
+  // The proxy's tree for this view's slot. Call only after CheckUsable()
+  // passed; it does not re-check, so a RemoveProxy landing in between
+  // cannot turn an already-admitted op into a null dereference.
   btree::BTree* btree() const;
   // InvalidArgument when the handle does not name a tree of this cluster,
   // or when the proxy was removed from it (Cluster::RemoveProxy).

@@ -1,6 +1,7 @@
 #include "mvcc/snapshot_service.h"
 
 #include <algorithm>
+#include <thread>
 
 namespace minuet::mvcc {
 
@@ -21,6 +22,16 @@ Result<SnapshotRef> SnapshotService::CreateLocked(bool pin,
   // Runs with mutex_ held. Fig. 6: the snapshot materializes when the
   // dynamic transaction commits; the tip update uses a blocking
   // minitransaction so snapshot storms degrade to queueing, not livelock.
+  //
+  // Back-to-back creations leave the tip stable for as long as the last
+  // creation took. Every update compares the tip id when it commits, so a
+  // lone creator looping on the memnodes' shared-lock fast path would
+  // otherwise re-bump the tip faster than a Put can read it and commit,
+  // and the Put would starve.
+  while (std::chrono::steady_clock::now() < next_creation_at_) {
+    std::this_thread::yield();
+  }
+  const auto start = std::chrono::steady_clock::now();
   txn::DynamicTxn::Options topts;
   topts.blocking_commit = options_.blocking_commit;
   SnapshotRef snap;
@@ -32,6 +43,8 @@ Result<SnapshotRef> SnapshotService::CreateLocked(bool pin,
         snap = *created;
         return Status::OK();
       }));
+  const auto end = std::chrono::steady_clock::now();
+  next_creation_at_ = end + (end - start);
   {
     std::lock_guard<std::mutex> g(last_mu_);
     last_ = snap;
@@ -78,6 +91,7 @@ Result<SnapshotRef> SnapshotService::AcquireForScan(bool pin,
 
 void SnapshotService::Pin(uint64_t sid, LeaseOwner owner) {
   std::lock_guard<std::mutex> g(pins_mu_);
+  if (released_owners_.count(owner) != 0) return;
   pins_[sid]++;
   owner_pins_[owner][sid]++;
 }
@@ -99,6 +113,7 @@ void SnapshotService::Unpin(uint64_t sid, LeaseOwner owner) {
 
 uint64_t SnapshotService::ReleaseOwner(LeaseOwner owner) {
   std::lock_guard<std::mutex> g(pins_mu_);
+  released_owners_.insert(owner);
   auto oit = owner_pins_.find(owner);
   if (oit == owner_pins_.end()) return 0;
   uint64_t released = 0;

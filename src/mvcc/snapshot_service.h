@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 
 #include "btree/tree.h"
 
@@ -83,8 +84,10 @@ class SnapshotService {
   void Pin(uint64_t sid, LeaseOwner owner = kNoLeaseOwner);
   void Unpin(uint64_t sid, LeaseOwner owner = kNoLeaseOwner);
   // Drop EVERY lease `owner` holds (a proxy leaving the cluster): the GC
-  // horizon advances past them immediately. Returns the number of leases
-  // released.
+  // horizon advances past them immediately. The owner stays released:
+  // a straggler's later Pin under it is a no-op, so a snapshot acquisition
+  // racing the release cannot leave a lease behind. Returns the number of
+  // leases released.
   uint64_t ReleaseOwner(LeaseOwner owner);
   uint64_t pinned_count() const;
   // Leases currently accounted to `owner` (introspection, tests).
@@ -121,6 +124,9 @@ class SnapshotService {
   SnapshotRef last_{};          // guarded by mutex_ for writes
   double last_created_at_ = -1e300;
   mutable std::mutex last_mu_;  // cheap reads of last_
+  // Earliest start of the next creation (guarded by mutex_); see
+  // CreateLocked.
+  std::chrono::steady_clock::time_point next_creation_at_{};
 
   std::atomic<uint64_t> created_{0};
   std::atomic<uint64_t> borrowed_{0};
@@ -133,6 +139,7 @@ class SnapshotService {
   // Per-owner breakdown of pins_, kept in exact correspondence under
   // pins_mu_; ReleaseOwner subtracts an owner's slice wholesale.
   std::map<LeaseOwner, std::map<uint64_t, uint32_t>> owner_pins_;
+  std::set<LeaseOwner> released_owners_;  // under pins_mu_; see ReleaseOwner
 };
 
 }  // namespace minuet::mvcc

@@ -113,13 +113,15 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
     if (attempt > 0) {
       metrics_.busy_retries.Increment();
       if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->retries++;
-      // Give the lock holder a chance to finish. On a machine with fewer
-      // cores than threads, a holder can sit preempted mid-commit for a
-      // whole scheduling quantum; yield alone then degenerates into a
-      // retry storm, so back off for real after a few attempts. (In the
-      // paper's deployment the "holder" is a memnode executing a
-      // minitransaction to completion — this wait stands in for the lock
-      // hold time that a busy lock implies there.)
+      // Busy means a real write conflict: reads share their node locks,
+      // so another transaction holds a node this one writes, or writes a
+      // node this one reads. Give that holder a chance to finish. On a
+      // machine with fewer cores than threads, it can sit preempted
+      // mid-commit for a whole scheduling quantum; yield alone then
+      // degenerates into a retry storm, so back off for real after a few
+      // attempts. (In the paper's deployment the holder is a memnode
+      // executing a minitransaction to completion — this wait stands in
+      // for the lock hold time a busy lock implies there.)
       if (attempt < 4) {
         std::this_thread::yield();
       } else {

@@ -4,10 +4,9 @@
 
 namespace minuet::sinfonia {
 
-LockTable::LockTable(uint32_t n_stripes, uint32_t granularity,
-                     uint32_t n_shards)
+LockTable::LockTable(uint32_t n_stripes, uint32_t unit, uint32_t n_shards)
     : n_stripes_(std::max<uint32_t>(1, n_stripes)),
-      granularity_(granularity),
+      unit_(unit),
       n_shards_(std::clamp<uint32_t>(n_shards, 1,
                                      std::min(kMaxShards, n_stripes_))),
       shards_(n_shards_) {
@@ -18,83 +17,119 @@ LockTable::LockTable(uint32_t n_stripes, uint32_t granularity,
   }
 }
 
-std::vector<uint32_t> LockTable::StripesFor(
+std::vector<LockTable::Hold> LockTable::StripesFor(
     const std::vector<Range>& ranges) const {
-  std::vector<uint32_t> out;
+  std::vector<Hold> out;
   for (const Range& r : ranges) {
     if (r.len == 0) continue;
-    const uint64_t first = r.offset / granularity_;
-    const uint64_t last = (r.offset + r.len - 1) / granularity_;
-    for (uint64_t s = first; s <= last; s++) {
-      out.push_back(GlobalStripeFor(s));
+    const uint64_t first = r.offset / unit_;
+    const uint64_t last = (r.offset + r.len - 1) / unit_;
+    for (uint64_t u = first; u <= last; u++) {
+      out.push_back({GlobalStripeFor(u), r.mode});
     }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::sort(out.begin(), out.end(), [](const Hold& a, const Hold& b) {
+    return a.stripe < b.stripe;
+  });
+  // Deduplicate, keeping the stronger mode of each stripe.
+  size_t n = 0;
+  for (const Hold& h : out) {
+    if (n > 0 && out[n - 1].stripe == h.stripe) {
+      out[n - 1].mode = std::max(out[n - 1].mode, h.mode);
+    } else {
+      out[n++] = h;
+    }
+  }
+  out.resize(n);
   return out;
+}
+
+void LockTable::ReleaseLocked(Stripe& st, TxId tx, Mode mode) {
+  if (mode == Mode::kExclusive) {
+    if (st.owner != tx) return;
+    st.owner = 0;
+  } else {
+    if (st.readers == 0) return;
+    if (--st.readers > 0) return;
+  }
+  st.cv.notify_all();
 }
 
 Status LockTable::Lock(TxId tx, const std::vector<Range>& ranges,
                        std::chrono::microseconds max_wait) {
-  std::vector<uint32_t> want = StripesFor(ranges);
-  std::vector<uint32_t> taken;
+  const auto deadline = std::chrono::steady_clock::now() + max_wait;
+  std::vector<Hold> want = StripesFor(ranges);
+  std::vector<Hold> taken;
   taken.reserve(want.size());
 
   Status failure = Status::OK();
-  for (uint32_t s : want) {
-    Shard& shard = shards_[s % n_shards_];
-    Stripe& st = shard.stripes[s / n_shards_];
+  for (const Hold& w : want) {
+    Shard& shard = shards_[w.stripe % n_shards_];
+    Stripe& st = shard.stripes[w.stripe / n_shards_];
+    const bool exclusive = w.mode == Mode::kExclusive;
     std::unique_lock<std::mutex> lk(st.mu);
-    if (st.owner == tx) continue;  // re-entrant within a transaction
-    if (st.owner == 0) {
-      st.owner = tx;
-      shard.acquires.Increment();
-      taken.push_back(s);
-      continue;
-    }
-    shard.contended.Increment();
-    if (max_wait.count() == 0) {
-      failure = Status::Busy("lock stripe busy");
-    } else {
-      // Blocking minitransaction: wait, but only up to the threshold so a
-      // stuck holder cannot wedge the memnode (paper §4.1).
-      const bool got = st.cv.wait_for(lk, max_wait,
-                                      [&st] { return st.owner == 0; });
-      if (got) {
-        st.owner = tx;
-        shard.acquires.Increment();
-        taken.push_back(s);
-        continue;
+    // Re-entrant within a transaction: an exclusive hold covers both modes.
+    if (st.owner == tx) continue;
+    // A new acquisition never overtakes a waiting blocking writer.
+    bool got = st.owner == 0 && st.waiting_writers == 0 &&
+               (!exclusive || st.readers == 0);
+    if (!got) {
+      shard.contended.Increment();
+      if (max_wait.count() == 0) {
+        failure = Status::Busy("lock stripe busy");
+      } else {
+        // Blocking minitransaction: wait, but only up to the call's
+        // deadline so a stuck holder cannot wedge the memnode (§4.1).
+        if (exclusive) {
+          st.waiting_writers++;
+          got = st.cv.wait_until(lk, deadline, [&st] {
+            return st.owner == 0 && st.readers == 0;
+          });
+          // Shared waiters may proceed once no writer waits.
+          if (--st.waiting_writers == 0 && !got) st.cv.notify_all();
+        } else {
+          got = st.cv.wait_until(lk, deadline, [&st] {
+            return st.owner == 0 && st.waiting_writers == 0;
+          });
+        }
+        if (!got) {
+          shard.timeouts.Increment();
+          failure = Status::TimedOut("lock wait threshold exceeded");
+        }
       }
-      shard.timeouts.Increment();
-      failure = Status::TimedOut("lock wait threshold exceeded");
+    }
+    if (got) {
+      if (exclusive) {
+        st.owner = tx;
+      } else {
+        st.readers++;
+      }
+      shard.acquires.Increment();
+      taken.push_back(w);
+      continue;
     }
     // Failure: roll back everything this call acquired.
     lk.unlock();
-    for (uint32_t t : taken) {
-      Stripe& rt = StripeAt(t);
+    for (const Hold& t : taken) {
+      Stripe& rt = StripeAt(t.stripe);
       std::lock_guard<std::mutex> g(rt.mu);
-      rt.owner = 0;
-      rt.cv.notify_all();
+      ReleaseLocked(rt, tx, t.mode);
     }
     return failure;
   }
 
-  if (!taken.empty()) {
-    // Record what this call took. Bucket by shard outside the locks, then
-    // splice each bucket into the shard's held map under its mutex.
-    std::vector<std::vector<uint32_t>> per_shard(n_shards_);
-    for (uint32_t t : taken) per_shard[t % n_shards_].push_back(t / n_shards_);
-    for (uint32_t s = 0; s < n_shards_; s++) {
-      if (per_shard[s].empty()) continue;
-      Shard& shard = shards_[s];
-      std::lock_guard<std::mutex> g(shard.held_mu);
-      std::vector<uint32_t>& mine = shard.held[tx];
-      if (mine.empty()) {
-        mine = std::move(per_shard[s]);
-      } else {
-        mine.insert(mine.end(), per_shard[s].begin(), per_shard[s].end());
+  // Record what this call took, splicing each shard's part into its held
+  // map under one acquisition of its mutex.
+  for (uint32_t s = 0; s < n_shards_ && !taken.empty(); s++) {
+    std::vector<Hold>* mine = nullptr;
+    std::unique_lock<std::mutex> g(shards_[s].held_mu, std::defer_lock);
+    for (const Hold& t : taken) {
+      if (t.stripe % n_shards_ != s) continue;
+      if (mine == nullptr) {
+        g.lock();
+        mine = &shards_[s].held[tx];
       }
+      mine->push_back({t.stripe / n_shards_, t.mode});
     }
   }
   return Status::OK();
@@ -102,7 +137,7 @@ Status LockTable::Lock(TxId tx, const std::vector<Range>& ranges,
 
 void LockTable::Unlock(TxId tx) {
   for (Shard& shard : shards_) {
-    std::vector<uint32_t> local;
+    std::vector<Hold> local;
     {
       std::lock_guard<std::mutex> g(shard.held_mu);
       auto it = shard.held.find(tx);
@@ -110,22 +145,19 @@ void LockTable::Unlock(TxId tx) {
       local = std::move(it->second);
       shard.held.erase(it);
     }
-    for (uint32_t idx : local) {
-      Stripe& st = shard.stripes[idx];
+    for (const Hold& h : local) {
+      Stripe& st = shard.stripes[h.stripe];
       std::lock_guard<std::mutex> g(st.mu);
-      if (st.owner == tx) {
-        st.owner = 0;
-        st.cv.notify_all();
-      }
+      ReleaseLocked(st, tx, h.mode);
     }
   }
 }
 
 bool LockTable::IsLocked(const Range& r) {
-  for (uint32_t s : StripesFor({r})) {
-    Stripe& st = StripeAt(s);
+  for (const Hold& h : StripesFor({r})) {
+    Stripe& st = StripeAt(h.stripe);
     std::lock_guard<std::mutex> g(st.mu);
-    if (st.owner != 0) return true;
+    if (st.owner != 0 || st.readers > 0) return true;
   }
   return false;
 }

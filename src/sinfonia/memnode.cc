@@ -5,26 +5,28 @@
 
 namespace minuet::sinfonia {
 
-Memnode::Memnode(MemnodeId id, Options options)
+Memnode::Memnode(MemnodeId id, uint32_t node_size, Options options)
     : id_(id),
       options_(options),
-      locks_(options.lock_stripes, options.lock_granularity,
-             options.lock_shards) {}
+      locks_(options.lock_stripes, node_size, options.lock_shards) {}
 
 std::vector<LockTable::Range> Memnode::TouchedRanges(
     const std::vector<MiniTxn::CompareItem>& compares,
     const std::vector<MiniTxn::ReadItem>& reads,
     const std::vector<MiniTxn::WriteItem>& writes) {
+  // Compares and reads only look: they lock shared, so readers of one node
+  // do not conflict. Writes lock exclusive.
+  using Mode = LockTable::Mode;
   std::vector<LockTable::Range> ranges;
   ranges.reserve(compares.size() + reads.size() + writes.size());
   for (const auto& c : compares) {
-    ranges.push_back({c.addr.offset, c.expected.size()});
+    ranges.push_back({c.addr.offset, c.expected.size(), Mode::kShared});
   }
   for (const auto& r : reads) {
-    ranges.push_back({r.addr.offset, r.len});
+    ranges.push_back({r.addr.offset, r.len, Mode::kShared});
   }
   for (const auto& w : writes) {
-    ranges.push_back({w.addr.offset, w.data.size()});
+    ranges.push_back({w.addr.offset, w.data.size(), Mode::kExclusive});
   }
   return ranges;
 }

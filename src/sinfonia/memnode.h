@@ -28,9 +28,10 @@ using ByteSpace = store::RamSlabStore;
 
 class Memnode {
  public:
+  // Lock-table sizing and the blocking wait. The lock unit is not an
+  // option: it is the node size the memnode is constructed with.
   struct Options {
     uint32_t lock_stripes = 4096;
-    uint32_t lock_granularity = 64;
     uint32_t lock_shards = 8;  // LockTable shard count (clamped there)
     // Lock-wait threshold for blocking minitransactions (paper §4.1: "the
     // waiting time is bounded by a threshold small enough so that blocking
@@ -38,8 +39,13 @@ class Memnode {
     std::chrono::microseconds blocking_wait{2000};
   };
 
-  explicit Memnode(MemnodeId id) : Memnode(id, Options()) {}
-  Memnode(MemnodeId id, Options options);
+  // `node_size` is the lock unit: the B-tree node (slab) size, to which
+  // slabs are aligned, so a minitransaction reading one node and comparing
+  // its seqnum locks one stripe. Smaller objects sharing a unit (the
+  // per-tree tip objects, 64 catalog entries) share its lock.
+  explicit Memnode(MemnodeId id, uint32_t node_size = 4096)
+      : Memnode(id, node_size, Options()) {}
+  Memnode(MemnodeId id, uint32_t node_size, Options options);
 
   MemnodeId id() const { return id_; }
 

@@ -146,6 +146,45 @@ TEST_F(MemnodeTest, AbortReleasesLocks) {
   EXPECT_EQ(out, "y");  // the aborted write never applied
 }
 
+// The lock unit is the node size and reads lock shared: a one-node read
+// plus its seqnum compare takes one stripe, not one per 64-byte slot.
+TEST_F(MemnodeTest, OneNodeReadWithSeqnumCompareTakesOneStripe) {
+  constexpr uint64_t kNode = 8 * 4096;  // node-aligned, as slabs are
+  const uint64_t before = node_.lock_table().TotalStats().acquires;
+  MiniResult r;
+  ASSERT_TRUE(node_.ExecuteLocal(1, {{Addr{0, kNode}, std::string(8, '\0')}},
+                                 {{Addr{0, kNode}, 4096}}, {}, false, &r)
+                  .ok());
+  ASSERT_TRUE(r.committed);
+  EXPECT_EQ(node_.lock_table().TotalStats().acquires - before, 1u);
+}
+
+TEST_F(MemnodeTest, ReadOnlyPreparesOnOneNodeShareItsLock) {
+  constexpr uint64_t kNode = 8 * 4096;
+  const std::vector<MiniTxn::CompareItem> compares = {
+      {Addr{0, kNode}, std::string(8, '\0')}};
+  const std::vector<MiniTxn::ReadItem> reads = {{Addr{0, kNode}, 4096}};
+  bool vote1 = false, vote2 = false;
+  std::vector<std::string> reads1, reads2;
+  std::vector<uint32_t> failed;
+  ASSERT_TRUE(node_.Prepare(1, compares, reads, {}, false, &vote1, &reads1,
+                            &failed).ok());
+  // Tx 1 still holds its locks; tx 2 reads the same node alongside it.
+  ASSERT_TRUE(node_.Prepare(2, compares, reads, {}, false, &vote2, &reads2,
+                            &failed).ok());
+  EXPECT_TRUE(vote1);
+  EXPECT_TRUE(vote2);
+  // A writer of that node conflicts with both readers.
+  MiniResult r;
+  EXPECT_TRUE(node_.ExecuteLocal(3, {}, {}, {{Addr{0, kNode + 8}, "w"}},
+                                 false, &r).IsBusy());
+  node_.Commit(1, {});
+  node_.Commit(2, {});
+  EXPECT_TRUE(node_.ExecuteLocal(3, {}, {}, {{Addr{0, kNode + 8}, "w"}},
+                                 false, &r).ok());
+  EXPECT_TRUE(r.committed);
+}
+
 TEST(MemnodeBackupTest, BackupImageAndRestore) {
   Memnode primary(0), backup(1);
   primary.RawWrite(64, "payload");

@@ -29,7 +29,8 @@ class TestCluster {
   explicit TestCluster(Config config = Config()) : config_(config) {
     fabric_ = std::make_unique<net::Fabric>(config.n_memnodes);
     for (uint32_t i = 0; i < config.n_memnodes; i++) {
-      memnodes_.push_back(std::make_unique<sinfonia::Memnode>(i));
+      memnodes_.push_back(
+          std::make_unique<sinfonia::Memnode>(i, config.node_size));
       raw_memnodes_.push_back(memnodes_.back().get());
     }
     sinfonia::Coordinator::Options copts;
