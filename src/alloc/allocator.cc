@@ -1,5 +1,7 @@
 #include "alloc/allocator.h"
 
+#include <algorithm>
+
 namespace minuet::alloc {
 
 namespace {
@@ -10,7 +12,7 @@ struct Meta {
   uint64_t free_count;  // slabs on the free list (occupancy accounting)
 };
 
-Meta ParseMeta(const std::string& payload, const Layout& layout) {
+Meta ParseMeta(Slice payload, const Layout& layout) {
   Meta m;
   if (payload.size() >= 16) {
     m.bump = DecodeFixed64(payload.data());
@@ -30,6 +32,39 @@ std::string SerializeMeta(const Meta& m) {
   PutFixed64(&out, m.free_head);
   PutFixed64(&out, m.free_count);
   return out;
+}
+
+// Free-list link: [next u64][run u32][run × offset u64], zero-padded to the
+// slab payload so nothing of the node it replaces survives. A plain link
+// (run = 0) is just `next` followed by zeros.
+constexpr size_t kLinkHeader = 12;
+
+std::string EncodeLink(uint64_t next, const uint64_t* run, size_t run_len,
+                       size_t payload_len) {
+  std::string link;
+  PutFixed64(&link, next);
+  PutFixed32(&link, static_cast<uint32_t>(run_len));
+  for (size_t i = 0; i < run_len; i++) PutFixed64(&link, run[i]);
+  link.resize(payload_len, '\0');
+  return link;
+}
+
+uint64_t LinkNext(Slice link) {
+  return link.size() >= 8 ? DecodeFixed64(link.data()) : 0;
+}
+
+// The link's run, clipped to none when the payload cannot hold what it
+// claims (not a run this allocator wrote; treat the link as plain).
+std::vector<uint64_t> LinkRun(Slice link) {
+  std::vector<uint64_t> run;
+  if (link.size() < kLinkHeader) return run;
+  const uint32_t n = DecodeFixed32(link.data() + 8);
+  if (n > (link.size() - kLinkHeader) / 8) return run;
+  run.reserve(n);
+  for (uint32_t i = 0; i < n; i++) {
+    run.push_back(DecodeFixed64(link.data() + kLinkHeader + 8 * i));
+  }
+  return run;
 }
 
 }  // namespace
@@ -109,9 +144,9 @@ Result<uint64_t> NodeAllocator::MetaLiveSlabs(MemnodeId m) {
   uint64_t live = 0;
   Status st = txn::RunTransaction(
       coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
-        auto raw = t.Read(layout_.MetaRef(m));
+        auto raw = t.ReadView(layout_.MetaRef(m));
         if (!raw.ok()) return raw.status();
-        const Meta meta = ParseMeta(*raw, layout_);
+        const Meta meta = ParseMeta(raw->data, layout_);
         const uint64_t bumped =
             (meta.bump - layout_.slab_base()) / layout_.node_size;
         live = bumped > meta.free_count ? bumped - meta.free_count : 0;
@@ -182,9 +217,9 @@ Status NodeAllocator::Retire(MemnodeId m) {
   Status st = txn::RunTransaction(
       coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
         occupied = false;
-        auto raw = t.Read(layout_.MetaRef(m));
+        auto raw = t.ReadView(layout_.MetaRef(m));
         if (!raw.ok()) return raw.status();
-        const Meta meta = ParseMeta(*raw, layout_);
+        const Meta meta = ParseMeta(raw->data, layout_);
         const uint64_t bumped =
             (meta.bump - layout_.slab_base()) / layout_.node_size;
         if (bumped > meta.free_count) {
@@ -213,69 +248,99 @@ Status NodeAllocator::FlushReservation(MemnodeId m) {
   Reservation& r = *reserved_[m];
   std::lock_guard<std::mutex> g(r.mu);
   if (r.pool.empty()) return Status::OK();
-  const std::vector<std::pair<uint64_t, bool>> pool = std::move(r.pool);
+  std::vector<PooledSlab> pool = std::move(r.pool);
   r.pool.clear();
   Status st = txn::RunTransaction(
-      coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
-        auto meta_raw = t.Read(layout_.MetaRef(m));
+      coord_, nullptr, {}, 64,
+      [&](txn::DynamicTxn& t) -> Status {
+        auto meta_raw = t.ReadView(layout_.MetaRef(m));
         if (!meta_raw.ok()) return meta_raw.status();
-        Meta meta = ParseMeta(*meta_raw, layout_);
-        for (const auto& [offset, fresh] : pool) {
+        Meta meta = ParseMeta(meta_raw->data, layout_);
+        for (const PooledSlab& slab : pool) {
           // Same linking discipline as Free: the head pointer goes into the
           // slab, whose seqnum advance invalidates any cached copy forever.
-          std::string link;
-          PutFixed64(&link, meta.free_head);
-          link.resize(layout_.slab_payload_len(), '\0');
-          const ObjectRef ref = layout_.SlabRef(Addr{m, offset});
-          MINUET_RETURN_NOT_OK(fresh ? t.WriteNew(ref, std::move(link))
-                                     : t.Write(ref, std::move(link)));
-          meta.free_head = offset;
+          const std::string link = EncodeLink(meta.free_head, nullptr, 0,
+                                              layout_.slab_payload_len());
+          const ObjectRef ref = layout_.SlabRef(Addr{m, slab.offset});
+          MINUET_RETURN_NOT_OK(slab.seqnum
+                                   ? t.WriteNew(ref, link, *slab.seqnum)
+                                   : t.Write(ref, link));
+          meta.free_head = slab.offset;
           meta.free_count++;
         }
         return t.Write(layout_.MetaRef(m), SerializeMeta(meta));
+      },
+      // A carried seqnum is trusted once: after a failed attempt, fetch.
+      [&] {
+        for (PooledSlab& slab : pool) slab.seqnum.reset();
       });
   if (!st.ok()) {
     // Nothing committed: put the reservation back so the slabs are not
     // stranded outside both the pool and the free list.
-    r.pool = pool;
+    r.pool = std::move(pool);
   }
   return st;
 }
 
-Result<std::pair<uint64_t, bool>> NodeAllocator::TakeReserved(
+Result<NodeAllocator::PooledSlab> NodeAllocator::TakeReserved(
     MemnodeId memnode) {
   Reservation& r = *reserved_[memnode];
   std::lock_guard<std::mutex> g(r.mu);
   if (r.pool.empty()) {
     // Replenish with one standalone transaction: drain the shared free
     // list first (reusing garbage-collected slabs), then advance the bump
-    // pointer for the remainder of the batch.
-    std::vector<std::pair<uint64_t, bool>> taken;
+    // pointer for the remainder of the batch. Every recycled slab joins the
+    // read set, so the commit validates the seqnum the pool keeps.
+    std::vector<PooledSlab> taken;
+    uint64_t recycled = 0;
     Status st = txn::RunTransaction(
         coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
           taken.clear();
-          auto meta_raw = t.Read(layout_.MetaRef(memnode));
+          auto meta_raw = t.ReadView(layout_.MetaRef(memnode));
           if (!meta_raw.ok()) return meta_raw.status();
-          Meta meta = ParseMeta(*meta_raw, layout_);
+          Meta meta = ParseMeta(meta_raw->data, layout_);
           uint64_t head = meta.free_head;
           while (head != 0 && taken.size() < options_.batch) {
-            auto raw = t.Read(layout_.SlabRef(Addr{memnode, head}));
-            if (!raw.ok()) return raw.status();
-            taken.emplace_back(head, /*fresh=*/false);
-            head = raw->size() >= 8 ? DecodeFixed64(raw->data()) : 0;
+            const ObjectRef head_ref = layout_.SlabRef(Addr{memnode, head});
+            auto link = t.ReadView(head_ref);
+            if (!link.ok()) return link.status();
+            taken.push_back(PooledSlab{head, t.ReadSeqnum(head_ref)});
+            head = LinkNext(link->data);
+            // The run lists the slabs behind this link in chain order: take
+            // as many as the batch still needs with one batched read.
+            std::vector<uint64_t> run = LinkRun(link->data);
+            run.resize(std::min<size_t>(run.size(),
+                                        options_.batch - taken.size()));
+            if (run.empty() || run[0] != head) continue;
+            std::vector<ObjectRef> refs;
+            refs.reserve(run.size());
+            for (uint64_t off : run) {
+              refs.push_back(layout_.SlabRef(Addr{memnode, off}));
+            }
+            auto links = t.ReadBatchViews(refs);
+            if (!links.ok()) return links.status();
+            // Follow `next` through the run and stop where the two disagree:
+            // only a verified chain prefix leaves the list.
+            for (size_t i = 0; i < run.size() && run[i] == head; i++) {
+              taken.push_back(PooledSlab{head, t.ReadSeqnum(refs[i])});
+              head = LinkNext((*links)[i].data);
+            }
           }
+          recycled = taken.size();
           meta.free_head = head;
-          meta.free_count -= std::min<uint64_t>(meta.free_count, taken.size());
+          meta.free_count -= std::min<uint64_t>(meta.free_count, recycled);
           while (taken.size() < options_.batch) {
-            taken.emplace_back(meta.bump, /*fresh=*/true);
+            taken.push_back(PooledSlab{meta.bump, 0});
             meta.bump += layout_.node_size;
           }
           return t.Write(layout_.MetaRef(memnode), SerializeMeta(meta));
         });
     MINUET_RETURN_NOT_OK(st);
+    metrics_.refills.Increment();
+    metrics_.recycled_slabs.Add(recycled);
     r.pool = std::move(taken);
   }
-  auto slab = r.pool.back();
+  const PooledSlab slab = r.pool.back();
   r.pool.pop_back();
   return slab;
 }
@@ -304,8 +369,8 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
     // would stay counted by MetaLiveSlabs yet be no node the GC can free.
     txn.OnDiscard([this, memnode, slab = *taken] { Unreserve(memnode, slab); });
     AllocatedSlab slab;
-    slab.ref = layout_.SlabRef(Addr{memnode, taken->first});
-    slab.fresh = taken->second;
+    slab.ref = layout_.SlabRef(Addr{memnode, taken->offset});
+    slab.known_seqnum = taken->seqnum;
     return slab;
   }
 
@@ -315,26 +380,25 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
     live_[memnode]->fetch_sub(1, std::memory_order_relaxed);
     return st;
   };
-  auto meta_raw = txn.Read(layout_.MetaRef(memnode));
+  auto meta_raw = txn.ReadView(layout_.MetaRef(memnode));
   if (!meta_raw.ok()) return fail(meta_raw.status());
-  Meta meta = ParseMeta(*meta_raw, layout_);
+  Meta meta = ParseMeta(meta_raw->data, layout_);
 
   AllocatedSlab slab;
   if (meta.free_head != 0) {
     const Addr addr{memnode, meta.free_head};
     slab.ref = layout_.SlabRef(addr);
-    slab.fresh = false;
+    slab.known_seqnum.reset();
     // Read the freed slab to learn the next free pointer (and to pull its
     // current seqnum into the read set so the re-initializing Write
     // validates).
-    auto raw = txn.Read(slab.ref);
+    auto raw = txn.ReadView(slab.ref);
     if (!raw.ok()) return fail(raw.status());
-    meta.free_head = raw->size() >= 8 ? DecodeFixed64(raw->data()) : 0;
+    meta.free_head = LinkNext(raw->data);
     if (meta.free_count > 0) meta.free_count--;
   } else {
     const Addr addr{memnode, meta.bump};
     slab.ref = layout_.SlabRef(addr);
-    slab.fresh = true;
     meta.bump += layout_.node_size;
   }
   if (Status st = txn.Write(layout_.MetaRef(memnode), SerializeMeta(meta));
@@ -351,35 +415,79 @@ Result<AllocatedSlab> NodeAllocator::AllocateAnywhere(txn::DynamicTxn& txn) {
 
 Status NodeAllocator::Free(txn::DynamicTxn& txn, Addr slab) {
   const MemnodeId memnode = slab.memnode;
-  auto meta_raw = txn.Read(layout_.MetaRef(memnode));
+  auto meta_raw = txn.ReadView(layout_.MetaRef(memnode));
   if (!meta_raw.ok()) return meta_raw.status();
-  Meta meta = ParseMeta(*meta_raw, layout_);
+  Meta meta = ParseMeta(meta_raw->data, layout_);
 
   // Link the slab at the head of the free list. The write bumps the slab's
   // seqnum, permanently invalidating any cached copy of the node it held.
-  std::string link;
-  PutFixed64(&link, meta.free_head);
-  link.resize(layout_.slab_payload_len(), '\0');
-  MINUET_RETURN_NOT_OK(txn.Write(layout_.SlabRef(slab), std::move(link)));
+  MINUET_RETURN_NOT_OK(txn.Write(
+      layout_.SlabRef(slab),
+      EncodeLink(meta.free_head, nullptr, 0, layout_.slab_payload_len())));
 
   meta.free_head = slab.offset;
   meta.free_count++;
   MINUET_RETURN_NOT_OK(
       txn.Write(layout_.MetaRef(memnode), SerializeMeta(meta)));
-  if (memnode < n_memnodes()) DecrementLive(memnode);
+  DecrementLiveFor(txn, memnode, 1);
   return Status::OK();
 }
 
-void NodeAllocator::DecrementLive(MemnodeId m) {
-  auto& live = *live_[m];
-  uint64_t cur = live.load(std::memory_order_relaxed);
-  while (cur > 0 && !live.compare_exchange_weak(cur, cur - 1,
-                                                std::memory_order_relaxed)) {
+Status NodeAllocator::FreeBatch(txn::DynamicTxn& txn, MemnodeId memnode,
+                                const std::vector<uint64_t>& offsets) {
+  if (offsets.empty()) return Status::OK();
+  auto meta_raw = txn.ReadView(layout_.MetaRef(memnode));
+  if (!meta_raw.ok()) return meta_raw.status();
+  Meta meta = ParseMeta(meta_raw->data, layout_);
+
+  // Chain the batch in order in front of the old head. Each link carries
+  // the slabs behind it in the batch, as many as its payload holds.
+  const size_t payload_len = layout_.slab_payload_len();
+  const size_t max_run = (payload_len - kLinkHeader) / 8;
+  for (size_t i = 0; i < offsets.size(); i++) {
+    const size_t behind = offsets.size() - i - 1;
+    const uint64_t next = behind > 0 ? offsets[i + 1] : meta.free_head;
+    MINUET_RETURN_NOT_OK(txn.Write(
+        layout_.SlabRef(Addr{memnode, offsets[i]}),
+        EncodeLink(next, offsets.data() + i + 1, std::min(behind, max_run),
+                   payload_len)));
   }
+  meta.free_head = offsets[0];
+  meta.free_count += offsets.size();
+  MINUET_RETURN_NOT_OK(
+      txn.Write(layout_.MetaRef(memnode), SerializeMeta(meta)));
+  DecrementLiveFor(txn, memnode, offsets.size());
+  return Status::OK();
 }
 
-void NodeAllocator::Unreserve(MemnodeId m, std::pair<uint64_t, bool> slab) {
+void NodeAllocator::DecrementLiveFor(txn::DynamicTxn& txn, MemnodeId m,
+                                     uint64_t n) {
+  if (m >= n_memnodes()) return;
+  const uint64_t taken = DecrementLive(m, n);
+  if (taken == 0) return;
+  // A free whose attempt installs nothing freed nothing: give the count
+  // back, or the two-choice placement in NextPlacement drifts.
+  txn.OnDiscard([this, m, taken] {
+    live_[m]->fetch_add(taken, std::memory_order_relaxed);
+  });
+}
+
+uint64_t NodeAllocator::DecrementLive(MemnodeId m, uint64_t n) {
+  auto& live = *live_[m];
+  uint64_t cur = live.load(std::memory_order_relaxed);
+  uint64_t take = std::min(cur, n);
+  // compare_exchange_weak reloads `cur` on failure.
+  while (take > 0 && !live.compare_exchange_weak(cur, cur - take,
+                                                 std::memory_order_relaxed)) {
+    take = std::min(cur, n);
+  }
+  return take;
+}
+
+void NodeAllocator::Unreserve(MemnodeId m, PooledSlab slab) {
   DecrementLive(m);
+  // The attempt may have failed on this very seqnum: fetch it next time.
+  slab.seqnum.reset();
   {
     Reservation& r = *reserved_[m];
     std::lock_guard<std::mutex> g(r.mu);

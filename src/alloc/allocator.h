@@ -4,17 +4,32 @@
 // transactions").
 //
 // Per memnode, the allocator keeps one metadata object {bump, free_head,
-// free_count} and an intrusive free list threaded through freed slabs.
-// Allocation and free run inside the caller's dynamic transaction, so they
-// commit or abort atomically with the B-tree operation that needed the node.
+// free_count} and a free list threaded through freed slabs. Each link is a
+// slab payload [next u64][run u32][run × offset u64]: `next` is the
+// following free slab, and the run lists, in chain order, the slabs behind
+// this one that were freed in the same batch (FreeBatch). A plain link has
+// run = 0 — Free, FlushReservation and every image written before runs
+// existed — so a walker that follows `next` alone stays correct. The run is
+// accurate while the link is on the list: slabs leave the list only at the
+// head, and putting one back rewrites its link. Allocation and free run
+// inside the caller's dynamic transaction, so they commit or abort
+// atomically with the operation that needed the node.
 //
 // To keep concurrent splits from serializing on the metadata object's
 // sequence number, proxies may reserve slabs in batches: a small standalone
-// transaction advances the bump pointer by `batch` slabs and the proxy hands
-// them out locally. A slab handed to a transaction attempt that installs
-// nothing (aborted before commit, or a commit that failed a compare or
-// found its locks Busy) comes back to the pool; it was never linked into
-// the tree, so no other proxy can have seen it.
+// transaction (a refill) advances the bump pointer by `batch` slabs, or
+// takes recycled slabs off the free list, and the proxy hands them out
+// locally. The refill reads the metadata, the head link, then the link's
+// whole run in one batched read, so taking a run of recycled slabs costs
+// three reads and a commit rather than a read per slab. The refill's commit validates every taken
+// slab's seqnum, and the pool keeps it: the writer installs a recycled slab
+// with a known-base write instead of fetching it again. A slab handed to a
+// transaction attempt that installs nothing (aborted before commit, or a
+// commit that failed a compare or found its locks Busy) comes back to the
+// pool; it was never linked into the tree, so no other proxy can have seen
+// it. It comes back without its seqnum — a carried seqnum is trusted once —
+// and is fetched on its next use, so a slab whose seqnum changed behind the
+// pool's back (a wiped or restored memnode) cannot fail validation forever.
 //
 // Placement is LOAD-AWARE: the allocator tracks an in-process live-slab
 // count per memnode (handed out minus freed) and NextPlacement compares the
@@ -45,20 +60,26 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "alloc/layout.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "txn/txn.h"
 
 namespace minuet::alloc {
 
 struct AllocatedSlab {
   ObjectRef ref;
-  // True if the slab has never been used: its seqnum is still zero, so the
-  // caller must initialize it with WriteNew. Recycled slabs were read into
-  // the transaction already and are updated with an ordinary Write.
-  bool fresh = true;
+  // The slab's current seqnum when the allocator knows it and the
+  // transaction has not read the slab: 0 for a virgin slab, or the value a
+  // reservation refill validated for a recycled one. Install it with
+  // WriteNew(ref, payload, *known_seqnum): one compare at commit, no fetch.
+  // nullopt when the recycled slab is already in the transaction's read set
+  // (unbatched path) or must be fetched (a slab an aborted attempt handed
+  // back); install those with Write.
+  std::optional<uint64_t> known_seqnum = 0;
 };
 
 class NodeAllocator {
@@ -117,6 +138,14 @@ class NodeAllocator {
   // stale cached copies can never validate again.
   Status Free(txn::DynamicTxn& txn, Addr slab);
 
+  // Free every slab in `offsets` on `memnode` inside `txn`, with one write
+  // of the metadata object: the slabs are chained in order in front of the
+  // old head, and each link carries the run of slabs behind it, so a refill
+  // takes them back in one batched read. Read the slabs and MetaRef into
+  // `txn` first (one ReadBatchViews) or each write fetches on its own.
+  Status FreeBatch(txn::DynamicTxn& txn, MemnodeId memnode,
+                   const std::vector<uint64_t>& offsets);
+
   // Next memnode in the placement rotation (exposed so callers that must
   // allocate several nodes in one transaction can spread them): the
   // round-robin candidate, displaced by the least-loaded memnode when that
@@ -132,8 +161,8 @@ class NodeAllocator {
   // --- Occupancy (placement weighting, rebalancer, monitoring) ------------
   // In-process estimate of live slabs on `m`: handed out minus freed,
   // adjusted eagerly (before the enclosing transaction commits). An
-  // allocation whose attempt installs nothing is taken back, but aborted
-  // frees and in-doubt commits leave residual drift. Cheap and monotone
+  // allocation or free whose attempt installs nothing is taken back; only
+  // in-doubt commits leave residual drift. Cheap and monotone
   // with real load between ResyncLiveCounters calls, which re-anchor it.
   uint64_t ApproxLiveSlabs(MemnodeId m) const {
     return live_[m]->load(std::memory_order_relaxed);
@@ -154,24 +183,41 @@ class NodeAllocator {
   }
 
   // Re-anchor every live counter to MetaLiveSlabs, erasing the drift that
-  // aborted frees and in-doubt commits accumulate in the eager adjustments.
+  // in-doubt commits accumulate in the eager adjustments.
   // The rebalancer calls this once per round; callers with long-lived
   // clusters and no rebalancer may want to as well.
   Status ResyncLiveCounters();
 
+  struct Metrics {
+    obs::Counter refills;         // reservation refill transactions
+    obs::Counter recycled_slabs;  // slabs refills took off the free list
+  };
+  Metrics& metrics() { return metrics_; }
+
  private:
+  // A slab in a reservation pool. `seqnum` is the value the refill
+  // validated (0 for a virgin slab); nullopt means fetch it on use.
+  struct PooledSlab {
+    uint64_t offset;
+    std::optional<uint64_t> seqnum;
+  };
+
   // Take one slab from the proxy-local reservation for `memnode`,
   // replenishing it with a standalone transaction when empty. The
   // replenishment drains the shared free list first (so garbage-collected
   // slabs are reused), then falls back to the bump pointer.
-  Result<std::pair<uint64_t, bool>> TakeReserved(MemnodeId memnode);
+  Result<PooledSlab> TakeReserved(MemnodeId memnode);
 
   // Take back a reserved slab whose transaction installed nothing
-  // (DynamicTxn::OnDiscard): into the pool, or on to the free list when
-  // `m` is draining.
-  void Unreserve(MemnodeId m, std::pair<uint64_t, bool> slab);
-  // Saturating decrement of the in-process live count.
-  void DecrementLive(MemnodeId m);
+  // (DynamicTxn::OnDiscard): into the pool without its seqnum, or on to the
+  // free list when `m` is draining.
+  void Unreserve(MemnodeId m, PooledSlab slab);
+  // Eager live-count decrement by up to `n` for a free in `txn`; an
+  // attempt that installs nothing adds the decrement back (OnDiscard).
+  void DecrementLiveFor(txn::DynamicTxn& txn, MemnodeId m, uint64_t n);
+  // Saturating decrement of the in-process live count by up to `n`;
+  // returns how much it took.
+  uint64_t DecrementLive(MemnodeId m, uint64_t n = 1);
 
   // Return every slab in `m`'s reservation pool to the shared free list
   // (one standalone transaction). BeginDrain calls this so reserved-but-
@@ -184,12 +230,13 @@ class NodeAllocator {
   std::atomic<uint32_t> n_memnodes_;
   std::atomic<uint64_t> rr_{0};
   std::atomic<uint64_t> allocated_{0};
+  Metrics metrics_;
 
   struct Reservation {
     mutable std::mutex mu;
-    // (offset, fresh) pairs awaiting hand-out. Recycled slabs (fresh=false)
-    // come from the shared free list during replenishment.
-    std::vector<std::pair<uint64_t, bool>> pool;
+    // Slabs awaiting hand-out: bump-pointer slabs and recycled ones the
+    // refill took off the shared free list.
+    std::vector<PooledSlab> pool;
   };
   // Sized to memnode_capacity at construction; indexes past n_memnodes()
   // exist but receive no placements until AddMemnode opens them.

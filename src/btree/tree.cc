@@ -374,8 +374,9 @@ Result<Addr> BTree::WriteFreshNodeAt(DynamicTxn& txn, const Node& node,
   if (node.height > 0 && options_.replicate_internal_seqnums) {
     ref.rep_seq_offset = layout().SeqSlotFor(ref.addr);
   }
-  Status st = slab->fresh ? txn.WriteNewStable(ref, image)
-                          : txn.WriteStable(ref, image);
+  Status st = slab->known_seqnum
+                  ? txn.WriteNewStable(ref, image, *slab->known_seqnum)
+                  : txn.WriteStable(ref, image);
   if (!st.ok()) return st;
   return ref.addr;
 }

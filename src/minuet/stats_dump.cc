@@ -48,6 +48,10 @@ void Cluster::BindCoreMetrics() {
   registry_.LinkCounter("coordinator", "compare_aborts", &m.compare_aborts);
   registry_.LinkCounter("coordinator", "busy_retries", &m.busy_retries);
 
+  alloc::NodeAllocator::Metrics& a = allocator_->metrics();
+  registry_.LinkCounter("alloc", "refills", &a.refills);
+  registry_.LinkCounter("alloc", "recycled_slabs", &a.recycled_slabs);
+
   registry_.LinkCounter("txn", "attempts", &m.txn_attempts);
   registry_.LinkCounter("txn", "retries", &m.txn_retries);
   // Reason 0 is kNone (not an abort); every real taxonomy entry gets its

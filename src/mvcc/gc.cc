@@ -1,69 +1,121 @@
 #include "mvcc/gc.h"
+
 #include <algorithm>
-#include <cstdlib>
-#include <cstdio>
-#include <string>
+
+#include "btree/node_view.h"
 
 namespace minuet::mvcc {
 
-using btree::Node;
 using sinfonia::Addr;
+using sinfonia::MemnodeId;
 
-Result<bool> GarbageCollector::TryFreeSlab(Addr addr, uint64_t lowest_sid,
-                                           Report* report) {
-  // Small standalone transaction: read the slab (validated through commit),
-  // decide, free. A concurrent copy-on-write or allocation of this slab
-  // fails our validation and we simply skip it this pass.
-  txn::DynamicTxn txn(tree_->coordinator(), /*cache=*/nullptr);
-  auto raw = txn.Read(tree_->layout().SlabRef(addr));
-  if (!raw.ok()) return raw.status();
-  auto node = Node::Decode(*raw);
-  if (!node.ok()) {
-    // Free-list link or never-initialized slab: not a live node.
-    report->skipped_non_node++;
-    return false;
+namespace {
+
+enum class Verdict { kNonNode, kLive, kGarbage };
+
+// The free rule. A node copied at snapshot y serves snapshots in
+// [created, y); it is garbage iff y <= lowest. Discretionary copies (§5.2)
+// are content duplicates — only a real copy retires the node. Branching
+// version trees are not collected by this pass (only nodes whose every real
+// copy is at or below the horizon are freed, which is exact for linear
+// histories and conservative otherwise).
+Verdict Judge(Slice image, uint64_t lowest_sid) {
+  btree::NodeView view;
+  if (!view.Init(image).ok()) {
+    return Verdict::kNonNode;  // free-list link or never-initialized slab
   }
-
-  // A node copied at snapshot y serves snapshots in [created, y); it is
-  // garbage iff y <= lowest. Discretionary copies (§5.2) are content
-  // duplicates — only a real copy retires the node. Branching version
-  // trees are not collected by this pass (only nodes whose every real copy
-  // is at or below the horizon are freed, which is exact for linear
-  // histories and conservative otherwise).
   bool has_real_copy = false;
-  bool all_real_at_or_below = true;
-  for (const auto& d : node->descendants) {
+  for (size_t i = 0; i < view.descendant_count(); i++) {
+    const btree::DescendantEntry d = view.descendant(i);
     if (d.discretionary) continue;
+    if (d.sid > lowest_sid) return Verdict::kLive;
     has_real_copy = true;
-    if (d.sid > lowest_sid) all_real_at_or_below = false;
   }
-  if (!has_real_copy || !all_real_at_or_below) {
-    report->skipped_live++;
-    return false;
-  }
+  return has_real_copy ? Verdict::kGarbage : Verdict::kLive;
+}
 
-  if (std::getenv("MINUET_DEBUG") != nullptr) {
-    std::string desc;
-    for (const auto& d : node->descendants) {
-      desc += std::to_string(d.sid) + (d.discretionary ? "d" : "") + ",";
-    }
-    std::fprintf(stderr,
-                 "[gc] free %s created=%llu desc=%s height=%d lowest=%llu\n",
-                 addr.ToString().c_str(),
-                 static_cast<unsigned long long>(node->created_sid),
-                 desc.c_str(), node->height,
-                 static_cast<unsigned long long>(lowest_sid));
+void CountSkipped(Verdict v, GarbageCollector::Report* report) {
+  if (v == Verdict::kNonNode) {
+    report->skipped_non_node++;
+  } else {
+    report->skipped_live++;
   }
-  MINUET_RETURN_NOT_OK(tree_->allocator()->Free(txn, addr));
-  Status st = txn.Commit();
+}
+
+}  // namespace
+
+Status GarbageCollector::FreeCandidates(MemnodeId m,
+                                        const std::vector<uint64_t>& candidates,
+                                        uint64_t lowest_sid, Report* report) {
+  const auto& layout = tree_->layout();
+  std::vector<txn::ObjectRef> refs;
+  refs.reserve(candidates.size() + 1);
+  for (uint64_t off : candidates) refs.push_back(layout.SlabRef(Addr{m, off}));
+  refs.push_back(layout.MetaRef(m));
+
+  Report skipped;
+  std::vector<uint64_t> garbage;
+  Status st = txn::RunTransaction(
+      tree_->coordinator(), /*cache=*/nullptr, {}, kFreeAttempts,
+      [&](txn::DynamicTxn& txn) -> Status {
+        // One round reads the candidates into the read set beside the
+        // allocator metadata, so the commit validates every slab it frees.
+        // Each attempt judges them again: a slab that stopped being garbage
+        // drops out of the batch.
+        auto images = txn.ReadBatchViews(refs);
+        if (!images.ok()) return images.status();
+        skipped = Report();
+        garbage.clear();
+        for (size_t i = 0; i < candidates.size(); i++) {
+          const Verdict verdict = Judge((*images)[i].data, lowest_sid);
+          if (verdict == Verdict::kGarbage) {
+            garbage.push_back(candidates[i]);
+          } else {
+            CountSkipped(verdict, &skipped);
+          }
+        }
+        return tree_->allocator()->FreeBatch(txn, m, garbage);
+      });
   if (!st.ok()) {
-    if (st.IsRetryable()) {
-      report->skipped_live++;  // raced with a writer; next pass will see it
-      return false;
-    }
-    return st;
+    if (!st.IsRetryable()) return st;
+    // Every attempt lost a race (with a refill's metadata write, most
+    // likely); the next pass sees these slabs again.
+    report->skipped_live += candidates.size();
+    return Status::OK();
   }
-  return true;
+  report->skipped_live += skipped.skipped_live;
+  report->skipped_non_node += skipped.skipped_non_node;
+  report->freed += garbage.size();
+  total_freed_.Add(garbage.size());
+  return Status::OK();
+}
+
+Status GarbageCollector::CollectBatch(MemnodeId m,
+                                      const std::vector<txn::ObjectRef>& slabs,
+                                      uint64_t lowest_sid, Report* report) {
+  report->scanned += slabs.size();
+  // One minitransaction without a read set: the verdicts only pick the
+  // candidates, which the free transaction reads and judges again.
+  std::vector<uint64_t> candidates;
+  {
+    txn::DynamicTxn scan(tree_->coordinator(), /*cache=*/nullptr);
+    auto images = scan.FetchFreshBatchViews(slabs);
+    if (!images.ok()) {
+      if (!images.status().IsRetryable()) return images.status();
+      report->skipped_live += slabs.size();
+      return Status::OK();
+    }
+    for (size_t i = 0; i < slabs.size(); i++) {
+      const Verdict verdict = Judge((*images)[i].data, lowest_sid);
+      if (verdict == Verdict::kGarbage) {
+        candidates.push_back(slabs[i].addr.offset);
+      } else {
+        CountSkipped(verdict, report);
+      }
+    }
+  }
+  if (candidates.empty()) return Status::OK();
+  return FreeCandidates(m, candidates, lowest_sid, report);
 }
 
 Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
@@ -83,6 +135,7 @@ Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
       });
   MINUET_RETURN_NOT_OK(pub);
 
+  const uint64_t batch_bytes = kBatchSlabs * layout.node_size;
   for (uint32_t m = 0; m < coord->n_memnodes(); m++) {
     // Retired ids (elastic scale-in) are permanent holes in the id space:
     // nothing lives there and the fabric rejects their messages.
@@ -93,21 +146,15 @@ Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
     // slab, and `off + node_size <= extent` would exempt it from
     // collection forever. Reads past the extent return zeros, so probing
     // the partial tail is safe.
-    for (uint64_t off = layout.slab_base(); off < extent;
-         off += layout.node_size) {
-      report.scanned++;
-      auto freed = TryFreeSlab(Addr{m, off}, lowest_sid, &report);
-      if (!freed.ok()) {
-        if (freed.status().IsRetryable()) {
-          report.skipped_live++;
-          continue;
-        }
-        return freed.status();
+    for (uint64_t start = layout.slab_base(); start < extent;
+         start += batch_bytes) {
+      std::vector<txn::ObjectRef> slabs;
+      for (uint64_t off = start;
+           off < extent && slabs.size() < kBatchSlabs;
+           off += layout.node_size) {
+        slabs.push_back(layout.SlabRef(Addr{m, off}));
       }
-      if (*freed) {
-        report.freed++;
-        total_freed_.Increment();
-      }
+      MINUET_RETURN_NOT_OK(CollectBatch(m, slabs, lowest_sid, &report));
     }
   }
   return report;

@@ -6,9 +6,18 @@
 // serves only snapshots older than any still queryable. Freed slabs return
 // to the allocator free lists; their sequence numbers keep advancing, so
 // stale cached pointers can never validate against a recycled slab.
+//
+// The pass is batch-shaped. It reads kBatchSlabs slabs of a memnode in one
+// minitransaction (no read set), judges each from a NodeView, and frees the
+// batch's garbage in one transaction: the candidates and the allocator
+// metadata object are read in one round, so the commit validates every
+// freed slab, and NodeAllocator::FreeBatch writes the metadata once. A
+// batch whose commit loses a race is read and judged again, through the
+// txn::RunTransaction retry loop.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "btree/tree.h"
 
@@ -16,6 +25,12 @@ namespace minuet::mvcc {
 
 class GarbageCollector {
  public:
+  // Slabs read per minitransaction and freed per transaction.
+  static constexpr uint64_t kBatchSlabs = 64;
+  // Attempts at one batch's free transaction; a batch that loses every one
+  // is left for the next pass.
+  static constexpr uint32_t kFreeAttempts = 8;
+
   struct Report {
     uint64_t scanned = 0;
     uint64_t freed = 0;
@@ -41,9 +56,16 @@ class GarbageCollector {
   uint64_t total_freed() const { return total_freed_.Value(); }
 
  private:
-  // Frees one slab in its own small transaction; returns true if freed.
-  Result<bool> TryFreeSlab(sinfonia::Addr addr, uint64_t lowest_sid,
-                           Report* report);
+  // Scan one batch of slabs on memnode `m` and free its garbage.
+  Status CollectBatch(sinfonia::MemnodeId m,
+                      const std::vector<txn::ObjectRef>& slabs,
+                      uint64_t lowest_sid, Report* report);
+  // Free `candidates` (offsets on `m`) in one transaction, re-checking each
+  // against the horizon. A batch that runs out of attempts counts its
+  // candidates as skipped_live.
+  Status FreeCandidates(sinfonia::MemnodeId m,
+                        const std::vector<uint64_t>& candidates,
+                        uint64_t lowest_sid, Report* report);
 
   btree::BTree* tree_;
   // Counter (not a plain integer): the metrics registry samples it from

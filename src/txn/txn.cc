@@ -357,26 +357,28 @@ Result<std::vector<std::string>> DynamicTxn::ReadCachedBatch(
 }
 
 Status DynamicTxn::WriteImpl(const ObjectRef& ref, Slice payload,
-                             bool fresh, bool stable) {
+                             std::optional<uint64_t> known_base,
+                             bool stable) {
   if (doomed_) return DoomedStatus();
   if (payload.size() > ref.payload_len) {
     return Status::InvalidArgument("payload exceeds object size");
   }
   if (!stable) payload = arena_.Dup(payload);
-  if (fresh) {
+  if (known_base.has_value()) {
     if (read_index_.count(ref.addr) != 0 ||
         write_index_.count(ref.addr) != 0) {
       return Status::InvalidArgument("WriteNew on already-touched object");
     }
-    // Expect seqnum 0 (virgin slab). The commit-time compare makes
-    // concurrent double-allocation fail validation.
+    // Expect the known seqnum (0 for a virgin slab). The commit-time
+    // compare makes a concurrent double-allocation — or any other write
+    // since the caller learned the seqnum — fail validation.
     ReadRecord rec;
     rec.ref = ref;
-    rec.seqnum = 0;
+    rec.seqnum = *known_base;
     read_index_.emplace(ref.addr, reads_.size());
     reads_.push_back(std::move(rec));
     write_index_.emplace(ref.addr, writes_.size());
-    writes_.push_back(WriteRecord{ref, payload, 1});
+    writes_.push_back(WriteRecord{ref, payload, *known_base + 1});
     return Status::OK();
   }
   if (auto it = write_index_.find(ref.addr); it != write_index_.end()) {
@@ -402,17 +404,18 @@ Status DynamicTxn::WriteImpl(const ObjectRef& ref, Slice payload,
 }
 
 Status DynamicTxn::Write(const ObjectRef& ref, Slice payload) {
-  return WriteImpl(ref, payload, /*fresh=*/false, /*stable=*/false);
+  return WriteImpl(ref, payload, std::nullopt, /*stable=*/false);
 }
-Status DynamicTxn::WriteNew(const ObjectRef& ref, Slice payload) {
-  return WriteImpl(ref, payload, /*fresh=*/true, /*stable=*/false);
+Status DynamicTxn::WriteNew(const ObjectRef& ref, Slice payload,
+                            uint64_t base_seqnum) {
+  return WriteImpl(ref, payload, base_seqnum, /*stable=*/false);
 }
 Status DynamicTxn::WriteStable(const ObjectRef& ref, Slice payload) {
-  return WriteImpl(ref, payload, /*fresh=*/false, /*stable=*/true);
+  return WriteImpl(ref, payload, std::nullopt, /*stable=*/true);
 }
-Status DynamicTxn::WriteNewStable(const ObjectRef& ref,
-                                  Slice payload) {
-  return WriteImpl(ref, payload, /*fresh=*/true, /*stable=*/true);
+Status DynamicTxn::WriteNewStable(const ObjectRef& ref, Slice payload,
+                                  uint64_t base_seqnum) {
+  return WriteImpl(ref, payload, base_seqnum, /*stable=*/true);
 }
 
 Status DynamicTxn::Commit() {

@@ -120,15 +120,19 @@ class DynamicTxn {
   // (std::string arguments convert to Slice and are safe to pass as
   // temporaries — the dup happens before Write returns).
   Status Write(const ObjectRef& ref, Slice payload);
-  // Write an object this transaction knows to be freshly allocated: expects
-  // the slab's seqnum to still be zero at commit (fails validation if any
-  // other transaction initialized it concurrently).
-  Status WriteNew(const ObjectRef& ref, Slice payload);
+  // Known-base write of an object this transaction has not read: expects
+  // the object's seqnum to still be `base_seqnum` at commit, so no fetch is
+  // needed. The default 0 is a freshly allocated (virgin) slab; a recycled
+  // slab passes the seqnum the allocator's refill validated. Fails
+  // validation if any other transaction wrote the object meanwhile.
+  Status WriteNew(const ObjectRef& ref, Slice payload,
+                  uint64_t base_seqnum = 0);
   // Zero-copy variants: the caller guarantees `payload` stays valid and
   // unmodified until the transaction is destroyed — in practice, bytes
   // encoded directly into this transaction's arena(). No dup is taken.
   Status WriteStable(const ObjectRef& ref, Slice payload);
-  Status WriteNewStable(const ObjectRef& ref, Slice payload);
+  Status WriteNewStable(const ObjectRef& ref, Slice payload,
+                        uint64_t base_seqnum = 0);
 
   // Commit. Returns OK, Aborted (validation failed — retry the whole
   // transaction), Busy (persistent lock contention) or Unavailable.
@@ -203,6 +207,13 @@ class DynamicTxn {
   bool InReadSet(const ObjectRef& ref) const {
     return read_index_.count(ref.addr) != 0;
   }
+  // The seqnum `ref` had when it joined the read set (the value commit
+  // validates); nullopt when it is not in the read set.
+  std::optional<uint64_t> ReadSeqnum(const ObjectRef& ref) const {
+    auto it = read_index_.find(ref.addr);
+    if (it == read_index_.end()) return std::nullopt;
+    return reads_[it->second].seqnum;
+  }
 
   ObjectCache* cache() { return cache_; }
   sinfonia::Coordinator* coordinator() { return coord_; }
@@ -239,9 +250,10 @@ class DynamicTxn {
   Result<std::vector<Payload>> BatchFetch(
       const std::vector<ObjectRef>& refs, const BatchPolicy& policy);
 
-  // Shared body of the four Write* flavors; `stable` skips the arena dup.
-  Status WriteImpl(const ObjectRef& ref, Slice payload, bool fresh,
-                   bool stable);
+  // Shared body of the four Write* flavors. A `known_base` seqnum joins the
+  // read set unfetched (WriteNew*); `stable` skips the arena dup.
+  Status WriteImpl(const ObjectRef& ref, Slice payload,
+                   std::optional<uint64_t> known_base, bool stable);
 
   // Fetch `ref` from a memnode, piggy-backing read-set validation.
   // On validation failure dooms the transaction and returns Aborted.

@@ -1,5 +1,6 @@
 // Tests for the distributed node allocator: layout invariants, batched and
-// unbatched allocation, free-list recycling, transactional rollback.
+// unbatched allocation, free-list recycling (plain links and batch runs),
+// carried seqnums, transactional rollback.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -80,6 +81,30 @@ class AllocatorTest : public ::testing::Test {
     return NodeAllocator(layout_, coord_.get(), {.batch = batch});
   }
 
+  // Allocate one slab on `m`, install it the way the B-tree does and
+  // commit; returns its offset.
+  uint64_t InstallOne(NodeAllocator& alloc, MemnodeId m) {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, m);
+    EXPECT_TRUE(slab.ok());
+    if (!slab.ok()) return 0;
+    EXPECT_TRUE((slab->known_seqnum
+                     ? t.WriteNew(slab->ref, "node", *slab->known_seqnum)
+                     : t.Write(slab->ref, "node"))
+                    .ok());
+    EXPECT_TRUE(t.Commit().ok());
+    return slab->ref.addr.offset;
+  }
+
+  Status FreeInOneTxn(NodeAllocator& alloc, MemnodeId m,
+                      const std::vector<uint64_t>& offsets) {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    MINUET_RETURN_NOT_OK(alloc.FreeBatch(t, m, offsets));
+    return t.Commit();
+  }
+
+  uint64_t Executions() { return coord_->metrics().executions.Value(); }
+
   Layout layout_;
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<Memnode>> raw_;
@@ -94,7 +119,7 @@ TEST_F(AllocatorTest, UnbatchedAllocationsAreDistinct) {
     txn::DynamicTxn t(coord_.get(), nullptr);
     auto slab = alloc.Allocate(t, 0);
     ASSERT_TRUE(slab.ok());
-    EXPECT_TRUE(slab->fresh);
+    EXPECT_EQ(slab->known_seqnum, 0u);
     EXPECT_GE(slab->ref.addr.offset, layout_.slab_base());
     ASSERT_TRUE(t.WriteNew(slab->ref, "init").ok());
     ASSERT_TRUE(t.Commit().ok());
@@ -166,7 +191,7 @@ TEST_F(AllocatorTest, FreeRecyclesThroughFreeList) {
     auto slab = alloc.Allocate(t, 2);
     ASSERT_TRUE(slab.ok());
     EXPECT_EQ(slab->ref.addr, freed);
-    EXPECT_FALSE(slab->fresh);  // recycled: already read into the txn
+    EXPECT_FALSE(slab->known_seqnum);  // recycled: already read into the txn
     ASSERT_TRUE(t.Write(slab->ref, "reborn").ok());
     ASSERT_TRUE(t.Commit().ok());
   }
@@ -310,8 +335,10 @@ TEST_F(AllocatorTest, AbortedAttemptsGiveTheirSlabsBack) {
       [&](txn::DynamicTxn& t) -> Status {
         auto slab = alloc.Allocate(t, 0);
         if (!slab.ok()) return slab.status();
-        MINUET_RETURN_NOT_OK(slab->fresh ? t.WriteNew(slab->ref, "node")
-                                         : t.Write(slab->ref, "node"));
+        MINUET_RETURN_NOT_OK(slab->known_seqnum
+                                 ? t.WriteNew(slab->ref, "node",
+                                              *slab->known_seqnum)
+                                 : t.Write(slab->ref, "node"));
         if (++attempts <= kAborts) return Status::Aborted("forced abort");
         return Status::OK();
       });
@@ -376,6 +403,181 @@ TEST_F(AllocatorTest, SlabGivenBackAfterDrainGoesToTheFreeList) {
   ASSERT_TRUE(meta_live.ok());
   EXPECT_EQ(*meta_live, 0u);
   EXPECT_TRUE(alloc.Retire(1).ok());
+}
+
+// --- Batched frees and run-linked refills -----------------------------------
+
+TEST_F(AllocatorTest, FreeBatchChainIsConsumedExactlyOnce) {
+  NodeAllocator alloc = MakeAllocator(8);
+  std::vector<uint64_t> live;
+  for (int i = 0; i < 40; i++) live.push_back(InstallOne(alloc, 0));
+  ASSERT_EQ(alloc.ReservedSlabs(0), 0u);
+  ASSERT_TRUE(FreeInOneTxn(alloc, 0, live).ok());
+  auto meta_live = alloc.MetaLiveSlabs(0);
+  ASSERT_TRUE(meta_live.ok());
+  EXPECT_EQ(*meta_live, 0u);
+
+  // Five refills of 8 walk the one 40-slab chain, each taking a head link
+  // and part of its run: every freed slab comes back exactly once.
+  const std::set<uint64_t> freed(live.begin(), live.end());
+  std::set<uint64_t> reused;
+  for (int i = 0; i < 40; i++) {
+    EXPECT_TRUE(reused.insert(InstallOne(alloc, 0)).second);
+  }
+  EXPECT_EQ(reused, freed);
+  EXPECT_EQ(alloc.metrics().recycled_slabs.Value(), 40u);
+  // The list is empty: the next slab comes from the bump pointer.
+  EXPECT_EQ(freed.count(InstallOne(alloc, 0)), 0u);
+}
+
+TEST_F(AllocatorTest, MixedPlainAndRunLinksAreConsumedCompletely) {
+  NodeAllocator alloc = MakeAllocator(8);
+  std::vector<uint64_t> live;
+  for (int i = 0; i < 30; i++) live.push_back(InstallOne(alloc, 1));
+  auto free_one = [&](uint64_t off) {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(alloc.Free(t, Addr{1, off}).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  };
+  // Plain links (Free, run = 0) between two runs.
+  free_one(live[0]);
+  ASSERT_TRUE(FreeInOneTxn(alloc, 1, {live.begin() + 1, live.begin() + 11})
+                  .ok());
+  free_one(live[11]);
+  free_one(live[12]);
+  ASSERT_TRUE(FreeInOneTxn(alloc, 1, {live.begin() + 13, live.end()}).ok());
+
+  // Allocate past the pooled slabs, the freed ones and one more refill's
+  // worth (a refill that empties the list tops up from the bump pointer).
+  const std::set<uint64_t> freed(live.begin(), live.end());
+  std::set<uint64_t> reused;
+  const size_t n = alloc.ReservedSlabs(1) + freed.size() + 8;
+  for (size_t i = 0; i < n; i++) {
+    EXPECT_TRUE(reused.insert(InstallOne(alloc, 1)).second)
+        << "slab handed out twice";
+  }
+  for (uint64_t off : freed) EXPECT_EQ(reused.count(off), 1u);
+  EXPECT_EQ(alloc.metrics().recycled_slabs.Value(), freed.size());
+  auto meta_live = alloc.MetaLiveSlabs(1);
+  ASSERT_TRUE(meta_live.ok());
+  EXPECT_EQ(*meta_live, reused.size() + alloc.ReservedSlabs(1));
+}
+
+TEST_F(AllocatorTest, RefillOfARunTakesFewMinitransactions) {
+  NodeAllocator alloc = MakeAllocator(32);
+  std::vector<uint64_t> live;
+  for (int i = 0; i < 32; i++) live.push_back(InstallOne(alloc, 0));
+  ASSERT_TRUE(FreeInOneTxn(alloc, 0, live).ok());
+
+  const uint64_t refills = alloc.metrics().refills.Value();
+  const uint64_t before = Executions();
+  txn::DynamicTxn t(coord_.get(), nullptr);
+  ASSERT_TRUE(alloc.Allocate(t, 0).ok());  // empty pool: refills
+  // Metadata, head link, the 31-slab run in one batched read, commit. A
+  // walk of one round per slab took 1 + 32 + 1.
+  EXPECT_LE(Executions() - before, 4u);
+  EXPECT_EQ(alloc.metrics().refills.Value(), refills + 1);
+  EXPECT_EQ(alloc.ReservedSlabs(0), 31u);
+  EXPECT_EQ(alloc.metrics().recycled_slabs.Value(), 32u);
+}
+
+TEST_F(AllocatorTest, RecycledSlabInstallsWithoutAFetch) {
+  NodeAllocator alloc = MakeAllocator(4);
+  std::vector<uint64_t> live;
+  for (int i = 0; i < 4; i++) live.push_back(InstallOne(alloc, 2));
+  ASSERT_TRUE(FreeInOneTxn(alloc, 2, live).ok());
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 2);
+    ASSERT_TRUE(slab.ok());
+    ASSERT_TRUE(slab->known_seqnum) << "the refill validated its seqnum";
+    EXPECT_GT(*slab->known_seqnum, 0u);
+    const uint64_t before = Executions();
+    ASSERT_TRUE(t.WriteNew(slab->ref, "reborn", *slab->known_seqnum).ok());
+    ASSERT_TRUE(t.Commit().ok());
+    EXPECT_EQ(Executions() - before, 1u) << "commit only, no fetch";
+  }
+
+  // An attempt that installs nothing hands its slab back without the
+  // seqnum: the next use fetches it.
+  uint64_t handed_back = 0;
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 2);
+    ASSERT_TRUE(slab.ok());
+    ASSERT_TRUE(slab->known_seqnum);
+    handed_back = slab->ref.addr.offset;
+    ASSERT_TRUE(t.WriteNew(slab->ref, "never", *slab->known_seqnum).ok());
+  }
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 2);
+    ASSERT_TRUE(slab.ok());
+    EXPECT_EQ(slab->ref.addr.offset, handed_back);
+    EXPECT_FALSE(slab->known_seqnum);
+    const uint64_t before = Executions();
+    ASSERT_TRUE(t.Write(slab->ref, "again").ok());
+    ASSERT_TRUE(t.Commit().ok());
+    EXPECT_EQ(Executions() - before, 2u) << "fetch, then commit";
+  }
+
+  // A carried seqnum that no longer holds (the slab was written behind the
+  // pool's back, as a restored memnode image may do) fails once; the slab
+  // comes back without it and the retry commits.
+  uint64_t stale = 0;
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 2);
+    ASSERT_TRUE(slab.ok());
+    ASSERT_TRUE(slab->known_seqnum);
+    stale = slab->ref.addr.offset;
+    txn::DynamicTxn rival(coord_.get(), nullptr);
+    ASSERT_TRUE(rival.Write(slab->ref, "restored").ok());
+    ASSERT_TRUE(rival.Commit().ok());
+    ASSERT_TRUE(t.WriteNew(slab->ref, "loser", *slab->known_seqnum).ok());
+    EXPECT_TRUE(t.Commit().IsAborted());
+  }
+  Status st = txn::RunTransaction(
+      coord_.get(), nullptr, {}, 2, [&](txn::DynamicTxn& t) -> Status {
+        auto slab = alloc.Allocate(t, 2);
+        if (!slab.ok()) return slab.status();
+        EXPECT_EQ(slab->ref.addr.offset, stale);
+        return slab->known_seqnum
+                   ? t.WriteNew(slab->ref, "winner", *slab->known_seqnum)
+                   : t.Write(slab->ref, "winner");
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+// A free whose commit fails freed nothing: the in-process live count must
+// not drift, or the two-choice placement drifts with it.
+TEST_F(AllocatorTest, FailedFreeLeavesTheLiveCounterUnchanged) {
+  NodeAllocator alloc = MakeAllocator(4);
+  const uint64_t a = InstallOne(alloc, 0);
+  const uint64_t b = InstallOne(alloc, 0);
+  const uint64_t live = alloc.ApproxLiveSlabs(0);
+  ASSERT_EQ(live, 2u);
+  auto lose_race = [&](txn::DynamicTxn& t, uint64_t contended) {
+    txn::DynamicTxn rival(coord_.get(), nullptr);
+    ASSERT_TRUE(rival.Write(layout_.SlabRef(Addr{0, contended}), "cow").ok());
+    ASSERT_TRUE(rival.Commit().ok());
+    EXPECT_TRUE(t.Commit().IsAborted());
+  };
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(alloc.Free(t, Addr{0, a}).ok());
+    lose_race(t, a);
+  }
+  EXPECT_EQ(alloc.ApproxLiveSlabs(0), live);
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(alloc.FreeBatch(t, 0, {a, b}).ok());
+    lose_race(t, b);
+  }
+  EXPECT_EQ(alloc.ApproxLiveSlabs(0), live);
+  // A committed free still counts.
+  ASSERT_TRUE(FreeInOneTxn(alloc, 0, {a}).ok());
+  EXPECT_EQ(alloc.ApproxLiveSlabs(0), live - 1);
 }
 
 TEST_F(AllocatorTest, CannotDrainLastActiveMemnode) {

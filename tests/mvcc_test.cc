@@ -377,6 +377,154 @@ TEST_F(MvccTest, GcFreedSlabsAreRecycledByAllocator) {
   }
 }
 
+TEST_F(MvccTest, GcPassReadsAndFreesInBatches) {
+  constexpr int kKeys = 1000;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
+  }
+  SnapshotService scs = MakeService(0, /*retain=*/2);
+  for (int epoch = 0; epoch < 4; epoch++) {
+    ASSERT_TRUE(Snap(scs).ok());
+    for (int i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(epoch)).ok());
+    }
+  }
+  const auto& layout = cluster_->layout();
+  uint64_t slabs = 0;
+  for (uint32_t m = 0; m < cluster_->config().n_memnodes; m++) {
+    const uint64_t extent = cluster_->memnode(m)->Extent();
+    if (extent <= layout.slab_base()) continue;
+    slabs += (extent - layout.slab_base() + layout.node_size - 1) /
+             layout.node_size;
+  }
+
+  GarbageCollector gc(trees_[0].get());
+  sinfonia::Coordinator* coord = cluster_->coord();
+  const uint64_t before = coord->metrics().executions.Value();
+  auto report = gc.CollectOnce(scs.LowestRetained());
+  ASSERT_TRUE(report.ok());
+  const uint64_t executions = coord->metrics().executions.Value() - before;
+  EXPECT_EQ(report->scanned, slabs);
+  EXPECT_GT(report->freed, 0u);
+  EXPECT_EQ(report->freed + report->skipped_live + report->skipped_non_node,
+            report->scanned);
+  // Per batch of 64: one read, one read of the candidates beside the
+  // allocator metadata, one commit; plus the horizon publish. One
+  // transaction per slab runs at least `slabs`.
+  EXPECT_LE(executions, slabs / 8 + 4)
+      << slabs << " slabs, " << report->freed << " freed";
+
+  std::string value;
+  for (int i = 0; i < kKeys; i += 7) {
+    ASSERT_TRUE(tree().Get(EncodeUserKey(i), &value).ok());
+    EXPECT_EQ(DecodeValue(value), 3u);
+  }
+  auto again = gc.CollectOnce(scs.LowestRetained());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->freed, 0u);
+}
+
+// Writers on two proxies, a snapshot storm and back-to-back GC passes all
+// race. Every pinned snapshot must read the same consistent cut twice, and
+// the tip must end with every write.
+TEST_F(MvccTest, GcRacingWritersAndSnapshotsNeverFreesReachableNodes) {
+  constexpr int kKeys = 60;
+  constexpr uint64_t kRounds = 30;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(0)).ok());
+  }
+  SnapshotService scs = MakeService(0, /*retain=*/2);
+  GarbageCollector gc(trees_[0].get());
+  std::atomic<bool> stop{false};
+  std::atomic<int> writers_done{0};
+  std::atomic<uint64_t> freed{0};
+  // Every thread records a failure and stops instead of asserting: a fatal
+  // assertion would return while the other threads still run. The main
+  // thread stops and joins them all first, then asserts.
+  std::thread snapshotter([&] {
+    while (!stop) {
+      Status st = scs.CreateSnapshot().status();
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      if (!st.ok()) break;
+    }
+  });
+  std::thread collector([&] {
+    while (!stop) {
+      auto report = gc.CollectOnce(scs.LowestRetained());
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      if (!report.ok()) break;
+      freed += report->freed;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint32_t w = 0; w < 2; w++) {
+    writers.emplace_back([&, w] {
+      bool failed = false;
+      for (uint64_t round = 1; round <= kRounds && !failed; round++) {
+        for (int i = static_cast<int>(w); i < kKeys && !failed; i += 2) {
+          Status st = tree(w).Put(EncodeUserKey(i), EncodeValue(round));
+          EXPECT_TRUE(st.ok()) << st.ToString();
+          failed = !st.ok();
+        }
+      }
+      writers_done++;
+    });
+  }
+
+  // Each writer walks its keys in order, so a consistent cut sees, per
+  // writer, values that never rise along the walk and span at most one
+  // round.
+  auto read_cut = [&](const SnapshotRef& snap) {
+    std::vector<uint64_t> cut(kKeys);
+    for (int i = 0; i < kKeys; i++) {
+      std::string value;
+      Status st = tree().SnapshotGet(snap, EncodeUserKey(i), &value);
+      EXPECT_TRUE(st.ok()) << "sid " << snap.sid << " key " << i << ": "
+                           << st.ToString();
+      if (st.ok()) cut[i] = DecodeValue(value);
+    }
+    for (int w = 0; w < 2; w++) {
+      for (int i = w + 2; i < kKeys; i += 2) {
+        EXPECT_LE(cut[i], cut[i - 2]) << "key " << i;
+        EXPECT_LE(cut[w] - cut[i], 1u) << "key " << i;
+      }
+    }
+    return cut;
+  };
+  int cuts = 0;
+  Status pinned = Status::OK();
+  while (writers_done < 2 || cuts == 0) {
+    auto snap = scs.CreateSnapshot(/*pin=*/true);
+    if (!snap.ok()) {
+      pinned = snap.status();
+      break;
+    }
+    const std::vector<uint64_t> first = read_cut(*snap);
+    std::this_thread::yield();
+    EXPECT_EQ(read_cut(*snap), first) << "sid " << snap->sid;
+    scs.Unpin(snap->sid);
+    cuts++;
+  }
+  for (auto& t : writers) t.join();
+  stop = true;
+  snapshotter.join();
+  collector.join();
+  ASSERT_TRUE(pinned.ok()) << pinned.ToString();
+
+  EXPECT_GT(freed.load(), 0u);
+  std::string value;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tree().Get(EncodeUserKey(i), &value).ok());
+    EXPECT_EQ(DecodeValue(value), kRounds);
+  }
+  auto last = scs.CreateSnapshot();
+  ASSERT_TRUE(last.ok());
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tree().SnapshotGet(*last, EncodeUserKey(i), &value).ok());
+    EXPECT_EQ(DecodeValue(value), kRounds);
+  }
+}
+
 TEST_F(MvccTest, SnapshotCreationBumpsTipForWriters) {
   ASSERT_TRUE(tree().Put("k", "v0").ok());
   SnapshotService scs = MakeService();
