@@ -806,8 +806,8 @@ Status BTree::Remove(const std::string& key, Tip tip) {
 // horizon and fail fast with a clear status.
 Status BTree::CheckGcHorizon(uint64_t sid) {
   DynamicTxn txn(coord_, /*cache=*/nullptr);
-  auto raw = txn.FetchFresh(layout().LowestSidRef(tree_slot_));
-  if (raw.ok() && DecodeTipId(*raw) > sid) {
+  auto raw = txn.FetchFreshView(layout().LowestSidRef(tree_slot_));
+  if (raw.ok() && DecodeTipId(raw->data) > sid) {
     // Non-retryable (the snapshot is gone for good), but worth a taxonomy
     // bucket: persistent retries that die here are a GC-pacing signal.
     coord_->metrics()
@@ -913,12 +913,12 @@ Status BTree::TipScan(
 // Snapshot creation (Fig. 6)
 
 Result<SnapshotRef> BTree::CreateSnapshotInTxn(DynamicTxn& txn) {
-  auto sid_raw = txn.Read(layout().TipIdRef(tree_slot_));
+  auto sid_raw = txn.ReadView(layout().TipIdRef(tree_slot_));
   if (!sid_raw.ok()) return sid_raw.status();
-  auto root_raw = txn.Read(layout().TipRootRef(tree_slot_));
+  auto root_raw = txn.ReadView(layout().TipRootRef(tree_slot_));
   if (!root_raw.ok()) return root_raw.status();
-  const uint64_t sid = DecodeTipId(*sid_raw);
-  const Addr loc = DecodeRootLoc(*root_raw);
+  const uint64_t sid = DecodeTipId(sid_raw->data);
+  const Addr loc = DecodeRootLoc(root_raw->data);
 
   const uint64_t new_sid = sid + 1;
   // Copy the root eagerly so the tip root location stays valid regardless

@@ -89,7 +89,8 @@ struct ClusterOptions {
   // (Cluster::DumpStats). The counters themselves always count — binding
   // only affects whether DumpStats sees them — so disabling this is a
   // measurement knob, not a fast path (see bench/abl_node_micro's
-  // registry-overhead section).
+  // registry-overhead section). An unbound cluster dumps only the
+  // durability label.
   bool metrics = true;
   // Slow-op log: a view-layer operation slower than this (wall ns) prints
   // its full minitransaction trace to stderr. 0 = disabled.
@@ -448,13 +449,15 @@ class Cluster {
   obs::HistogramMetric& op_histogram(ClientOp op) {
     return op_latency_[static_cast<size_t>(op)];
   }
-  // Human-readable stats report: cluster shape, per-memnode / per-proxy /
-  // per-tree rollups, then the full registry dump.
+  // Human-readable stats report: one "durability=<mode>" line, then the
+  // registry's text rendering. Every number — membership and liveness
+  // included (memnode<i>.up/.retired, proxy<i>.detached,
+  // cluster.live_memnodes) — is a registry metric.
   std::string DumpStats() const;
   // The same data as stable JSON:
-  //   {"cluster": {...}, "memnodes": [...], "proxies": [...],
-  //    "trees": [...], "metrics": {"subsystem": {"name": value, ...}, ...}}
-  // tools/statsdump pretty-prints and diffs this shape.
+  //   {"cluster": {"durability": "<mode>"},
+  //    "metrics": {"subsystem": {"name": value, ...}, ...}}
+  // tools/statsdump pretty-prints, diffs and checks this shape.
   std::string DumpStatsJson() const;
 
   // --- Plumbing (benchmarks, tests) -----------------------------------------

@@ -4,10 +4,15 @@
 // AddProxy, AddMemnode, CreateTree, first rebalancer() use) and only LINKS
 // component-owned counters / read callbacks into the registry — the
 // components count unconditionally whether or not anything is bound, so
-// none of this touches a hot path. Dumping walks the live components for
-// the structural rollups (shape, per-member health) and the registry for
-// the flat metric inventory; both renderings — text and JSON — are built
-// from the same reads.
+// none of this touches a hot path. The registry is the only stats source:
+// structural facts (membership, liveness, tree kind, WAL positions) are
+// gauges too, and both renderings — text and JSON — are the registry under
+// one durability label.
+//
+// Lock order: Snapshot() runs every gauge callback under the registry
+// mutex, and AddProxy links while holding proxies_mu_ exclusive. A gauge
+// therefore reads only atomics or immutable state and never takes
+// proxies_mu_ (proxy counts come from the per-proxy "detached" gauges).
 #include "minuet/cluster.h"
 
 #include <string>
@@ -70,6 +75,14 @@ void Cluster::BindCoreMetrics() {
   registry_.LinkGauge("fabric", "nodes", [fabric] {
     return static_cast<int64_t>(fabric->n_nodes());
   });
+  sinfonia::Coordinator* coord = coord_.get();
+  registry_.LinkGauge("cluster", "live_memnodes", [coord] {
+    return static_cast<int64_t>(coord->n_live());
+  });
+  const TreeCatalog* catalog = catalog_.get();
+  registry_.LinkGauge("cluster", "trees", [catalog] {
+    return static_cast<int64_t>(catalog->n_trees());
+  });
 
   // The decodes-vs-view-reads pair: warm read paths should move view_inits,
   // not node_decodes (a regression to full decodes shows up here first).
@@ -98,13 +111,26 @@ void Cluster::BindMemnodeMetrics(uint32_t id) {
   registry_.LinkGauge(sub, "messages", [fabric, id] {
     return static_cast<int64_t>(fabric->NodeMessages(id));
   });
+  registry_.LinkGauge(sub, "up", [fabric, id] {
+    return static_cast<int64_t>(fabric->IsUp(id));
+  });
+  registry_.LinkGauge(sub, "retired", [fabric, id] {
+    return static_cast<int64_t>(fabric->IsRetired(id));
+  });
   memnodes_[id]->lock_table().BindMetrics(&registry_, sub + ".locks");
   if (store::CheckpointedStore* ds = coord_->durable_store(id)) {
-    wal::Wal::Metrics& w = ds->wal().metrics();
+    wal::Wal& wal = ds->wal();
+    wal::Wal::Metrics& w = wal.metrics();
     registry_.LinkCounter(sub + ".wal", "appends", &w.appends);
     registry_.LinkCounter(sub + ".wal", "append_bytes", &w.append_bytes);
     registry_.LinkCounter(sub + ".wal", "fsyncs", &w.fsyncs);
     registry_.LinkCounter(sub + ".wal", "truncations", &w.truncations);
+    registry_.LinkGauge(sub + ".wal", "current_lsn", [&wal] {
+      return static_cast<int64_t>(wal.CurrentLsn());
+    });
+    registry_.LinkGauge(sub + ".wal", "synced_lsn", [&wal] {
+      return static_cast<int64_t>(wal.SyncedLsn());
+    });
     store::CheckpointedStore::Metrics& s = ds->metrics();
     registry_.LinkCounter(sub + ".store", "checkpoints", &s.checkpoints);
     registry_.LinkCounter(sub + ".store", "replayed", &s.replayed);
@@ -119,7 +145,12 @@ void Cluster::BindMemnodeMetrics(uint32_t id) {
 }
 
 void Cluster::BindProxyMetrics(const Proxy& proxy) {
-  const std::string sub = "proxy" + std::to_string(proxy.id()) + ".cache";
+  const std::string psub = "proxy" + std::to_string(proxy.id());
+  const Proxy* p = &proxy;
+  registry_.LinkGauge(psub, "detached", [p] {
+    return static_cast<int64_t>(p->detached());
+  });
+  const std::string sub = psub + ".cache";
   txn::ObjectCache* cache = proxy.cache_.get();
   registry_.LinkGauge(sub, "hits", [cache] {
     return static_cast<int64_t>(cache->hits());
@@ -137,6 +168,10 @@ void Cluster::BindProxyMetrics(const Proxy& proxy) {
 
 void Cluster::BindTreeMetrics(uint32_t slot) {
   const std::string sub = "tree" + std::to_string(slot);
+  // The tree kind is fixed at CreateTree: read once, rendered as a constant.
+  auto handle = catalog_->Handle(slot);
+  const int64_t branching = handle.ok() && handle->branching();
+  registry_.LinkGauge(sub, "branching", [branching] { return branching; });
   if (const btree::BTree::Stats* stats = catalog_->tree_stats(slot)) {
     stats->BindMetrics(&registry_, sub);
   }
@@ -183,252 +218,16 @@ void Cluster::BindRebalancerMetrics() {
 // ---------------------------------------------------------------------------
 // Dumping
 
-namespace {
-
-void AppendKv(std::string* out, const char* key, uint64_t v,
-              const char* sep = " ") {
-  *out += key;
-  *out += '=';
-  *out += std::to_string(v);
-  *out += sep;
-}
-
-// JSON building blocks over the hand-built style obs::AppendJsonString
-// anchors: callers are responsible for commas between fields.
-void JsonField(std::string* out, const char* key, uint64_t v) {
-  obs::AppendJsonString(out, key);
-  *out += ':';
-  *out += std::to_string(v);
-}
-
-void JsonField(std::string* out, const char* key, bool v) {
-  obs::AppendJsonString(out, key);
-  *out += ':';
-  *out += v ? "true" : "false";
-}
-
-void JsonField(std::string* out, const char* key, const char* v) {
-  obs::AppendJsonString(out, key);
-  *out += ':';
-  obs::AppendJsonString(out, v);
-}
-
-}  // namespace
-
 std::string Cluster::DumpStats() const {
-  std::string out;
-  out += "=== cluster ===\n";
-  out += "memnodes=" + std::to_string(n_memnodes()) + " (live " +
-         std::to_string(n_live_memnodes()) + ")  proxies=" +
-         std::to_string(n_proxies()) + " (live " +
-         std::to_string(n_live_proxies()) + ")  trees=" +
-         std::to_string(n_trees()) + "  fabric_messages=" +
-         std::to_string(fabric_->TotalMessages()) + "  durability=" +
-         wal::DurabilityModeName(options_.durability) + "\n";
-
-  out += "=== memnodes ===\n";
-  for (uint32_t i = 0; i < n_memnodes(); i++) {
-    out += "memnode" + std::to_string(i) + ": ";
-    if (coord_->retired(i)) {
-      out += "retired\n";
-      continue;
-    }
-    if (!fabric_->IsUp(i)) out += "DOWN ";
-    AppendKv(&out, "messages", fabric_->NodeMessages(i));
-    const auto locks = memnodes_[i]->lock_table().TotalStats();
-    AppendKv(&out, "lock_acquires", locks.acquires);
-    AppendKv(&out, "lock_contended", locks.contended);
-    if (store::CheckpointedStore* ds = coord_->durable_store(i)) {
-      AppendKv(&out, "lock_timeouts", locks.timeouts);
-      AppendKv(&out, "wal_appends", ds->wal().metrics().appends.Value());
-      AppendKv(&out, "wal_fsyncs", ds->wal().metrics().fsyncs.Value());
-      AppendKv(&out, "checkpoint_lsn", ds->LastCheckpointLsn(), "\n");
-    } else {
-      AppendKv(&out, "lock_timeouts", locks.timeouts, "\n");
-    }
-  }
-
-  out += "=== proxies ===\n";
-  {
-    std::shared_lock<std::shared_mutex> g(proxies_mu_);
-    for (const auto& proxy : proxies_) {
-      out += "proxy" + std::to_string(proxy->id()) + ": ";
-      if (proxy->detached()) {
-        out += "removed\n";
-        continue;
-      }
-      const auto cache = proxy->cache_->TotalStats();
-      AppendKv(&out, "cache_hits", cache.hits);
-      AppendKv(&out, "cache_misses", cache.misses);
-      AppendKv(&out, "cache_evictions", cache.evictions);
-      AppendKv(&out, "cache_size", cache.size, "\n");
-    }
-  }
-
-  out += "=== trees ===\n";
-  for (uint32_t slot = 0; slot < n_trees(); slot++) {
-    out += "tree" + std::to_string(slot) + ": ";
-    auto handle = catalog_->Handle(slot);
-    if (handle.ok() && handle->branching()) out += "branching ";
-    if (const btree::BTree::Stats* stats = catalog_->tree_stats(slot)) {
-      AppendKv(&out, "op_aborts", stats->op_aborts.Value());
-      AppendKv(&out, "traversal_aborts", stats->traversal_aborts.Value());
-      AppendKv(&out, "cow_copies", stats->cow_copies.Value());
-      AppendKv(&out, "splits", stats->splits.Value());
-      AppendKv(&out, "migrations", stats->migrations.Value());
-    }
-    if (mvcc::SnapshotService* snaps = catalog_->snapshot_service(slot)) {
-      AppendKv(&out, "snapshots", snaps->snapshots_created());
-      AppendKv(&out, "pinned", snaps->pinned_count());
-      AppendKv(&out, "horizon", snaps->LowestRetained());
-    }
-    if (mvcc::GarbageCollector* gc = catalog_->gc(slot)) {
-      AppendKv(&out, "gc_freed", gc->total_freed());
-    }
-    out += "\n";
-  }
-
-  out += "=== metrics ===\n";
-  out += registry_.ToText();
-  return out;
+  return std::string("durability=") +
+         wal::DurabilityModeName(options_.durability) + "\n" +
+         registry_.ToText();
 }
 
 std::string Cluster::DumpStatsJson() const {
-  std::string out = "{\"cluster\":{";
-  JsonField(&out, "memnodes", static_cast<uint64_t>(n_memnodes()));
-  out += ',';
-  JsonField(&out, "live_memnodes", static_cast<uint64_t>(n_live_memnodes()));
-  out += ',';
-  JsonField(&out, "proxies", static_cast<uint64_t>(n_proxies()));
-  out += ',';
-  JsonField(&out, "live_proxies", static_cast<uint64_t>(n_live_proxies()));
-  out += ',';
-  JsonField(&out, "trees", static_cast<uint64_t>(n_trees()));
-  out += ',';
-  JsonField(&out, "fabric_messages", fabric_->TotalMessages());
-  out += ',';
-  JsonField(&out, "durability", wal::DurabilityModeName(options_.durability));
-  out += "},\"memnodes\":[";
-
-  for (uint32_t i = 0; i < n_memnodes(); i++) {
-    if (i > 0) out += ',';
-    out += '{';
-    JsonField(&out, "id", static_cast<uint64_t>(i));
-    out += ',';
-    JsonField(&out, "retired", coord_->retired(i));
-    out += ',';
-    JsonField(&out, "up", fabric_->IsUp(i));
-    out += ',';
-    JsonField(&out, "messages", fabric_->NodeMessages(i));
-    if (!coord_->retired(i)) {
-      const auto locks = memnodes_[i]->lock_table().TotalStats();
-      out += ",\"locks\":{";
-      JsonField(&out, "acquires", locks.acquires);
-      out += ',';
-      JsonField(&out, "contended", locks.contended);
-      out += ',';
-      JsonField(&out, "timeouts", locks.timeouts);
-      out += '}';
-      if (store::CheckpointedStore* ds = coord_->durable_store(i)) {
-        const wal::Wal::Metrics& w = ds->wal().metrics();
-        const store::CheckpointedStore::Metrics& s = ds->metrics();
-        out += ",\"wal\":{";
-        JsonField(&out, "appends", w.appends.Value());
-        out += ',';
-        JsonField(&out, "append_bytes", w.append_bytes.Value());
-        out += ',';
-        JsonField(&out, "fsyncs", w.fsyncs.Value());
-        out += ',';
-        JsonField(&out, "truncations", w.truncations.Value());
-        out += ',';
-        JsonField(&out, "current_lsn", ds->wal().CurrentLsn());
-        out += ',';
-        JsonField(&out, "synced_lsn", ds->wal().SyncedLsn());
-        out += ',';
-        JsonField(&out, "checkpoint_lsn", ds->LastCheckpointLsn());
-        out += ',';
-        JsonField(&out, "checkpoints", s.checkpoints.Value());
-        out += ',';
-        JsonField(&out, "replayed", s.replayed.Value());
-        out += ',';
-        JsonField(&out, "recoveries_local", s.recoveries_local.Value());
-        out += ',';
-        JsonField(&out, "recoveries_reseed", s.recoveries_reseed.Value());
-        out += '}';
-      }
-    }
-    out += '}';
-  }
-  out += "],\"proxies\":[";
-
-  {
-    std::shared_lock<std::shared_mutex> g(proxies_mu_);
-    for (size_t i = 0; i < proxies_.size(); i++) {
-      const Proxy& proxy = *proxies_[i];
-      if (i > 0) out += ',';
-      out += '{';
-      JsonField(&out, "id", static_cast<uint64_t>(proxy.id()));
-      out += ',';
-      JsonField(&out, "detached", proxy.detached());
-      const auto cache = proxy.cache_->TotalStats();
-      out += ",\"cache\":{";
-      JsonField(&out, "hits", cache.hits);
-      out += ',';
-      JsonField(&out, "misses", cache.misses);
-      out += ',';
-      JsonField(&out, "evictions", cache.evictions);
-      out += ',';
-      JsonField(&out, "size", static_cast<uint64_t>(cache.size));
-      out += "}}";
-    }
-  }
-  out += "],\"trees\":[";
-
-  for (uint32_t slot = 0; slot < n_trees(); slot++) {
-    if (slot > 0) out += ',';
-    out += '{';
-    JsonField(&out, "slot", static_cast<uint64_t>(slot));
-    auto handle = catalog_->Handle(slot);
-    out += ',';
-    JsonField(&out, "branching", handle.ok() && handle->branching());
-    if (const btree::BTree::Stats* stats = catalog_->tree_stats(slot)) {
-      out += ",\"stats\":{";
-      JsonField(&out, "op_aborts", stats->op_aborts.Value());
-      out += ',';
-      JsonField(&out, "traversal_aborts", stats->traversal_aborts.Value());
-      out += ',';
-      JsonField(&out, "cow_copies", stats->cow_copies.Value());
-      out += ',';
-      JsonField(&out, "discretionary_copies",
-                stats->discretionary_copies.Value());
-      out += ',';
-      JsonField(&out, "splits", stats->splits.Value());
-      out += ',';
-      JsonField(&out, "redirects", stats->redirects.Value());
-      out += ',';
-      JsonField(&out, "migrations", stats->migrations.Value());
-      out += '}';
-    }
-    if (mvcc::SnapshotService* snaps = catalog_->snapshot_service(slot)) {
-      out += ",\"snapshots\":{";
-      JsonField(&out, "created", snaps->snapshots_created());
-      out += ',';
-      JsonField(&out, "borrowed", snaps->snapshots_borrowed());
-      out += ',';
-      JsonField(&out, "stale_reuses", snaps->stale_reuses());
-      out += ',';
-      JsonField(&out, "pinned", snaps->pinned_count());
-      out += ',';
-      JsonField(&out, "horizon", snaps->LowestRetained());
-      out += '}';
-    }
-    if (mvcc::GarbageCollector* gc = catalog_->gc(slot)) {
-      out += ',';
-      JsonField(&out, "gc_freed", gc->total_freed());
-    }
-    out += '}';
-  }
-  out += "],\"metrics\":";
+  std::string out = "{\"cluster\":{\"durability\":";
+  obs::AppendJsonString(&out, wal::DurabilityModeName(options_.durability));
+  out += "},\"metrics\":";
   out += registry_.ToJson();
   out += '}';
   return out;

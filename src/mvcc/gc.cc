@@ -127,9 +127,9 @@ Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
   // Publish the horizon so other proxies / tools can observe it.
   Status pub = txn::RunTransaction(
       coord, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
-        auto cur = t.Read(layout.LowestSidRef(tree_->tree_slot()));
+        auto cur = t.ReadView(layout.LowestSidRef(tree_->tree_slot()));
         if (!cur.ok()) return cur.status();
-        if (btree::DecodeTipId(*cur) >= lowest_sid) return Status::OK();
+        if (btree::DecodeTipId(cur->data) >= lowest_sid) return Status::OK();
         return t.Write(layout.LowestSidRef(tree_->tree_slot()),
                        btree::EncodeTipId(lowest_sid));
       });

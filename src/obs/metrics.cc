@@ -48,60 +48,12 @@ MetricsRegistry::Entry& MetricsRegistry::Upsert(const std::string& subsystem,
   if (Entry* e = Find(subsystem, name)) {
     e->kind = kind;
     e->counter = nullptr;
-    e->gauge = nullptr;
     e->hist = nullptr;
     e->read = nullptr;
     return *e;
   }
-  entries_.push_back(Entry{subsystem, name, kind, nullptr, nullptr, nullptr,
-                           nullptr});
+  entries_.push_back(Entry{subsystem, name, kind, nullptr, nullptr, nullptr});
   return entries_.back();
-}
-
-Counter* MetricsRegistry::RegisterCounter(const std::string& subsystem,
-                                          const std::string& name) {
-  std::lock_guard<std::mutex> g(mu_);
-  if (Entry* e = Find(subsystem, name)) {
-    // Idempotent: hand back the owned counter if this key already has one.
-    if (e->kind == Sample::Kind::kCounter && e->counter != nullptr) {
-      return const_cast<Counter*>(e->counter);
-    }
-  }
-  owned_counters_.emplace_back();
-  Counter* c = &owned_counters_.back();
-  Entry& e = Upsert(subsystem, name, Sample::Kind::kCounter);
-  e.counter = c;
-  return c;
-}
-
-Gauge* MetricsRegistry::RegisterGauge(const std::string& subsystem,
-                                      const std::string& name) {
-  std::lock_guard<std::mutex> g(mu_);
-  if (Entry* e = Find(subsystem, name)) {
-    if (e->kind == Sample::Kind::kGauge && e->gauge != nullptr) {
-      return const_cast<Gauge*>(e->gauge);
-    }
-  }
-  owned_gauges_.emplace_back();
-  Gauge* gp = &owned_gauges_.back();
-  Entry& e = Upsert(subsystem, name, Sample::Kind::kGauge);
-  e.gauge = gp;
-  return gp;
-}
-
-HistogramMetric* MetricsRegistry::RegisterHistogram(
-    const std::string& subsystem, const std::string& name) {
-  std::lock_guard<std::mutex> g(mu_);
-  if (Entry* e = Find(subsystem, name)) {
-    if (e->kind == Sample::Kind::kHistogram && e->hist != nullptr) {
-      return const_cast<HistogramMetric*>(e->hist);
-    }
-  }
-  owned_histograms_.emplace_back();
-  HistogramMetric* h = &owned_histograms_.back();
-  Entry& e = Upsert(subsystem, name, Sample::Kind::kHistogram);
-  e.hist = h;
-  return h;
 }
 
 void MetricsRegistry::LinkCounter(const std::string& subsystem,
@@ -143,11 +95,7 @@ std::vector<Sample> MetricsRegistry::Snapshot() const {
           s.value = e.counter ? static_cast<int64_t>(e.counter->Value()) : 0;
           break;
         case Sample::Kind::kGauge:
-          if (e.read) {
-            s.value = e.read();
-          } else if (e.gauge) {
-            s.value = e.gauge->Value();
-          }
+          if (e.read) s.value = e.read();
           break;
         case Sample::Kind::kHistogram:
           if (e.hist) {

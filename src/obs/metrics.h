@@ -1,23 +1,25 @@
 // The cluster-wide metrics registry (PR 9 observability layer).
 //
 // Zero-dependency (common/ only): every subsystem that wants a counter owns
-// an obs::Counter / obs::Gauge / obs::HistogramMetric VALUE and increments
-// it unconditionally — the types are cheap enough (sharded relaxed atomics)
+// an obs::Counter / obs::HistogramMetric VALUE and increments it
+// unconditionally — the types are cheap enough (sharded relaxed atomics)
 // that there is no "metrics off" branch on hot paths. The registry is pure
-// bookkeeping on top: Cluster::BindMetrics LINKS component-owned metrics
-// (and callback gauges over existing state) under "subsystem.name" keys, and
-// Snapshot()/ToText()/ToJson() render the whole inventory. A component used
-// outside a cluster (unit tests constructing a Fabric or LockTable directly)
-// simply never registers — its counters still count, nothing dumps them.
+// bookkeeping on top: the Cluster's Bind*Metrics functions LINK
+// component-owned metrics (and callback gauges over existing state) under
+// "subsystem.name" keys, and Snapshot()/ToText()/ToJson() render the whole
+// inventory. A component used outside a cluster (unit tests constructing a
+// Fabric or LockTable directly) simply never registers — its counters still
+// count, nothing dumps them.
 //
-// Thread-safety: Counter/Gauge are lock-free; HistogramMetric stripes a
-// mutex per shard (common/histogram.h is not thread-safe); registration and
-// snapshotting take the registry mutex (cold paths only).
+// Thread-safety: Counter is lock-free; HistogramMetric stripes a mutex per
+// shard (common/histogram.h is not thread-safe); linking and snapshotting
+// take the registry mutex (cold paths only). Snapshot() runs gauge
+// callbacks under that mutex, so a callback may read only atomics or
+// immutable state — never take a lock that is held while linking.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -59,17 +61,6 @@ class Counter {
   static size_t ShardIndex();
 
   Shard shards_[kShards];
-};
-
-// Last-write-wins instantaneous value (queue depths, watermarks).
-class Gauge {
- public:
-  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
 };
 
 // Mutex-striped histogram over common/histogram.h (which is not itself
@@ -116,19 +107,11 @@ struct Sample {
   double mean = 0, p50 = 0, p99 = 0, max = 0;
 };
 
-// Name+subsystem keyed inventory of metrics. Registered metrics are either
-// OWNED (Register* — the registry allocates them with stable addresses) or
-// LINKED (Link* — a component-owned metric or a read callback). Duplicate
-// registration of the same key is idempotent for owned metrics (returns the
-// existing one) and last-wins for links.
+// Name+subsystem keyed inventory of LINKED metrics: a component-owned
+// counter or histogram, or a read callback. Linking a key twice is
+// last-wins.
 class MetricsRegistry {
  public:
-  Counter* RegisterCounter(const std::string& subsystem,
-                           const std::string& name);
-  Gauge* RegisterGauge(const std::string& subsystem, const std::string& name);
-  HistogramMetric* RegisterHistogram(const std::string& subsystem,
-                                     const std::string& name);
-
   // Expose a component-owned counter / histogram. The pointee must outlive
   // the registry (in a Cluster both die together; the registry member is
   // declared first so it is destroyed last).
@@ -144,8 +127,8 @@ class MetricsRegistry {
   // shape tests rely on.
   std::vector<Sample> Snapshot() const;
 
-  // Render the registry section alone. Cluster::DumpStats embeds these
-  // under its per-memnode/per-proxy/per-tree rollups.
+  // "[subsystem]" headers, then "  name = value" lines. Cluster::DumpStats
+  // is this text under one durability label line.
   std::string ToText() const;
   // Stable JSON: {"subsystem": {"name": value, ...}, ...} with keys sorted;
   // histograms render as {"count":..,"mean":..,"p50":..,"p99":..,"max":..}.
@@ -160,7 +143,6 @@ class MetricsRegistry {
     Sample::Kind kind;
     // Exactly one of these is set.
     const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
     const HistogramMetric* hist = nullptr;
     std::function<int64_t()> read;
   };
@@ -171,10 +153,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
-  // Owned metric storage: deque gives stable addresses across growth.
-  std::deque<Counter> owned_counters_;
-  std::deque<Gauge> owned_gauges_;
-  std::deque<HistogramMetric> owned_histograms_;
 };
 
 // Minimal JSON string escaping (the dump surface hand-builds its JSON, as

@@ -162,27 +162,6 @@ Result<Payload> DynamicTxn::FetchFreshView(const ObjectRef& ref) {
   return std::move(fetched->payload);
 }
 
-Result<std::string> DynamicTxn::Read(const ObjectRef& ref) {
-  auto p = ReadView(ref);
-  if (!p.ok()) return p.status();
-  return p->data.ToString();
-}
-Result<std::string> DynamicTxn::DirtyRead(const ObjectRef& ref) {
-  auto p = DirtyReadView(ref);
-  if (!p.ok()) return p.status();
-  return p->data.ToString();
-}
-Result<std::string> DynamicTxn::ReadCached(const ObjectRef& ref) {
-  auto p = ReadCachedView(ref);
-  if (!p.ok()) return p.status();
-  return p->data.ToString();
-}
-Result<std::string> DynamicTxn::FetchFresh(const ObjectRef& ref) {
-  auto p = FetchFreshView(ref);
-  if (!p.ok()) return p.status();
-  return p->data.ToString();
-}
-
 // The one skeleton behind every batched-fetch flavor (see BatchPolicy in
 // the header): dedupe the addresses, serve what local state already can,
 // fetch ALL remaining misses in ONE minitransaction, then run the flavor's
@@ -327,33 +306,6 @@ Result<std::vector<Payload>> DynamicTxn::ReadCachedBatchViews(
   policy.join_read_set = true;
   policy.piggyback = options_.piggyback_validation;
   return BatchFetch(refs, policy);
-}
-
-namespace {
-Result<std::vector<std::string>> CopyOut(Result<std::vector<Payload>> views) {
-  if (!views.ok()) return views.status();
-  std::vector<std::string> out;
-  out.reserve(views->size());
-  for (const Payload& p : *views) out.push_back(p.data.ToString());
-  return out;
-}
-}  // namespace
-
-Result<std::vector<std::string>> DynamicTxn::ReadBatch(
-    const std::vector<ObjectRef>& refs) {
-  return CopyOut(ReadBatchViews(refs));
-}
-Result<std::vector<std::string>> DynamicTxn::FetchFreshBatch(
-    const std::vector<ObjectRef>& refs) {
-  return CopyOut(FetchFreshBatchViews(refs));
-}
-Result<std::vector<std::string>> DynamicTxn::DirtyReadBatch(
-    const std::vector<ObjectRef>& refs) {
-  return CopyOut(DirtyReadBatchViews(refs));
-}
-Result<std::vector<std::string>> DynamicTxn::ReadCachedBatch(
-    const std::vector<ObjectRef>& refs) {
-  return CopyOut(ReadCachedBatchViews(refs));
 }
 
 Status DynamicTxn::WriteImpl(const ObjectRef& ref, Slice payload,

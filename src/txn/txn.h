@@ -60,15 +60,12 @@ class DynamicTxn {
 
   // --- Transactional operations ------------------------------------------
   //
-  // Every read flavor comes in two shapes. The *View variants are the hot
-  // path: they return a Payload — a Slice over the image bytes plus
-  // a shared owner that pins them — so serving a read-set or cache hit is a
-  // refcount bump, never a byte copy. The std::string variants are thin
-  // copying wrappers kept for control-plane callers (GC, allocator, catalog)
-  // where a copy per call is irrelevant.
+  // Every read returns a Payload — a Slice over the image bytes plus a
+  // shared owner that pins them — so serving a read-set or cache hit is a
+  // refcount bump, never a byte copy. Decoders take the Slice directly.
   Result<Payload> ReadView(const ObjectRef& ref);
   Result<Payload> DirtyReadView(const ObjectRef& ref);
-  // Cache-first transactional read: like Read, but a proxy-cache hit joins
+  // Cache-first transactional read: like ReadView, but a proxy-cache hit joins
   // the read set WITHOUT fetching (commit-time validation catches staleness,
   // as when Aguilera et al. validate cached internal nodes against the
   // replicated seqnum table, and when Minuet proxies validate their cached
@@ -78,10 +75,6 @@ class DynamicTxn {
   // joining the read set: used for leaf reads on read-only snapshots, which
   // the paper validates by fence keys alone (§4.2).
   Result<Payload> FetchFreshView(const ObjectRef& ref);
-  Result<std::string> Read(const ObjectRef& ref);
-  Result<std::string> DirtyRead(const ObjectRef& ref);
-  Result<std::string> ReadCached(const ObjectRef& ref);
-  Result<std::string> FetchFresh(const ObjectRef& ref);
   // Batched transactional read (the read-side analogue of the buffered
   // write set): every ref not already served by the read/write set is
   // fetched in ONE minitransaction — one coordinator round no matter how
@@ -108,13 +101,6 @@ class DynamicTxn {
   // fill the cache. Used for the tip-object pair, so a cold tip resolution
   // costs one round instead of two.
   Result<std::vector<Payload>> ReadCachedBatchViews(
-      const std::vector<ObjectRef>& refs);
-  Result<std::vector<std::string>> ReadBatch(const std::vector<ObjectRef>& refs);
-  Result<std::vector<std::string>> FetchFreshBatch(
-      const std::vector<ObjectRef>& refs);
-  Result<std::vector<std::string>> DirtyReadBatch(
-      const std::vector<ObjectRef>& refs);
-  Result<std::vector<std::string>> ReadCachedBatch(
       const std::vector<ObjectRef>& refs);
   // Buffer a write. The payload bytes are COPIED into the transaction arena
   // (std::string arguments convert to Slice and are safe to pass as
@@ -234,11 +220,11 @@ class DynamicTxn {
   // variants are this one skeleton — dedupe → probe local state → ONE
   // minitransaction for the misses → per-entry bookkeeping — with the
   // stages toggled:
-  //                     serve_read_set  consult_cache  cache_hit_joins  fill_cache  join_read_set  piggyback
-  //   ReadBatch               yes            no              —              no           yes           yes
-  //   FetchFreshBatch         no             no              —              no           no            no
-  //   DirtyReadBatch          yes            yes             no             yes          no            yes
-  //   ReadCachedBatch         yes            yes             yes            yes          yes           yes
+  //                          serve_read_set  consult_cache  cache_hit_joins  fill_cache  join_read_set  piggyback
+  //   ReadBatchViews               yes            no              —              no           yes           yes
+  //   FetchFreshBatchViews         no             no              —              no           no            no
+  //   DirtyReadBatchViews          yes            yes             no             yes          no            yes
+  //   ReadCachedBatchViews         yes            yes             yes            yes          yes           yes
   struct BatchPolicy {
     bool serve_read_set;        // read-set hits answer without a fetch
     bool consult_cache;         // probe the proxy cache before fetching
@@ -287,7 +273,7 @@ class DynamicTxn {
 
   // How many reads_ entries the last successful piggy-backed fetch
   // validated. Records that joined the read set AFTER that fetch — cache
-  // hits served by ReadCached/ReadCachedBatch with no subsequent
+  // hits served by ReadCachedView/ReadCachedBatchViews with no subsequent
   // minitransaction — have never been checked against a memnode, so the
   // read-only commit shortcut must not trust them (a transaction served
   // 100% from a stale proxy cache would otherwise "commit" fiction).

@@ -20,9 +20,10 @@ uint64_t BranchOracle::ParentOf(uint64_t sid) const {
   // Parent pointers are immutable once written, so a dirty read of the
   // catalog entry is safe and cacheable forever.
   txn::DynamicTxn txn(tree_->coordinator(), tree_->cache());
-  auto raw = txn.DirtyRead(tree_->layout().CatalogRef(tree_->tree_slot(), sid));
+  auto raw =
+      txn.DirtyReadView(tree_->layout().CatalogRef(tree_->tree_slot(), sid));
   if (!raw.ok()) return CatalogEntry::kNoParent;
-  const CatalogEntry entry = DecodeCatalogEntry(*raw);
+  const CatalogEntry entry = DecodeCatalogEntry(raw->data);
   if (entry.root == sinfonia::kNullAddr) return CatalogEntry::kNoParent;
   std::lock_guard<std::mutex> g(mu_);
   parent_.emplace(sid, entry.parent);
@@ -88,9 +89,9 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
       tree_->coordinator(), tree_->cache(), topts,
       tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
         // Allocate the next snapshot id (totally ordered, §5.1).
-        auto next_raw = txn.Read(layout.NextSidRef(slot));
+        auto next_raw = txn.ReadView(layout.NextSidRef(slot));
         if (!next_raw.ok()) return next_raw.status();
-        new_sid = DecodeTipId(*next_raw);
+        new_sid = DecodeTipId(next_raw->data);
         if (new_sid >= layout.max_catalog_entries()) {
           return Status::NoSpace("catalog full");
         }
@@ -99,9 +100,9 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
 
         // Source snapshot: bounded branching factor keeps the §5.2
         // invariant maintainable.
-        auto from_raw = txn.Read(layout.CatalogRef(slot, from_sid));
+        auto from_raw = txn.ReadView(layout.CatalogRef(slot, from_sid));
         if (!from_raw.ok()) return from_raw.status();
-        CatalogEntry from = DecodeCatalogEntry(*from_raw);
+        CatalogEntry from = DecodeCatalogEntry(from_raw->data);
         if (from.root == sinfonia::kNullAddr) {
           return Status::NotFound("no such snapshot");
         }
@@ -139,9 +140,9 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
 
 Result<BranchInfo> VersionManager::Info(uint64_t sid) {
   txn::DynamicTxn txn(tree_->coordinator(), tree_->cache());
-  auto raw = txn.Read(tree_->layout().CatalogRef(tree_->tree_slot(), sid));
+  auto raw = txn.ReadView(tree_->layout().CatalogRef(tree_->tree_slot(), sid));
   if (!raw.ok()) return raw.status();
-  const CatalogEntry entry = DecodeCatalogEntry(*raw);
+  const CatalogEntry entry = DecodeCatalogEntry(raw->data);
   if (entry.root == sinfonia::kNullAddr) {
     return Status::NotFound("no such snapshot");
   }

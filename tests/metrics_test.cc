@@ -1,12 +1,14 @@
-// Tests for the PR 9 observability layer: metric primitives under
-// concurrency, registry registration semantics, the stable JSON shape of
-// Cluster::DumpStatsJson, trace span ordering, the abort taxonomy, and
-// registry-backed re-assertions of the two hot-path efficiency claims
-// (warm Gets decode nothing; a cold 16-key MultiGet batches into at most
-// depth + 2 coordinator rounds).
+// Tests for the observability layer: metric primitives under concurrency,
+// registry link semantics, the stable JSON shape of Cluster::DumpStatsJson
+// and the registry gauges behind it, trace span ordering, the abort
+// taxonomy, and registry-backed re-assertions of the two hot-path
+// efficiency claims (warm Gets decode nothing; a cold 16-key MultiGet
+// batches into at most depth + 2 coordinator rounds).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,35 +72,37 @@ TEST(MetricsTest, HistogramConcurrentObserve) {
   EXPECT_EQ(merged.max(), kThreads * kPerThread - 1.0);
 }
 
-TEST(MetricsTest, RegistrationIsIdempotentLinksAreLastWins) {
+TEST(MetricsTest, LinksAreLastWins) {
   obs::MetricsRegistry reg;
-  obs::Counter* a = reg.RegisterCounter("sub", "hits");
-  obs::Counter* b = reg.RegisterCounter("sub", "hits");
-  EXPECT_EQ(a, b);  // owned re-registration returns the existing metric
-  EXPECT_EQ(reg.size(), 1u);
-
-  a->Add(3);
-  EXPECT_EQ(SampleValue(reg, "sub", "hits"), 3);
-
   reg.LinkGauge("sub", "depth", [] { return 7; });
   reg.LinkGauge("sub", "depth", [] { return 11; });  // last link wins
-  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.size(), 1u);
   EXPECT_EQ(SampleValue(reg, "sub", "depth"), 11);
 
-  obs::Counter external;
-  external.Add(5);
-  reg.LinkCounter("sub", "ext", &external);
+  obs::Counter first, second;
+  first.Add(3);
+  second.Add(5);
+  reg.LinkCounter("sub", "ext", &first);
+  reg.LinkCounter("sub", "ext", &second);
+  EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(SampleValue(reg, "sub", "ext"), 5);
 }
 
 TEST(MetricsTest, SnapshotSortedAndJsonStable) {
   obs::MetricsRegistry reg;
-  // Registered deliberately out of order; Snapshot/ToJson must sort.
-  reg.RegisterCounter("zeta", "b")->Add(2);
-  reg.RegisterCounter("alpha", "y")->Add(1);
-  reg.RegisterCounter("zeta", "a")->Add(4);
-  reg.RegisterCounter("alpha", "x")->Add(3);
-  reg.RegisterHistogram("alpha", "h")->Observe(10.0);
+  obs::Counter zb, ay, za, ax;
+  obs::HistogramMetric ah;
+  zb.Add(2);
+  ay.Add(1);
+  za.Add(4);
+  ax.Add(3);
+  ah.Observe(10.0);
+  // Linked deliberately out of order; Snapshot/ToJson must sort.
+  reg.LinkCounter("zeta", "b", &zb);
+  reg.LinkCounter("alpha", "y", &ay);
+  reg.LinkCounter("zeta", "a", &za);
+  reg.LinkCounter("alpha", "x", &ax);
+  reg.LinkHistogram("alpha", "h", &ah);
 
   auto snap = reg.Snapshot();
   ASSERT_EQ(snap.size(), 5u);
@@ -134,26 +138,144 @@ TEST(MetricsTest, DumpStatsJsonShape) {
     ASSERT_TRUE(tip.Put(EncodeUserKey(i), EncodeValue(i)).ok());
   }
 
+  // One label, then the registry: every number lives under "metrics".
   const std::string json = cluster.DumpStatsJson();
-  ASSERT_FALSE(json.empty());
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  // The five documented top-level sections, in order.
-  size_t pos = 0;
-  for (const char* key : {"\"cluster\"", "\"memnodes\"", "\"proxies\"",
-                          "\"trees\"", "\"metrics\""}) {
-    size_t next = json.find(key, pos);
-    ASSERT_NE(next, std::string::npos) << key;
-    pos = next;
-  }
+  const std::string head =
+      "{\"cluster\":{\"durability\":\"none\"},\"metrics\":";
+  ASSERT_EQ(json.compare(0, head.size(), head), 0) << json.substr(0, 80);
+  EXPECT_EQ(json.substr(head.size()),
+            cluster.metrics_registry().ToJson() + "}");
   // Registry section carries the coordinator + per-op rollups.
   EXPECT_NE(json.find("\"coordinator\""), std::string::npos);
   EXPECT_NE(json.find("\"executions\""), std::string::npos);
   EXPECT_NE(json.find("\"aborts.validation_conflict\""), std::string::npos);
-  // The text rendering shares the same sections.
-  const std::string text = cluster.DumpStats();
-  EXPECT_NE(text.find("=== cluster ==="), std::string::npos);
-  EXPECT_NE(text.find("=== metrics ==="), std::string::npos);
+  // The text rendering is the same registry under the same label.
+  EXPECT_EQ(cluster.DumpStats(),
+            "durability=none\n" + cluster.metrics_registry().ToText());
+
+  // An unbound cluster dumps only the label.
+  ClusterOptions unbound = SmallOptions();
+  unbound.metrics = false;
+  Cluster quiet(unbound);
+  EXPECT_EQ(quiet.DumpStatsJson(),
+            "{\"cluster\":{\"durability\":\"none\"},\"metrics\":{}}");
+  EXPECT_EQ(quiet.DumpStats(), "durability=none\n");
+}
+
+// The structural facts the dump used to hand-build beside the registry —
+// membership, liveness, tree kind, WAL positions — are registry gauges, and
+// every field of the old per-member sections has a registry key. Also
+// writes the dump as STATS_metrics_test.json into the working directory,
+// where the statsdump_check ctest validates its shape.
+TEST(MetricsTest, DumpCarriesMembershipAndDurabilityFacts) {
+  ClusterOptions opts = SmallOptions();
+  opts.retain_snapshots = 2;
+  opts.durability = wal::DurabilityMode::kSync;
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  TipView tip = cluster.proxy(0).Tip(*tree);
+  for (uint64_t i = 0; i < 200; i++) {
+    ASSERT_TRUE(tip.Put(EncodeUserKey(i), EncodeValue(i)).ok());
+  }
+  ASSERT_TRUE(cluster.RemoveProxy(1).ok());
+  ASSERT_TRUE(cluster.RemoveMemnode(3).ok());
+  auto forked = cluster.CreateTree(/*branching=*/true);
+  ASSERT_TRUE(forked.ok());
+
+  const obs::MetricsRegistry& reg = cluster.metrics_registry();
+  EXPECT_EQ(SampleValue(reg, "proxy1", "detached"), 1);
+  EXPECT_EQ(SampleValue(reg, "proxy0", "detached"), 0);
+  EXPECT_EQ(SampleValue(reg, "memnode3", "retired"), 1);
+  EXPECT_EQ(SampleValue(reg, "memnode3", "up"), 0);
+  EXPECT_EQ(SampleValue(reg, "memnode0", "retired"), 0);
+  EXPECT_EQ(SampleValue(reg, "memnode0", "up"), 1);
+  EXPECT_EQ(SampleValue(reg, "tree0", "branching"), 0);
+  EXPECT_EQ(SampleValue(reg, "tree1", "branching"), 1);
+  EXPECT_EQ(SampleValue(reg, "cluster", "live_memnodes"), 3);
+  EXPECT_EQ(SampleValue(reg, "cluster", "trees"), 2);
+  EXPECT_EQ(SampleValue(reg, "fabric", "nodes"), 4);
+
+  // Sync durability acknowledges a Put only after its log records are
+  // synced, so the synced LSNs of the live memnodes advance with it.
+  auto synced_total = [&] {
+    int64_t total = 0;
+    for (uint32_t i = 0; i < 3; i++) {
+      total += SampleValue(reg, "memnode" + std::to_string(i) + ".wal",
+                           "synced_lsn");
+    }
+    return total;
+  };
+  const int64_t synced_before = synced_total();
+  ASSERT_TRUE(tip.Put(EncodeUserKey(7), EncodeValue(70)).ok());
+  EXPECT_GT(synced_total(), synced_before);
+
+  std::set<std::string> keys;
+  for (const obs::Sample& s : reg.Snapshot()) {
+    keys.insert(s.subsystem + "." + s.name);
+  }
+  // The old "cluster" section's numbers.
+  std::vector<std::string> want = {"fabric.nodes", "cluster.live_memnodes",
+                                   "cluster.trees", "fabric.total_messages"};
+  // Old memnodes[i]: id (the index, gone), retired, up, messages; for a
+  // live memnode its lock totals; for a durable one its WAL and store.
+  for (uint32_t i = 0; i < cluster.n_memnodes(); i++) {
+    const std::string m = "memnode" + std::to_string(i);
+    for (const char* f : {".retired", ".up", ".messages"}) {
+      want.push_back(m + f);
+    }
+    if (cluster.coordinator()->retired(i)) continue;
+    for (const char* f : {".locks.total.acquires", ".locks.total.contended",
+                          ".locks.total.timeouts", ".wal.appends",
+                          ".wal.append_bytes", ".wal.fsyncs",
+                          ".wal.truncations", ".wal.current_lsn",
+                          ".wal.synced_lsn", ".store.checkpoint_lsn",
+                          ".store.checkpoints", ".store.replayed",
+                          ".store.recoveries_local",
+                          ".store.recoveries_reseed"}) {
+      want.push_back(m + f);
+    }
+  }
+  // Old proxies[i]: id (gone), detached, cache.
+  for (uint32_t i = 0; i < cluster.n_proxies(); i++) {
+    const std::string p = "proxy" + std::to_string(i);
+    for (const char* f : {".detached", ".cache.hits", ".cache.misses",
+                          ".cache.evictions", ".cache.size"}) {
+      want.push_back(p + f);
+    }
+  }
+  // Old trees[slot]: slot (gone), branching, stats, snapshots, gc_freed.
+  for (uint32_t slot = 0; slot < cluster.n_trees(); slot++) {
+    const std::string t = "tree" + std::to_string(slot);
+    for (const char* f : {".branching", ".op_aborts", ".traversal_aborts",
+                          ".cow_copies", ".discretionary_copies", ".splits",
+                          ".redirects", ".migrations", ".snapshots.created",
+                          ".snapshots.borrowed", ".snapshots.stale_reuses",
+                          ".snapshots.pinned", ".snapshots.horizon",
+                          ".gc.slabs_freed"}) {
+      want.push_back(t + f);
+    }
+  }
+  for (const std::string& key : want) {
+    EXPECT_EQ(keys.count(key), 1u) << key;
+  }
+
+  // The old proxies / live_proxies fields are counts over the per-proxy
+  // detached gauges.
+  uint32_t proxies = 0, live_proxies = 0;
+  for (const obs::Sample& s : reg.Snapshot()) {
+    if (s.name != "detached") continue;
+    proxies++;
+    if (s.value == 0) live_proxies++;
+  }
+  EXPECT_EQ(proxies, cluster.n_proxies());
+  EXPECT_EQ(live_proxies, cluster.n_live_proxies());
+  EXPECT_EQ(live_proxies, 3u);
+
+  const std::string json = cluster.DumpStatsJson();
+  EXPECT_NE(json.find("{\"cluster\":{\"durability\":\"sync\"}"),
+            std::string::npos);
+  std::ofstream("STATS_metrics_test.json") << json << "\n";
 }
 
 TEST(MetricsTest, TraceSpanOrdering) {

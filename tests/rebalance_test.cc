@@ -411,7 +411,7 @@ TEST(ScaleInTest, RemoveMemnodeDrainsRetiresAndKeepsServing) {
   // ... and by the coordinator (a minitransaction naming it fails), and
   // recovery cannot resurrect it.
   txn::DynamicTxn probe(cluster.coordinator(), nullptr);
-  auto read = probe.Read(cluster.layout().SlabRef(
+  auto read = probe.ReadView(cluster.layout().SlabRef(
       sinfonia::Addr{3, cluster.layout().slab_base()}));
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsUnavailable());

@@ -1,6 +1,6 @@
 // Concurrency stress suite: drives the riskiest interleavings of the
 // elastic, multi-threaded subsystems so the sanitizer builds (ctest --preset
-// tsan / asan-ubsan, see CMakePresets.json) have real races to find. Six
+// tsan / asan-ubsan, see CMakePresets.json) have real races to find. Seven
 // storms, matching the hot spots that have produced hand-found bugs before:
 //
 //   1. Membership churn (add → rebalance → drain → retire) under concurrent
@@ -20,6 +20,9 @@
 //   6. Durability churn — writers racing a crash/recover cycle of a random
 //      memnode, a checkpoint daemon racing GC's reclaim floor, and the
 //      WAL's group-commit window under concurrent syncers.
+//   7. Stats dumps during membership churn — every registry gauge runs
+//      under the registry mutex while AddProxy links under the proxy
+//      registry lock, so a gauge that took that lock would invert the order.
 //
 // Iteration counts are fixed (not wall-clock), so a TSan run does the same
 // work ~10x slower instead of racing a timer; the whole suite is sized to
@@ -622,6 +625,100 @@ TEST(StressTest, DurabilityChurnUnderConcurrentTraffic) {
   std::vector<std::pair<std::string, std::string>> all;
   ASSERT_TRUE(cluster.proxy(0).Scan(*tree, "", kKeys + 1, &all).ok());
   EXPECT_EQ(all.size(), kKeys);
+}
+
+// --- 7. Stats dumps during membership churn ----------------------------------
+// A dumper renders DumpStats and DumpStatsJson in a loop while the main
+// thread adds and removes proxies and adds memnodes, and a writer keeps the
+// counters moving. Dumping runs every gauge callback under the registry
+// mutex, and AddProxy links the new proxy's gauges while it holds the proxy
+// registry lock exclusive: a gauge that took that lock would deadlock here
+// (and TSan reports the inversion even when the timing misses it).
+
+TEST(StressTest, StatsDumpDuringMembershipChurn) {
+  const uint64_t seed = SuiteSeed("StatsDumpDuringMembershipChurn", 61);
+  ClusterOptions opts = StressOpts(3);
+  opts.proxies = 2;
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  constexpr uint64_t kKeys = 64;
+  Preload(cluster, *tree, kKeys);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> dumps{0};
+  std::thread dumper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::string text = cluster.DumpStats();
+      const std::string json = cluster.DumpStatsJson();
+      EXPECT_EQ(text.rfind("durability=none\n", 0), 0u);
+      EXPECT_EQ(json.rfind("{\"cluster\":{\"durability\":\"none\"}", 0), 0u);
+      EXPECT_EQ(json.back(), '}');
+      dumps.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::atomic<uint64_t> puts{0};
+  std::thread writer([&] {
+    Rng rng(seed);
+    Proxy& proxy = cluster.proxy(0);
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (proxy.Put(*tree, EncodeUserKey(rng.Uniform(kKeys)),
+                    EncodeValue(rng.Next()))
+              .ok()) {
+        puts.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  // Churn only once the dumper is running, so the two overlap.
+  while (dumps.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+
+  // Fixed cycles (TSan does the same work, just slower). Failures are
+  // recorded, and the loop stops, but every thread is joined before any
+  // assertion ends the test.
+  constexpr int kCycles = 4;
+  constexpr int kAddedMemnodes = 2;
+  for (int cycle = 0; cycle < kCycles; cycle++) {
+    auto id = cluster.AddProxy();
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    if (!id.ok()) break;
+    const uint64_t seen = dumps.load(std::memory_order_relaxed);
+    while (dumps.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
+    Status removed = cluster.RemoveProxy(*id);
+    EXPECT_TRUE(removed.ok()) << removed.ToString();
+    if (!removed.ok()) break;
+    if (cycle < kAddedMemnodes) {
+      auto added = cluster.AddMemnode();
+      EXPECT_TRUE(added.ok()) << added.status().ToString();
+      if (!added.ok()) break;
+    }
+  }
+
+  stop.store(true, std::memory_order_relaxed);
+  dumper.join();
+  writer.join();
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  EXPECT_GT(puts.load(), 0u);
+
+  // The registry saw every member: 2 stable + 4 churned proxy ids (2 live),
+  // and 3 + 2 memnodes, all live.
+  uint32_t proxies = 0, live_proxies = 0;
+  int64_t nodes = -1, live_memnodes = -1;
+  for (const obs::Sample& s : cluster.metrics_registry().Snapshot()) {
+    if (s.name == "detached") {
+      proxies++;
+      if (s.value == 0) live_proxies++;
+    }
+    if (s.subsystem == "fabric" && s.name == "nodes") nodes = s.value;
+    if (s.subsystem == "cluster" && s.name == "live_memnodes") {
+      live_memnodes = s.value;
+    }
+  }
+  EXPECT_EQ(proxies, 2u + kCycles);
+  EXPECT_EQ(live_proxies, 2u);
+  EXPECT_EQ(nodes, 3 + kAddedMemnodes);
+  EXPECT_EQ(live_memnodes, 3 + kAddedMemnodes);
 }
 
 }  // namespace

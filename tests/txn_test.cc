@@ -16,6 +16,13 @@ using sinfonia::Addr;
 using sinfonia::Coordinator;
 using sinfonia::Memnode;
 
+// The bytes of a read, copied out of its pinned image so assertions can
+// compare them as a string.
+Result<std::string> Bytes(Result<Payload> read) {
+  if (!read.ok()) return read.status();
+  return read->data.ToString();
+}
+
 class TxnTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kNodes = 3;
@@ -60,7 +67,7 @@ TEST_F(TxnTest, WriteNewThenReadBack) {
   }
   {
     DynamicTxn t(coord_.get(), nullptr);
-    auto v = t.Read(ref);
+    auto v = Bytes(t.ReadView(ref));
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(v->substr(0, 8), "payload0");
     ASSERT_TRUE(t.Commit().ok());
@@ -71,7 +78,7 @@ TEST_F(TxnTest, ReadYourOwnWrites) {
   const ObjectRef ref = PlainRef(0, 4096);
   DynamicTxn t(coord_.get(), nullptr);
   ASSERT_TRUE(t.WriteNew(ref, "before_commit___").ok());
-  auto v = t.Read(ref);
+  auto v = Bytes(t.ReadView(ref));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->substr(0, 6), "before");
 }
@@ -103,7 +110,7 @@ TEST_F(TxnTest, StaleReadFailsValidation) {
     ASSERT_TRUE(t.Commit().ok());
   }
   DynamicTxn reader(coord_.get(), nullptr);
-  ASSERT_TRUE(reader.Read(ref).ok());
+  ASSERT_TRUE(reader.ReadView(ref).ok());
 
   // A concurrent writer updates the object.
   {
@@ -118,7 +125,7 @@ TEST_F(TxnTest, StaleReadFailsValidation) {
 
   // The stale write never reached the memnode.
   DynamicTxn check(coord_.get(), nullptr);
-  auto v = check.Read(ref);
+  auto v = Bytes(check.ReadView(ref));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ((*v)[0], 'b');
 }
@@ -134,7 +141,7 @@ TEST_F(TxnTest, ReadOnlyTxnCommitsWithoutExtraMessages) {
   trace.Reset(kNodes);
   net::Fabric::SetThreadTrace(&trace);
   DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.Read(ref).ok());
+  ASSERT_TRUE(t.ReadView(ref).ok());
   ASSERT_TRUE(t.Commit().ok());
   net::Fabric::SetThreadTrace(nullptr);
   // One fetch, and the piggy-backed validation makes commit free.
@@ -151,14 +158,14 @@ TEST_F(TxnTest, PiggybackDetectsStalenessAtNextFetch) {
     ASSERT_TRUE(t.Commit().ok());
   }
   DynamicTxn reader(coord_.get(), nullptr);
-  ASSERT_TRUE(reader.Read(a).ok());
+  ASSERT_TRUE(reader.ReadView(a).ok());
   {
     DynamicTxn w(coord_.get(), nullptr);
     ASSERT_TRUE(w.Write(a, std::string(16, 'y')).ok());
     ASSERT_TRUE(w.Commit().ok());
   }
   // The next fetch carries a compare on `a`'s seqnum and must fail it.
-  auto v = reader.Read(b);
+  auto v = Bytes(reader.ReadView(b));
   EXPECT_TRUE(v.status().IsAborted());
   EXPECT_TRUE(reader.doomed());
   EXPECT_TRUE(reader.Commit().IsAborted());
@@ -172,7 +179,7 @@ TEST_F(TxnTest, DirtyReadDoesNotJoinReadSet) {
     ASSERT_TRUE(t.Commit().ok());
   }
   DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.DirtyRead(ref).ok());
+  ASSERT_TRUE(t.DirtyReadView(ref).ok());
   EXPECT_EQ(t.read_set_size(), 0u);
   EXPECT_FALSE(t.InReadSet(ref));
 
@@ -195,7 +202,7 @@ TEST_F(TxnTest, DirtyReadServedFromCache) {
   }
   {
     DynamicTxn t(coord_.get(), &cache, {});
-    ASSERT_TRUE(t.DirtyRead(ref).ok());  // miss → fills cache
+    ASSERT_TRUE(t.DirtyReadView(ref).ok());  // miss → fills cache
     ASSERT_TRUE(t.Commit().ok());
   }
   net::OpTrace trace;
@@ -203,7 +210,7 @@ TEST_F(TxnTest, DirtyReadServedFromCache) {
   net::Fabric::SetThreadTrace(&trace);
   {
     DynamicTxn t(coord_.get(), &cache, {});
-    auto v = t.DirtyRead(ref);
+    auto v = Bytes(t.DirtyReadView(ref));
     ASSERT_TRUE(v.ok());
     EXPECT_EQ((*v)[0], 'a');
     ASSERT_TRUE(t.Commit().ok());
@@ -264,7 +271,7 @@ TEST_F(TxnTest, ReplicatedReadValidatesAtAnyReplica) {
   }
   // Reader sees the value; a concurrent replicated update then dooms it.
   DynamicTxn reader(coord_.get(), nullptr);
-  auto v = reader.Read(rep);
+  auto v = Bytes(reader.ReadView(rep));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "AAAAAAAA");
   {
@@ -296,8 +303,8 @@ TEST_F(TxnTest, ReplicatedReadPlusLeafWriteCommitsAtSingleMemnode) {
   trace.Reset(kNodes);
   net::Fabric::SetThreadTrace(&trace);
   DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.Read(leaf).ok());   // leaf first: home established
-  ASSERT_TRUE(t.Read(rep).ok());    // replica read lands on memnode 2
+  ASSERT_TRUE(t.ReadView(leaf).ok());   // leaf first: home established
+  ASSERT_TRUE(t.ReadView(rep).ok());    // replica read lands on memnode 2
   ASSERT_TRUE(t.Write(leaf, std::string(16, 'm')).ok());
   ASSERT_TRUE(t.Commit().ok());
   net::Fabric::SetThreadTrace(nullptr);
@@ -331,7 +338,7 @@ TEST_F(TxnTest, RunTransactionRetriesAborted) {
   Status st = RunTransaction(
       coord_.get(), nullptr, {}, 8, [&](DynamicTxn& t) -> Status {
         attempts++;
-        MINUET_RETURN_NOT_OK(t.Read(ref).status());
+        MINUET_RETURN_NOT_OK(t.ReadView(ref).status());
         if (attempts < 3) return Status::Aborted("forced retry");
         return t.Write(ref, std::string(16, 'z'));
       });
@@ -365,7 +372,7 @@ TEST_F(TxnTest, ConcurrentCountersSerialize) {
       for (int j = 0; j < kIncr; j++) {
         Status st = RunTransaction(
             coord_.get(), nullptr, {}, 10000, [&](DynamicTxn& t) -> Status {
-              auto v = t.Read(ObjectRef{ref});
+              auto v = Bytes(t.ReadView(ObjectRef{ref}));
               if (!v.ok()) return v.status();
               std::string next(8, '\0');
               EncodeFixed64(next.data(), DecodeFixed64(v->data()) + 1);
@@ -377,7 +384,7 @@ TEST_F(TxnTest, ConcurrentCountersSerialize) {
   }
   for (auto& t : ts) t.join();
   DynamicTxn t(coord_.get(), nullptr);
-  auto v = t.Read(ref);
+  auto v = Bytes(t.ReadView(ref));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(DecodeFixed64(v->data()),
             static_cast<uint64_t>(kThreads) * kIncr);

@@ -2,21 +2,25 @@
 """Pretty-print, diff, and validate Cluster::DumpStatsJson() snapshots.
 
 The bench harness writes a STATS_<name>.json observability snapshot next to
-every BENCH_<name>.json (bench/harness/setup.h, WriteBenchJson). This tool
-is the consumer side:
+every BENCH_<name>.json (bench/harness/setup.h, WriteBenchJson), and
+metrics_test writes STATS_metrics_test.json. This tool is the consumer side:
 
   tools/statsdump.py SNAPSHOT.json            pretty-print one snapshot
   tools/statsdump.py --diff OLD.json NEW.json per-metric delta (new - old)
   tools/statsdump.py --check SNAPSHOT.json    validate shape + round-trip
 
---check is the CI gate: it asserts the documented top-level shape
-(cluster / memnodes / proxies / trees / metrics), that every leaf is a
-number, a histogram summary object, or a string LABEL (configuration
-identity such as cluster.durability — diffed as a transition, never
-subtracted), that registry subsystems and metric names are emitted in
-sorted order (the "stable JSON" contract tests and dashboards rely on),
-and that the document survives a parse -> serialize -> parse round-trip
-unchanged. The metrics section itself stays strictly numeric.
+A snapshot is {"cluster": {LABEL: "string", ...}, "metrics": REGISTRY}.
+The cluster section holds only string labels (configuration identity such
+as cluster.durability, diffed as a transition, never subtracted). Every
+number, membership and liveness included, is a registry metric under
+"metrics": {subsystem: {name: number | histogram summary}}. --diff keys are
+the stable dotted names (metrics.memnode0.wal.appends, ...).
+
+--check is the CI gate: it asserts the two top-level keys, that cluster
+holds only labels, that metrics is strictly numeric (or histogram
+summaries), that registry subsystems and metric names are emitted in sorted
+order (the "stable JSON" contract tests and dashboards rely on), and that
+the document survives a parse -> serialize -> parse round-trip unchanged.
 
 Stdlib only; exits non-zero on any validation or diff-parse failure.
 """
@@ -25,7 +29,7 @@ import argparse
 import json
 import sys
 
-TOP_KEYS = ["cluster", "memnodes", "proxies", "trees", "metrics"]
+TOP_KEYS = ["cluster", "metrics"]
 HIST_KEYS = {"count", "mean", "p50", "p99", "max"}
 
 
@@ -48,12 +52,7 @@ def flatten(node, prefix, out):
     if isinstance(node, dict):
         for k, v in node.items():
             flatten(v, "%s.%s" % (prefix, k) if prefix else k, out)
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            flatten(v, "%s[%d]" % (prefix, i), out)
-    elif isinstance(node, bool):
-        out[prefix] = int(node)
-    elif isinstance(node, (int, float)):
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
         out[prefix] = node
     elif isinstance(node, str):
         out[prefix] = node  # label leaf: diffed as a transition
@@ -124,9 +123,12 @@ def cmd_check(path):
         return fail("top-level keys are %s, want exactly %s"
                     % (list(doc) if isinstance(doc, dict) else type(doc),
                        TOP_KEYS))
-    for key in ("memnodes", "proxies", "trees"):
-        if not isinstance(doc[key], list):
-            return fail("%s is not an array" % key)
+    cluster = doc["cluster"]
+    if not isinstance(cluster, dict):
+        return fail("cluster is not an object")
+    for key, v in cluster.items():
+        if not isinstance(v, str):
+            return fail("cluster[%s] is not a string label: %r" % (key, v))
     err = check_metrics(doc["metrics"])
     if err:
         return fail(err)
@@ -137,9 +139,8 @@ def cmd_check(path):
         return fail(str(e))
     if json.loads(json.dumps(doc)) != doc:
         return fail("round-trip changed the document")
-    print("statsdump: %s ok (%d metrics, %d memnodes, %d proxies, %d trees)"
-          % (path, len(flat), len(doc["memnodes"]), len(doc["proxies"]),
-             len(doc["trees"])))
+    print("statsdump: %s ok (%d labels, %d metric leaves)"
+          % (path, len(cluster), len(flat) - len(cluster)))
     return 0
 
 
