@@ -55,22 +55,16 @@ struct Aggregate {
   double sum_latency_ms = 0;
   double sum_rounds = 0;
   double sum_msgs = 0;
-  // Hardware axis: real elapsed nanoseconds the process spent executing the
-  // ops (protocol + proxy CPU; no modeled network). Orthogonal to the
-  // modeled clock — modeled numbers answer "what would the paper's cluster
-  // see", wall numbers answer "how fast is this code on this machine".
-  uint64_t sum_wall_ns = 0;
   uint64_t retries = 0;
   uint64_t validation_aborts = 0;
   uint64_t nodes_copied = 0;
   std::vector<double> per_node_msgs;  // demand per memnode
 
-  void Add(const net::OpTrace& t, double latency_ms, uint64_t wall_ns = 0) {
+  void Add(const net::OpTrace& t, double latency_ms) {
     ops++;
     sum_latency_ms += latency_ms;
     sum_rounds += t.round_trips;
     sum_msgs += t.messages;
-    sum_wall_ns += wall_ns;
     retries += t.retries;
     validation_aborts += t.validation_aborts;
     nodes_copied += t.nodes_copied;
@@ -88,7 +82,6 @@ struct Aggregate {
     sum_latency_ms += o.sum_latency_ms;
     sum_rounds += o.sum_rounds;
     sum_msgs += o.sum_msgs;
-    sum_wall_ns += o.sum_wall_ns;
     retries += o.retries;
     validation_aborts += o.validation_aborts;
     nodes_copied += o.nodes_copied;
@@ -105,13 +98,6 @@ struct Aggregate {
   }
   double mean_rounds() const { return ops == 0 ? 0 : sum_rounds / ops; }
   double mean_msgs() const { return ops == 0 ? 0 : sum_msgs / ops; }
-  double mean_wall_ns() const {
-    return ops == 0 ? 0 : static_cast<double>(sum_wall_ns) / ops;
-  }
-  // Single-thread execution rate (per-op wall times summed across threads).
-  double wall_ops_per_sec() const {
-    return sum_wall_ns == 0 ? 0 : ops * 1e9 / sum_wall_ns;
-  }
 
   // Demand the busiest memnode sees per operation.
   double max_node_msgs_per_op() const {

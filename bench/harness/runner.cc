@@ -1,8 +1,5 @@
 #include "bench/harness/runner.h"
 
-#include <chrono>
-#include <mutex>
-
 namespace minuet::bench {
 
 RunOutput RunOps(const CostModel& model, const RunOptions& options,
@@ -10,7 +7,6 @@ RunOutput RunOps(const CostModel& model, const RunOptions& options,
                  bool record_completions) {
   std::vector<Aggregate> per_thread(options.threads);
   std::vector<std::vector<double>> completions(options.threads);
-  std::vector<double> final_clock(options.threads, 0);
 
   std::vector<std::thread> workers;
   for (uint32_t t = 0; t < options.threads; t++) {
@@ -29,23 +25,17 @@ RunOutput RunOps(const CostModel& model, const RunOptions& options,
         ctx.virtual_time_s = clock_s;
         trace.Reset(options.n_nodes);
         net::Fabric::SetThreadTrace(&trace);
-        const auto wall_start = std::chrono::steady_clock::now();
         Status st = op(ctx);
-        const auto wall_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
         net::Fabric::SetThreadTrace(nullptr);
         const double latency_ms = model.OpLatencyMs(trace, options.cdb_cost);
         clock_s += latency_ms / 1000.0;
         if (st.ok() || st.IsNotFound()) {
-          agg.Add(trace, latency_ms, static_cast<uint64_t>(wall_ns));
+          agg.Add(trace, latency_ms);
         } else {
           agg.failed++;
         }
         if (record_completions) completions[t].push_back(clock_s);
       }
-      final_clock[t] = clock_s;
     });
   }
   for (auto& w : workers) w.join();
@@ -54,7 +44,6 @@ RunOutput RunOps(const CostModel& model, const RunOptions& options,
   out.per_thread = per_thread;
   for (uint32_t t = 0; t < options.threads; t++) {
     out.agg.Merge(per_thread[t]);
-    out.max_virtual_time_s = std::max(out.max_virtual_time_s, final_clock[t]);
     if (record_completions) {
       out.completion_times.insert(out.completion_times.end(),
                                   completions[t].begin(),

@@ -35,7 +35,6 @@ struct RunOutput {
   std::vector<Aggregate> per_thread;  // separates client roles
   // Completion stamps (virtual seconds) when recording is on.
   std::vector<double> completion_times;
-  double max_virtual_time_s = 0;
 
   // Merge of a thread range [lo, hi) — e.g. "the scan threads".
   Aggregate ThreadRange(uint32_t lo, uint32_t hi) const {

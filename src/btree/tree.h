@@ -52,8 +52,6 @@ struct TreeOptions {
   uint32_t beta = 2;
   // Retry budget for optimistic B-tree operations.
   uint32_t max_attempts = 10000;
-  // Commit snapshot-creation transactions with blocking minitransactions.
-  bool blocking_snapshot_commit = true;
 };
 
 // A writable tip resolved inside a transaction: operating snapshot id, root
@@ -211,7 +209,7 @@ class BTree {
 
   // Number of levels (including the leaf level) on the current tip's
   // root-to-leaf paths. Diagnostic aid for the cold-descent round budgets
-  // asserted in tests and printed by bench/abl_cold_descent.
+  // asserted in tests.
   Result<uint32_t> Depth();
 
   // --- Live migration (src/rebalance, bench) — migrate.cc ------------------

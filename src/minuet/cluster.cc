@@ -353,10 +353,11 @@ Status Cluster::RemoveMemnode(uint32_t id, RemoveMemnodeOptions opts) {
         auto handle = OpenTree(slot);
         if (!handle.ok() || handle->branching()) continue;
         if (opts.advance_horizon) {
-          // A fresh snapshot pushes the retention window forward (it never
-          // crosses a pinned lease — that is what keeps pre-drain
-          // SnapshotViews readable through all of this).
-          IgnoreStatus(catalog_->snapshot_service(slot)->CreateSnapshot());
+          // Releasing the unpinned snapshots moves the horizon to the tip
+          // (never across a pinned lease — that is what keeps pre-drain
+          // SnapshotViews readable through all of this). Creating fresh
+          // snapshots instead would make every node's next write copy it.
+          IgnoreStatus(catalog_->snapshot_service(slot)->ReleaseUnpinned());
         }
         IgnoreStatus(CollectGarbage(slot));
       }

@@ -88,8 +88,8 @@ struct ClusterOptions {
   // Bind every subsystem's counters into the cluster metrics registry
   // (Cluster::DumpStats). The counters themselves always count — binding
   // only affects whether DumpStats sees them — so disabling this is a
-  // measurement knob, not a fast path (see bench/abl_node_micro's
-  // registry-overhead section). An unbound cluster dumps only the
+  // measurement knob, not a fast path (tests/metrics_test.cc times the
+  // warm-Get path under both settings). An unbound cluster dumps only the
   // durability label.
   bool metrics = true;
   // Slow-op log: a view-layer operation slower than this (wall ns) prints
@@ -332,9 +332,11 @@ class Cluster {
     // placement; each GC round runs one collection pass per linear tree).
     uint32_t max_drain_rounds = 64;
     uint32_t max_gc_rounds = 64;
-    // Create a fresh snapshot per linear tree before each GC round so the
-    // horizon keeps advancing even on an idle cluster. Disable to only
-    // harvest what the workload's own snapshot cadence has already freed.
+    // Before each GC round, release every linear tree's unpinned retained
+    // snapshots (SnapshotService::ReleaseUnpinned) so the horizon reaches
+    // the tip even on an idle cluster; reads of a released snapshot fail
+    // at the horizon. Disable to only harvest what the workload's own
+    // snapshot cadence has already freed.
     bool advance_horizon = true;
   };
   // Take memnode `id` out of a serving cluster: the symmetric inverse of

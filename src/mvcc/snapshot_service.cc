@@ -33,7 +33,7 @@ Result<SnapshotRef> SnapshotService::CreateLocked(bool pin,
   }
   const auto start = std::chrono::steady_clock::now();
   txn::DynamicTxn::Options topts;
-  topts.blocking_commit = options_.blocking_commit;
+  topts.blocking_commit = true;
   SnapshotRef snap;
   MINUET_RETURN_NOT_OK(txn::RunTransaction(
       tree_->coordinator(), tree_->cache(), topts,
@@ -66,13 +66,13 @@ Result<SnapshotRef> SnapshotService::CreateSnapshot(bool pin,
   const uint64_t tmp1 = num_snapshots_.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> g(mutex_);
   const uint64_t tmp2 = num_snapshots_.load(std::memory_order_acquire);
-  if (!options_.enable_borrowing || tmp2 < tmp1 + 2) {
-    return CreateLocked(pin, owner);
+  if (tmp2 >= tmp1 + 2 && last_.sid >= released_below_) {
+    borrowed_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lg(last_mu_);
+    if (pin) Pin(last_.sid, owner);
+    return last_;
   }
-  borrowed_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lg(last_mu_);
-  if (pin) Pin(last_.sid, owner);
-  return last_;
+  return CreateLocked(pin, owner);
 }
 
 Result<SnapshotRef> SnapshotService::AcquireForScan(bool pin,
@@ -80,7 +80,8 @@ Result<SnapshotRef> SnapshotService::AcquireForScan(bool pin,
   if (options_.min_interval_seconds > 0) {
     std::lock_guard<std::mutex> lg(last_mu_);
     if (last_created_at_ + options_.min_interval_seconds > clock_() &&
-        num_snapshots_.load(std::memory_order_acquire) > 0) {
+        num_snapshots_.load(std::memory_order_acquire) > 0 &&
+        last_.sid >= released_below_) {
       stale_reuses_.fetch_add(1, std::memory_order_relaxed);
       if (pin) Pin(last_.sid, owner);
       return last_;
@@ -151,10 +152,29 @@ uint64_t SnapshotService::LowestRetained() const {
     const uint64_t newest = last_.sid;
     horizon = newest > options_.retain_last ? newest - options_.retain_last
                                             : 0;
+    horizon = std::max(horizon, released_below_);
   }
   std::lock_guard<std::mutex> g(pins_mu_);
   if (!pins_.empty()) horizon = std::min(horizon, pins_.begin()->first);
   return horizon;
+}
+
+Status SnapshotService::ReleaseUnpinned() {
+  // Holding mutex_ keeps creations out, so the tip id read here stays the
+  // tip until the new horizon is published.
+  std::lock_guard<std::mutex> g(mutex_);
+  uint64_t tip = 0;
+  MINUET_RETURN_NOT_OK(txn::RunTransaction(
+      tree_->coordinator(), /*cache=*/nullptr, {},
+      tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
+        auto raw = txn.ReadView(tree_->layout().TipIdRef(tree_->tree_slot()));
+        if (!raw.ok()) return raw.status();
+        tip = btree::DecodeTipId(raw->data);
+        return Status::OK();
+      }));
+  std::lock_guard<std::mutex> lg(last_mu_);
+  released_below_ = std::max(released_below_, tip);
+  return Status::OK();
 }
 
 SnapshotRef SnapshotService::latest() const {

@@ -45,13 +45,8 @@ class SnapshotService {
     double min_interval_seconds = 0;
     // GC horizon: the lowest retained snapshot id trails the newest by
     // this many snapshots (§4.4 "always supporting queries over the N most
-    // recent snapshots").
+    // recent snapshots"), and never falls below a ReleaseUnpinned point.
     uint64_t retain_last = 16;
-    // Commit the tip update with a blocking minitransaction (§4.1).
-    bool blocking_commit = true;
-    // Disable to measure the cost of naive per-request snapshot creation
-    // (the paper's Fig. 15 comparison).
-    bool enable_borrowing = true;
   };
 
   // `clock` returns seconds on a monotonic scale; injectable so benchmarks
@@ -98,6 +93,14 @@ class SnapshotService {
   // is reclaimable. Never exceeds the lowest pinned lease.
   uint64_t LowestRetained() const;
 
+  // Stop retaining every unpinned snapshot: the horizon moves up to the
+  // current tip id (still capped by the lowest pinned lease), so every node
+  // copied before the tip becomes reclaimable. No snapshot is created, so
+  // unlike pushing the retention window forward with fresh snapshots, no
+  // node's next tip write has to copy it. Snapshots created later are
+  // retained as usual; a released one is never borrowed or reused again.
+  Status ReleaseUnpinned();
+
   // --- Introspection --------------------------------------------------------
   uint64_t snapshots_created() const {
     return created_.load(std::memory_order_relaxed);
@@ -122,6 +125,9 @@ class SnapshotService {
   std::mutex mutex_;
   std::atomic<uint64_t> num_snapshots_{0};
   SnapshotRef last_{};          // guarded by mutex_ for writes
+  // Snapshots below this id were released (ReleaseUnpinned); written under
+  // mutex_ and last_mu_, read under either.
+  uint64_t released_below_ = 0;
   double last_created_at_ = -1e300;
   mutable std::mutex last_mu_;  // cheap reads of last_
   // Earliest start of the next creation (guarded by mutex_); see

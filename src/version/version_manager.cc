@@ -84,7 +84,7 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
   uint64_t new_sid = 0;
 
   txn::DynamicTxn::Options topts;
-  topts.blocking_commit = tree_->options().blocking_snapshot_commit;
+  topts.blocking_commit = true;  // bumps the replicated next-sid (§4.1)
   Status st = txn::RunTransaction(
       tree_->coordinator(), tree_->cache(), topts,
       tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {

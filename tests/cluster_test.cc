@@ -1,6 +1,6 @@
 // End-to-end tests of the public facade: cluster assembly, linear and
 // branching trees, snapshot policy wiring, multi-tree transactions, GC,
-// fault injection, and the YCSB adapter.
+// fault injection, the YCSB adapter, and the elastic proxy tier.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -9,6 +9,8 @@
 #include "common/random.h"
 #include "minuet/cluster.h"
 #include "minuet/proxy_kv.h"
+#include "obs/metrics.h"
+#include "bench_gates.h"
 
 namespace minuet {
 namespace {
@@ -369,6 +371,72 @@ TEST(ProxyLifecycleTest, AddedProxyServesAllPreexistingTrees) {
   ASSERT_TRUE(fresh.Put(*t3, "late", "tree").ok());
   ASSERT_TRUE(cluster.proxy(0).Get(*t3, "late", &value).ok());
   EXPECT_EQ(value, "tree");
+}
+
+// The elastic proxy tier. With clients attached per proxy, the figure
+// benchmarks' cost model (bench/harness/cost_model.h) makes throughput
+// demand-bound: each proxy's clients wait out the per-op latency, priced
+// from rounds and messages per op, until the busiest memnode's capacity
+// binds. Four proxies therefore serve >= 2x one proxy's load when ops
+// spread over all four and each op costs about what it did on one proxy:
+// the 2x needs at most 2x the rounds and messages, and the 1.25x bound
+// below also catches a joined proxy that keeps missing its cache.
+TEST(ProxyLifecycleTest, FourWarmProxiesServeAtSingleProxyCost) {
+  constexpr uint64_t kKeys = 4000;
+  constexpr uint64_t kOps = 1600;
+  ClusterOptions opts = SmallOptions();
+  opts.proxies = 1;
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  TipView tip = cluster.proxy(0).Tip(*tree);
+  for (uint64_t i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tip.Put(EncodeUserKey(i), EncodeValue(i)).ok());
+  }
+
+  // Cache hits per proxy, from the registry.
+  auto hits = [&](uint32_t id) -> int64_t {
+    const std::string sub = "proxy" + std::to_string(id) + ".cache";
+    for (const obs::Sample& s : cluster.metrics_registry().Snapshot()) {
+      if (s.subsystem == sub && s.name == "hits") return s.value;
+    }
+    ADD_FAILURE() << "no " << sub << ".hits";
+    return 0;
+  };
+
+  const testing::MixCost one =
+      testing::RunReadMostlyMix(cluster, *tree, kKeys, {0}, kOps, 7331);
+  std::vector<uint32_t> ids = {0};
+  for (int j = 0; j < 3; j++) {
+    auto id = cluster.AddProxy();
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  // Warms the joiners' caches.
+  testing::RunReadMostlyMix(cluster, *tree, kKeys, ids, kOps, 7332);
+  std::vector<int64_t> hits_before;
+  for (uint32_t id : ids) hits_before.push_back(hits(id));
+  const testing::MixCost four =
+      testing::RunReadMostlyMix(cluster, *tree, kKeys, ids, kOps, 7333);
+
+  std::vector<int64_t> served;
+  int64_t total = 0;
+  for (size_t j = 0; j < ids.size(); j++) {
+    served.push_back(hits(ids[j]) - hits_before[j]);
+    total += served.back();
+  }
+  std::printf("[ MEASURED ] rounds/op %.3f -> %.3f, msgs/op %.3f -> %.3f, "
+              "busiest memnode msgs/op %.3f -> %.3f\n",
+              one.rounds, four.rounds, one.msgs, four.msgs,
+              one.busiest_msgs, four.busiest_msgs);
+  for (size_t j = 0; j < ids.size(); j++) {
+    EXPECT_GE(served[j] * 8, total)
+        << "proxy " << ids[j] << " served " << served[j] << " of " << total
+        << " cache hits, under half its share";
+  }
+  EXPECT_LE(four.rounds, 1.25 * one.rounds);
+  EXPECT_LE(four.msgs, 1.25 * one.msgs);
+  EXPECT_LE(four.busiest_msgs, 1.25 * one.busiest_msgs);
 }
 
 TEST(ProxyLifecycleTest, RemoveProxyReleasesLeasesAndUnblocksGc) {

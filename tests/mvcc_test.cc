@@ -307,6 +307,29 @@ TEST_F(MvccTest, LowestRetainedTrailsNewest) {
   EXPECT_EQ(scs.LowestRetained(), 5u);
 }
 
+TEST_F(MvccTest, ReleaseUnpinnedMovesTheHorizonToTheTip) {
+  ASSERT_TRUE(tree().Put("k", "v").ok());
+  SnapshotService scs = MakeService(/*k=*/30.0, /*retain=*/4);
+  fake_now_ = 0;
+  for (int i = 0; i < 6; i++) ASSERT_TRUE(Snap(scs).ok());  // sids 0..5
+  scs.Pin(3);
+  ASSERT_TRUE(scs.ReleaseUnpinned().ok());
+  EXPECT_EQ(scs.LowestRetained(), 3u) << "a pinned lease caps the horizon";
+  scs.Unpin(3);
+  EXPECT_EQ(scs.LowestRetained(), 6u) << "the tip id after snapshot 5";
+  EXPECT_EQ(scs.snapshots_created(), 6u) << "releasing creates nothing";
+
+  // Within the staleness window a scan would reuse snapshot 5, but it was
+  // released: the scan gets a fresh snapshot at the tip instead.
+  auto fresh = scs.AcquireForScan();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->sid, 6u);
+  std::string value;
+  ASSERT_TRUE(tree().SnapshotGet(*fresh, "k", &value).ok());
+  EXPECT_EQ(value, "v");
+  EXPECT_EQ(scs.LowestRetained(), 6u);
+}
+
 TEST_F(MvccTest, GarbageCollectionFreesRetiredNodesOnly) {
   // Small pool of keys rewritten across many snapshot epochs → many
   // retired node versions.

@@ -15,6 +15,7 @@
 #include "common/key_compare.h"
 #include "common/random.h"
 #include "test_cluster.h"
+#include "bench_gates.h"
 
 namespace minuet::btree {
 namespace {
@@ -126,6 +127,47 @@ TEST(NodeViewTest, EmptyNodeAndEmptyValueParity) {
   ExpectParity(n, n.Encode(), rng);
   n.Upsert("k", "", sinfonia::kNullAddr);
   ExpectParity(n, n.Encode(), rng);
+}
+
+// Point search over one 4 KB-class leaf (120 entries, YCSB-style 14-byte
+// keys): validating the image with NodeView::Init and searching it in place
+// must be at least 2x faster than materializing it with Node::Decode, the
+// cost every descent level paid before the zero-copy path.
+TEST(NodeViewTest, ViewSearchAtLeastTwiceAsFastAsDecode) {
+  if (testing::kSanitizedBuild) GTEST_SKIP() << "timing ratio, sanitized";
+  Node leaf;
+  leaf.height = 0;
+  for (uint64_t i = 0; i < 120; i++) {
+    leaf.Upsert(EncodeUserKey(i * 7), EncodeValue(i), sinfonia::kNullAddr);
+  }
+  const std::string image = leaf.Encode();
+  Rng rng(101);
+  std::vector<std::string> probes;
+  for (int i = 0; i < 1024; i++) {
+    probes.push_back(EncodeUserKey(rng.Uniform(120 * 7)));
+  }
+
+  // The summed positions keep both searches observable; both sides must
+  // find the same ones.
+  size_t decode_sum = 0;
+  size_t view_sum = 0;
+  const testing::SideMinima m = testing::AlternatingMinima(
+      /*passes=*/20, /*iters=*/1024,
+      [&](uint64_t i) {
+        auto n = Node::Decode(image);
+        decode_sum += n.ok() ? n->FindKey(probes[i]) : 1000;
+      },
+      [&](uint64_t i) {
+        NodeView v;
+        view_sum += v.Init(image).ok() ? v.FindKey(probes[i]) : 1000;
+      });
+  EXPECT_EQ(view_sum, decode_sum);
+  const double speedup = m.a_ns / m.b_ns;
+  std::printf("[ MEASURED ] decode+find=%.0f ns view_init+find=%.0f ns "
+              "speedup=%.2fx\n",
+              m.a_ns, m.b_ns, speedup);
+  EXPECT_GE(speedup, 2.0) << "decode " << m.a_ns << " ns, view " << m.b_ns
+                          << " ns";
 }
 
 // Exercise every accessor of a successfully initialized view so a fuzzed

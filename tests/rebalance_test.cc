@@ -1,6 +1,7 @@
 // Elastic scale-out and live rebalancing: online memnode addition, slab
 // migration correctness (snapshots, crashes, concurrent traffic), and
-// convergence of the rebalancer after the cluster doubles.
+// convergence of the rebalancer after the cluster doubles, and the busiest
+// memnode's message demand across scale-out and scale-in.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include "common/random.h"
 #include "minuet/cluster.h"
 #include "rebalance/rebalancer.h"
+#include "bench_gates.h"
 
 namespace minuet {
 namespace {
@@ -291,6 +293,63 @@ TEST(RebalanceTest, RebalancerConvergesAfterDoublingTheCluster) {
   }
 }
 
+// Elastic scale-out, then scale-in, gated on the busiest memnode's
+// messages per op of a read-mostly mix. The cost model's capacity bound
+// (memnode capacity / that value) binds in every phase, so a modeled
+// throughput ratio between two phases is the inverse ratio of their
+// values. Growing 4 -> 8 memnodes and rebalancing must cut it by >= 1.5x
+// (ideal 2x; adding nodes without migrating leaves it near 1x). Removing
+// one node under traffic and rebalancing again must keep >= 0.6x of the
+// 8-node throughput (ideal 7/8).
+TEST(RebalanceTest, ScaleOutAndInMoveTheBusiestMemnodesDemand) {
+  constexpr uint64_t kKeys = 4000;
+  constexpr uint64_t kOps = 1200;
+  ClusterOptions opts = SmallOpts(4);
+  opts.max_machines = 8;
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  TipView tip = cluster.proxy(0).Tip(*tree);
+  for (uint64_t i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tip.Put(EncodeUserKey(i), EncodeValue(i)).ok());
+  }
+  const std::vector<uint32_t> proxies = {0, 1, 2, 3};
+  // The first run refreshes cache entries a migration made stale.
+  auto busiest = [&](uint64_t seed) {
+    testing::RunReadMostlyMix(cluster, *tree, kKeys, proxies, kOps, seed);
+    return testing::RunReadMostlyMix(cluster, *tree, kKeys, proxies, kOps,
+                                     seed + 1)
+        .busiest_msgs;
+  };
+  const double base4 = busiest(4242);
+
+  for (int m = 0; m < 4; m++) ASSERT_TRUE(cluster.AddMemnode().ok());
+  rebalance::Options ropts;
+  ropts.max_moves_per_round = 512;
+  ropts.imbalance_ratio = 1.1;  // as flat as migration can make it
+  rebalance::Rebalancer rebalancer(&cluster, ropts);
+  auto migrated = rebalancer.RunUntilBalanced(/*max_rounds=*/64);
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  const double bal8 = busiest(4252);
+
+  Status removed;
+  std::thread remover([&] { removed = cluster.RemoveMemnode(7); });
+  testing::RunReadMostlyMix(cluster, *tree, kKeys, proxies, kOps, 4262);
+  remover.join();
+  ASSERT_TRUE(removed.ok()) << removed.ToString();
+  // The drain leaves skew behind, so rebalance to the band before
+  // measuring the steady state.
+  auto remigrated = rebalancer.RunUntilBalanced(/*max_rounds=*/64);
+  ASSERT_TRUE(remigrated.ok()) << remigrated.status().ToString();
+  const double post7 = busiest(4272);
+
+  std::printf("[ MEASURED ] busiest memnode msgs/op: base4=%.3f bal8=%.3f "
+              "post7=%.3f scale-out=%.2fx scale-in=%.2fx\n",
+              base4, bal8, post7, base4 / bal8, bal8 / post7);
+  EXPECT_GE(base4 / bal8, 1.5) << base4 << " -> " << bal8;
+  EXPECT_GE(bal8 / post7, 0.6) << bal8 << " -> " << post7;
+}
+
 TEST(RebalanceTest, ConcurrentTrafficDuringRebalanceStaysLinearizable) {
   Cluster cluster(SmallOpts(4));
   auto tree = cluster.CreateTree();
@@ -427,8 +486,16 @@ TEST(ScaleInTest, RemoveMemnodeDrainsRetiresAndKeepsServing) {
       EXPECT_EQ(DecodeValue(value), static_cast<uint64_t>(i));
     }
   }
+  // The reclaim phase released the retained snapshots instead of creating
+  // fresh ones, so no write after the removal has to copy its nodes.
+  net::OpTrace trace;
   for (int i = 0; i < kKeys; i += 11) {
-    ASSERT_TRUE(p.Put(*tree, EncodeUserKey(i), EncodeValue(i + 5000)).ok());
+    trace.Reset(cluster.n_memnodes());
+    net::Fabric::SetThreadTrace(&trace);
+    const Status put = p.Put(*tree, EncodeUserKey(i), EncodeValue(i + 5000));
+    net::Fabric::SetThreadTrace(nullptr);
+    ASSERT_TRUE(put.ok()) << put.ToString();
+    EXPECT_EQ(trace.nodes_copied, 0u) << "key " << i;
   }
   std::vector<std::pair<std::string, std::string>> all;
   ASSERT_TRUE(cluster.proxy(1).Scan(*tree, "", kKeys + 1, &all).ok());

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Pretty-print, diff, and validate Cluster::DumpStatsJson() snapshots.
 
-The bench harness writes a STATS_<name>.json observability snapshot next to
-every BENCH_<name>.json (bench/harness/setup.h, WriteBenchJson), and
-metrics_test writes STATS_metrics_test.json. This tool is the consumer side:
+metrics_test writes STATS_metrics_test.json (a durable cluster's dump), and
+the statsdump_check ctest runs --check on it. This tool is the consumer side:
 
   tools/statsdump.py SNAPSHOT.json            pretty-print one snapshot
   tools/statsdump.py --diff OLD.json NEW.json per-metric delta (new - old)
@@ -16,7 +15,7 @@ number, membership and liveness included, is a registry metric under
 "metrics": {subsystem: {name: number | histogram summary}}. --diff keys are
 the stable dotted names (metrics.memnode0.wal.appends, ...).
 
---check is the CI gate: it asserts the two top-level keys, that cluster
+--check is the tier-1 gate: it asserts the two top-level keys, that cluster
 holds only labels, that metrics is strictly numeric (or histogram
 summaries), that registry subsystems and metric names are emitted in sorted
 order (the "stable JSON" contract tests and dashboards rely on), and that
