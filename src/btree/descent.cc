@@ -1,5 +1,6 @@
-// The level-synchronized batched descent engine: the shared cold path of
-// MultiGet, WriteBatch application and recursive scan partitioning.
+// The descent engine: the one tree walker (VisitFrontier), the one copy of
+// the §4.2/§5.2 node checks (SettleNodeForSid), and the one leaf step
+// (FetchLeaves), behind every read and write path of the tree.
 //
 // A serial B-tree descent pays one minitransaction per node whenever the
 // proxy cache cannot serve it, so K keys on a cold (or freshly invalidated)
@@ -8,19 +9,25 @@
 // at a level — across ALL keys — is fetched in ONE batched minitransaction
 // (DynamicTxn::DirtyReadBatch, which also fills the cache per entry), each
 // distinct node is decoded once, and every key steps through it under the
-// same safety checks a serial traversal runs (fence keys, height
-// monotonicity, version lineage, copied-snapshot redirects, §4.2/§5.2).
-// Cold cost becomes ~depth rounds for ANY K; warm keys ride the cache for
-// free exactly as before.
+// Fig. 5 safety checks (fence keys, height monotonicity) and the version
+// checks (lineage, copied-snapshot redirects, §4.2/§5.2). Cold cost becomes
+// ~depth rounds for ANY K; warm keys ride the cache for free. A single-key
+// operation is the one-item case of the same walk.
 //
 // Consumers:
-//   - BTree::MultiGetAt        tip/snapshot/branch MultiGet (tree.cc),
+//   - BTree::Traverse          the recorded root-to-leaf path of Put,
+//                              Insert, Remove, WriteBatch flushes, scan
+//                              chunks and live migration,
+//   - BTree::MultiGetAt        tip/snapshot/branch Get and MultiGet
+//                              (tree.cc),
 //   - BTree::ApplyWritesInTxn  WriteBatch leaf resolution + per-leaf
 //                              dedupe (Proxy::Apply),
 //   - BTree::PartitionRange    recursive, depth-bounded scan partitioning
-//                              for Cursor::Options::fanout.
+//                              for Cursor::Options::fanout,
+//   - BTree::CollectTipPlacement  the rebalancer's placement walk
+//                              (migrate.cc).
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
 
 #include "btree/tree.h"
 
@@ -39,18 +46,19 @@ Status BTree::AbortDescent(DynamicTxn& txn, Addr at,
 }
 
 Status BTree::SettleNodeForSid(DynamicTxn& txn, uint64_t sid,
-                               TraverseMode mode, const NodeView** node,
-                               FetchedNode* hop, Addr* at,
-                               std::vector<Addr>* visited) {
+                               TraverseMode mode, bool as_leaf,
+                               const FetchedNode** node, FetchedNode* hop,
+                               Addr* at, std::vector<Addr>* visited) {
   for (int hops = 0; hops < 256; hops++) {
-    if (!oracle_->IsAncestorOrEqual((*node)->created_sid(), sid)) {
+    const NodeView& view = (*node)->view;
+    if (!oracle_->IsAncestorOrEqual(view.created_sid(), sid)) {
       return AbortDescent(txn, *at, *visited,
                           "node from a different version lineage");
     }
     DescendantEntry applicable;
     bool has_applicable = false;
-    for (size_t di = 0; di < (*node)->descendant_count(); di++) {
-      const DescendantEntry d = (*node)->descendant(di);
+    for (size_t di = 0; di < view.descendant_count(); di++) {
+      const DescendantEntry d = view.descendant(di);
       if (oracle_->IsAncestorOrEqual(d.sid, sid)) {
         applicable = d;
         has_applicable = true;
@@ -59,29 +67,58 @@ Status BTree::SettleNodeForSid(DynamicTxn& txn, uint64_t sid,
     }
     if (!has_applicable) return Status::OK();
     if (!applicable.discretionary) {
+      // A real copy applies: the descent came through stale pointers; a
+      // fresh retry reaches the copy through current parents (every copy
+      // updates its whole ancestor chain atomically). Following the copy
+      // pointer directly is NOT safe: intermediate links of a copy chain
+      // may already be garbage-collected even when this snapshot itself is
+      // still retained.
       return AbortDescent(txn, *at, *visited,
                           "node copied for this or an earlier snapshot");
     }
-    // Rare: follow the discretionary chain with (cached) point hops — the
-    // level batch could not have known about the hop target up front.
+    // Discretionary copies (§5.2) exist only to bound descendant sets; they
+    // are content-identical but carry the folded-away real-copy records,
+    // so EVERY descent must consult them: follow the copy (parents keep
+    // pointing at the chain's entry, because nothing ever links to a
+    // discretionary copy). Safe with respect to GC: discretionary copies
+    // belong to branching histories, which the collector does not reclaim.
+    // Rare, so a point hop: the level batch could not have known the
+    // target up front.
     stats_->redirects.Increment();
     *at = applicable.copy_addr;
-    auto fetched = FetchView(txn, *at, /*as_leaf=*/false, mode);
+    auto fetched = FetchView(txn, *at, as_leaf, mode);
     if (!fetched.ok()) {
       if (fetched.status().IsCorruption()) {
         return AbortDescent(txn, *at, *visited,
-                            "undecodable node (stale pointer)",
-                            coord_->retired(at->memnode)
-                                ? AbortReason::kRetiredMemnode
-                                : AbortReason::kStaleCachePointer);
+                            "undecodable node (stale pointer)");
       }
-      return fetched.status();
+      return MaybeRetiredAbort(txn, fetched.status(),
+                               {NodeRef(*at, !as_leaf)}, *visited);
     }
     *hop = std::move(fetched).value();
-    *node = &hop->view;
+    *node = hop;
     visited->push_back(*at);
   }
   return AbortDescent(txn, *at, *visited, "redirect chain did not terminate");
+}
+
+Status BTree::ReadRound(
+    DynamicTxn& txn, const std::vector<ObjectRef>& refs,
+    Result<Payload> (DynamicTxn::*point)(const ObjectRef&),
+    Result<std::vector<Payload>> (DynamicTxn::*batch)(
+        const std::vector<ObjectRef>&),
+    std::vector<FetchedNode>* out) {
+  out->resize(refs.size());
+  if (refs.size() == 1) {
+    auto one = (txn.*point)(refs[0]);
+    if (!one.ok()) return one.status();
+    (*out)[0].raw = std::move(one).value();
+    return Status::OK();
+  }
+  auto all = (txn.*batch)(refs);
+  if (!all.ok()) return all.status();
+  for (size_t k = 0; k < refs.size(); k++) (*out)[k].raw = std::move((*all)[k]);
+  return Status::OK();
 }
 
 Status BTree::MaybeRetiredAbort(DynamicTxn& txn, Status st,
@@ -108,77 +145,99 @@ Status BTree::VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
     return AbortDescent(txn, at, *visited, reason);
   };
 
-  // Bound the walk defensively, like Traverse (a cyclic corruption would
-  // otherwise hang the proxy).
+  // Per-level scratch, reused across levels so a point operation's
+  // one-item levels allocate once per walk rather than once per level.
+  std::vector<FrontierItem> next;
+  std::vector<ObjectRef> refs;  // the level's distinct nodes, by address
+  std::vector<FetchedNode> nodes;  // parallel to refs
+
+  // Bound the walk defensively (a cyclic corruption would otherwise hang
+  // the proxy).
   for (int depth = 0; depth < 256 && !level.empty(); depth++) {
     // Items whose parent said "the child is a leaf" resolve without a
-    // fetch: the frontier never reads leaves (consumers batch-fetch them
-    // with the read discipline their mode requires, and leaves must never
-    // linger in the proxy cache).
-    std::vector<FrontierItem> fetchable;
-    fetchable.reserve(level.size());
-    for (FrontierItem& it : level) {
-      if (it.expected_height == 0) {
-        MINUET_RETURN_NOT_OK(cb.on_leaf(it, nullptr, it.addr));
+    // fetch: the frontier never reads leaves (FetchLeaves reads them with
+    // the read discipline their mode requires, and leaves must never
+    // linger in the proxy cache). The rest stay in `level`, in order.
+    size_t kept = 0;
+    for (size_t i = 0; i < level.size(); i++) {
+      if (level[i].expected_height == 0) {
+        MINUET_RETURN_NOT_OK(cb.on_leaf(level[i], nullptr, level[i].addr));
       } else {
-        fetchable.push_back(std::move(it));
+        level[kept++] = level[i];
       }
     }
-    if (fetchable.empty()) return Status::OK();
+    level.resize(kept);
+    if (level.empty()) return Status::OK();
 
     // ONE batched round fetches every distinct node this level needs.
-    std::vector<ObjectRef> refs;
-    std::unordered_map<Addr, size_t, sinfonia::AddrHash> slot;
-    for (const FrontierItem& it : fetchable) {
+    // Items sharing a node are grouped by sorting the refs on address (no
+    // hash index: most levels hold a single item); an item finds its node
+    // by binary search.
+    refs.clear();
+    for (const FrontierItem& it : level) {
+      refs.push_back(validated_path ? layout().SlabRef(it.addr)
+                                    : NodeRef(it.addr, /*internal=*/true));
+    }
+    std::sort(refs.begin(), refs.end(),
+              [](const ObjectRef& a, const ObjectRef& b) {
+                return a.addr < b.addr;
+              });
+    refs.erase(std::unique(refs.begin(), refs.end(),
+                           [](const ObjectRef& a, const ObjectRef& b) {
+                             return a.addr == b.addr;
+                           }),
+               refs.end());
+    for (const ObjectRef& ref : refs) {
       // A pointer into a retired memnode can only come from a stale parent
       // (drains complete before retirement): abort-and-invalidate NOW. A
       // fetch would be caught by MaybeRetiredAbort below, but a validated
       // walk may serve this item from the proxy cache without fetching and
       // only discover the retired home at commit — as a NON-retryable
       // Unavailable that skips the cache-scrubbing retry discipline.
-      if (coord_->retired(it.addr.memnode)) {
-        return AbortDescent(txn, it.addr, *visited,
-                            "pointer to a retired memnode");
-      }
-      if (slot.emplace(it.addr, refs.size()).second) {
-        refs.push_back(validated_path ? layout().SlabRef(it.addr)
-                                      : NodeRef(it.addr, /*internal=*/true));
+      if (coord_->retired(ref.addr.memnode)) {
+        return AbortDescent(txn, ref.addr, *visited,
+                            "pointer to a retired memnode",
+                            AbortReason::kRetiredMemnode);
       }
     }
-    auto payloads = validated_path ? txn.ReadCachedBatchViews(refs)
-                                   : txn.DirtyReadBatchViews(refs);
-    if (!payloads.ok()) {
-      return MaybeRetiredAbort(txn, payloads.status(), refs, *visited);
-    }
+    const Status fetched =
+        validated_path
+            ? ReadRound(txn, refs, &DynamicTxn::ReadCachedView,
+                        &DynamicTxn::ReadCachedBatchViews, &nodes)
+            : ReadRound(txn, refs, &DynamicTxn::DirtyReadView,
+                        &DynamicTxn::DirtyReadBatchViews, &nodes);
+    if (!fetched.ok()) return MaybeRetiredAbort(txn, fetched, refs, *visited);
 
-    // Each distinct node gets ONE zero-copy view; the payloads vector keeps
-    // every image pinned for the remainder of the level.
-    std::vector<NodeView> views(refs.size());
+    // Each distinct node gets ONE zero-copy view over its pinned image.
     for (size_t k = 0; k < refs.size(); k++) {
       const Addr at = refs[k].addr;
-      if (!views[k].Init((*payloads)[k].data).ok()) {
+      if (!nodes[k].view.Init(nodes[k].raw.data).ok()) {
         return abort(at, "undecodable node (stale pointer)");
       }
       visited->push_back(at);
-      if (validated_path && !views[k].is_leaf() &&
-          options_.replicate_internal_seqnums) {
+      if (validated_path && !nodes[k].view.is_leaf() &&
+          !options_.dirty_traversals) {
         txn.SetReadValidationMirror(at, layout().SeqSlotFor(at));
       }
     }
 
-    // Advance every item through its (shared) node view.
-    std::vector<FrontierItem> next;
-    for (FrontierItem& it : fetchable) {
-      const NodeView* node = &views[slot.at(it.addr)];
+    // Advance every item through its (shared) node.
+    next.clear();
+    for (const FrontierItem& it : level) {
+      const auto ref = std::lower_bound(
+          refs.begin(), refs.end(), it.addr,
+          [](const ObjectRef& r, const Addr& a) { return r.addr < a; });
+      const FetchedNode* node = &nodes[ref - refs.begin()];
       Addr at = it.addr;
       FetchedNode hop;  // content of a followed discretionary copy
-      MINUET_RETURN_NOT_OK(
-          SettleNodeForSid(txn, sid, mode, &node, &hop, &at, visited));
+      MINUET_RETURN_NOT_OK(SettleNodeForSid(txn, sid, mode, /*as_leaf=*/false,
+                                            &node, &hop, &at, visited));
+      const NodeView& view = node->view;
       if (it.expected_height >= 0 &&
-          node->height() != static_cast<uint8_t>(it.expected_height)) {
+          view.height() != static_cast<uint8_t>(it.expected_height)) {
         return abort(at, "height mismatch");
       }
-      if (node->is_leaf()) {
+      if (view.is_leaf()) {
         // Reached through the internal-read path (root == leaf, or a
         // redirect): it may now sit in the proxy cache, and leaves must
         // never be served from there — drop both the batch-fetched entry
@@ -190,13 +249,13 @@ Status BTree::VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
         MINUET_RETURN_NOT_OK(cb.on_leaf(it, node, at));
         continue;
       }
-      if (node->num_entries() == 0) {
+      if (view.num_entries() == 0) {
         return abort(at, "internal node without children");
       }
       MINUET_RETURN_NOT_OK(cb.on_internal(
           it, *node, at, static_cast<uint32_t>(depth), &next));
     }
-    level = std::move(next);
+    level.swap(next);
   }
   if (!level.empty()) {
     return abort(level[0].addr, "descent did not terminate");
@@ -204,25 +263,35 @@ Status BTree::VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
   return Status::OK();
 }
 
+Result<std::vector<BTree::PathEntry>> BTree::Traverse(DynamicTxn& txn,
+                                                      uint64_t sid, Addr root,
+                                                      const Slice& key,
+                                                      TraverseMode mode) {
+  const std::vector<std::string> keys{key.ToString()};
+  std::vector<PathEntry> path;
+  std::vector<LeafGroup> groups;
+  std::vector<Addr> visited;
+  std::vector<FetchedNode> leaves;
+  MINUET_RETURN_NOT_OK(
+      ResolveLeafGroups(txn, sid, root, mode, keys, &groups, &visited, &path));
+  MINUET_RETURN_NOT_OK(
+      FetchLeaves(txn, sid, mode, keys, &groups, &leaves, &visited));
+  PathEntry& leaf = path.back();
+  leaf.addr = groups[0].addr;
+  leaf.raw = std::move(leaves[0].raw);
+  leaf.view = std::move(leaves[0].view);
+  return path;
+}
+
 Status BTree::ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
                                 TraverseMode mode,
                                 const std::vector<std::string>& keys,
                                 std::vector<LeafGroup>* groups,
-                                std::vector<Addr>* visited_out) {
-  groups->clear();
-
-  // Abort discipline shared with Traverse: invalidate every dirty-read
-  // address this descent leaned on so the retry refetches fresh state.
-  std::vector<Addr> local_visited;
-  std::vector<Addr>& visited =
-      visited_out != nullptr ? *visited_out : local_visited;
-
-  std::unordered_map<Addr, size_t, sinfonia::AddrHash> group_of;
-  auto join_group = [&](Addr addr, size_t key) {
-    auto [it, fresh] = group_of.emplace(addr, groups->size());
-    if (fresh) groups->push_back(LeafGroup{addr, {}});
-    (*groups)[it->second].key_idx.push_back(key);
-  };
+                                std::vector<Addr>* visited,
+                                std::vector<PathEntry>* path) {
+  // (leaf address, key index) per key, grouped once the walk is done.
+  std::vector<std::pair<Addr, size_t>> leaf_of;
+  leaf_of.reserve(keys.size());
 
   // In the Aguilera baseline the whole path joins the read set and
   // validates against the replicated seqnum table at commit; level fetches
@@ -236,28 +305,89 @@ Status BTree::ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
   for (size_t i = 0; i < keys.size(); i++) {
     roots[i] = FrontierItem{root, -1, i};
   }
-  FrontierCallbacks cb;
-  cb.on_leaf = [&](const FrontierItem& it, const NodeView* node,
-                   Addr at) -> Status {
-    if (node != nullptr && !node->InFenceRange(keys[it.tag])) {
-      return AbortDescent(txn, at, visited, "key outside fence range");
+  auto on_leaf = [&](const FrontierItem& it, const FetchedNode* node,
+                     Addr at) -> Status {
+    if (node != nullptr && !node->view.InFenceRange(keys[it.tag])) {
+      return AbortDescent(txn, at, *visited, "key outside fence range");
     }
-    join_group(at, it.tag);
+    if (path != nullptr) path->push_back(PathEntry{at, it.addr, {}, {}});
+    leaf_of.emplace_back(at, it.tag);
     return Status::OK();
   };
-  cb.on_internal = [&](const FrontierItem& it, const NodeView& node, Addr at,
-                       uint32_t, std::vector<FrontierItem>* next) -> Status {
+  auto on_internal = [&](const FrontierItem& it, const FetchedNode& node,
+                         Addr at, uint32_t,
+                         std::vector<FrontierItem>* next) -> Status {
     const Slice key(keys[it.tag]);
-    if (!node.InFenceRange(key)) {
-      return AbortDescent(txn, at, visited, "key outside fence range");
+    if (!node.view.InFenceRange(key)) {
+      return AbortDescent(txn, at, *visited, "key outside fence range");
     }
-    const size_t idx = node.ChildIndexFor(key);
-    next->push_back(
-        FrontierItem{node.EntryChild(idx), node.height() - 1, it.tag});
+    if (path != nullptr) {
+      path->push_back(PathEntry{at, it.addr, node.raw, node.view});
+    }
+    const size_t idx = node.view.ChildIndexFor(key);
+    next->push_back(FrontierItem{node.view.EntryChild(idx),
+                                 node.view.height() - 1, it.tag});
     return Status::OK();
   };
-  return VisitFrontier(txn, sid, mode, validated_path, std::move(roots), cb,
-                       &visited);
+  // By reference: this descent runs on every single-key operation, and a
+  // std::function holding the capture-heavy lambdas would allocate.
+  MINUET_RETURN_NOT_OK(VisitFrontier(
+      txn, sid, mode, validated_path, std::move(roots),
+      FrontierCallbacks{std::ref(on_leaf), std::ref(on_internal)}, visited));
+
+  // Group by leaf address; within a group the key indices ascend, so ops
+  // on one key keep their batch order.
+  std::sort(leaf_of.begin(), leaf_of.end());
+  groups->clear();
+  for (const auto& [addr, key] : leaf_of) {
+    if (groups->empty() || groups->back().addr != addr) {
+      groups->push_back(LeafGroup{addr, {}});
+    }
+    groups->back().key_idx.push_back(key);
+  }
+  return Status::OK();
+}
+
+Status BTree::FetchLeaves(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
+                          const std::vector<std::string>& keys,
+                          std::vector<LeafGroup>* groups,
+                          std::vector<FetchedNode>* leaves,
+                          std::vector<Addr>* visited) {
+  std::vector<ObjectRef> refs;
+  refs.reserve(groups->size());
+  for (const LeafGroup& g : *groups) {
+    refs.push_back(NodeRef(g.addr, /*internal=*/false));
+  }
+  const Status fetched =
+      mode == TraverseMode::kUpToDate
+          ? ReadRound(txn, refs, &DynamicTxn::ReadView,
+                      &DynamicTxn::ReadBatchViews, leaves)
+          : ReadRound(txn, refs, &DynamicTxn::FetchFreshView,
+                      &DynamicTxn::FetchFreshBatchViews, leaves);
+  if (!fetched.ok()) return MaybeRetiredAbort(txn, fetched, refs, *visited);
+  for (size_t g = 0; g < groups->size(); g++) {
+    LeafGroup& group = (*groups)[g];
+    FetchedNode& leaf = (*leaves)[g];
+    if (!leaf.view.Init(leaf.raw.data).ok()) {
+      return AbortDescent(txn, group.addr, *visited,
+                          "undecodable leaf (stale pointer)");
+    }
+    const FetchedNode* node = &leaf;
+    FetchedNode hop;
+    MINUET_RETURN_NOT_OK(SettleNodeForSid(txn, sid, mode, /*as_leaf=*/true,
+                                          &node, &hop, &group.addr, visited));
+    if (node != &leaf) leaf = std::move(hop);
+    if (!leaf.view.is_leaf()) {
+      return AbortDescent(txn, group.addr, *visited, "height mismatch");
+    }
+    for (size_t i : group.key_idx) {
+      if (!leaf.view.InFenceRange(keys[i])) {
+        return AbortDescent(txn, group.addr, *visited,
+                            "key outside fence range");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
@@ -285,6 +415,8 @@ Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
                                          TraverseMode::kUpToDate, keys,
                                          &groups, &visited));
   {
+    // Fetch only: each flush's Traverse below settles its leaf from the
+    // read set.
     std::vector<ObjectRef> refs;
     refs.reserve(groups.size());
     for (const LeafGroup& g : groups) {
@@ -293,7 +425,7 @@ Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
     auto payloads = txn.ReadBatchViews(refs);
     if (!payloads.ok()) {
       // `visited` lets a retired-pointer abort invalidate the cached
-      // inner path that produced the stale leaf address, like MultiGetAt.
+      // inner path that produced the stale leaf address.
       return MaybeRetiredAbort(txn, payloads.status(), refs, visited);
     }
   }
@@ -302,12 +434,9 @@ Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
   // per flush instead of one per key. The traversal costs no extra rounds
   // — inner nodes come from the write set or proxy cache, the leaf from
   // the read set — and re-running it per flush keeps the mutation path on
-  // the battle-tested Traverse/ApplyLeafMutation invariants even as
+  // the same Traverse/ApplyLeafMutation invariants as a single Put even as
   // earlier flushes copy-on-write ancestors or re-publish the root.
-  for (LeafGroup& g : groups) {
-    // Frontier resolution order is per level, so same-key ops are already
-    // in batch order; sort as cheap insurance (order only matters there).
-    std::sort(g.key_idx.begin(), g.key_idx.end());
+  for (const LeafGroup& g : groups) {
     size_t next = 0;
     while (next < g.key_idx.size()) {
       // An earlier flush may have moved the root.
@@ -371,7 +500,7 @@ Result<std::vector<BTree::ScanPartition>> BTree::PartitionRange(
     ranges.emplace_back(start, end);
 
     FrontierCallbacks cb;
-    cb.on_leaf = [&](const FrontierItem& it, const NodeView*,
+    cb.on_leaf = [&](const FrontierItem& it, const FetchedNode*,
                      Addr at) -> Status {
       // A single-leaf tree (the root only — heights are uniform, so deeper
       // levels are cut at height 1 below).
@@ -379,9 +508,10 @@ Result<std::vector<BTree::ScanPartition>> BTree::PartitionRange(
       parts.push_back(ScanPartition{lo, hi, at.memnode});
       return Status::OK();
     };
-    cb.on_internal = [&](const FrontierItem& it, const NodeView& node, Addr,
-                         uint32_t level,
+    cb.on_internal = [&](const FrontierItem& it, const FetchedNode& fetched,
+                         Addr, uint32_t level,
                          std::vector<FrontierItem>* next) -> Status {
+      const NodeView& node = fetched.view;
       // Expand the children intersecting the subtree's clipped range.
       // Children of height-1 nodes are leaves — emit partitions instead of
       // descending further (the frontier never fetches leaves); same when
@@ -431,9 +561,10 @@ Status BTree::PrewarmSnapshotPaths(const SnapshotRef& snap,
   return txn::RunTransaction(
       coord_, cache_, {}, /*max_attempts=*/3, [&](DynamicTxn& txn) {
         std::vector<LeafGroup> groups;
+        std::vector<Addr> visited;
         return ResolveLeafGroups(txn, snap.sid, snap.root,
                                  TraverseMode::kSnapshotRead, keys, &groups,
-                                 nullptr);
+                                 &visited);
       });
 }
 

@@ -7,9 +7,9 @@
 // node's descendant set, and the parent's child pointer swings to the copy
 // through the same CoW-aware write-back every leaf mutation uses. Every
 // consistency property then comes for free:
-//   - tip traversals that raced through a stale cached parent land on the
+//   - tip descents that raced through a stale cached parent land on the
 //     source, see an applicable real copy, and abort-retry onto the copy
-//     (Traverse's §4.2 rule);
+//     (the §4.2 rule in SettleNodeForSid, descent.cc);
 //   - snapshot readers below the migration sid keep reading the source,
 //     whose content is untouched (only its descendant record grew);
 //   - the source slab is reclaimed by the MVCC garbage collector once the
@@ -18,8 +18,9 @@
 //     outside the existing seqnum safety net.
 //
 // CollectTipPlacement feeds the rebalancer (both its balance and drain
-// modes): a shared frontier-visitor walk of the tip that lists every node
-// with a routing key to re-locate it by.
+// modes): a walk of the tip with the one descent engine (VisitFrontier)
+// that lists every node with a routing key to re-locate it by;
+// MigrateNodeInTxn re-locates the node through that key's Traverse path.
 #include "btree/tree.h"
 
 namespace minuet::btree {
@@ -37,7 +38,7 @@ Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
     routing.emplace_back("");
 
     FrontierCallbacks cb;
-    cb.on_leaf = [&](const FrontierItem& it, const NodeView*,
+    cb.on_leaf = [&](const FrontierItem& it, const FetchedNode*,
                      Addr) -> Status {
       // Leaves are recorded straight from their parent's entry (`it.addr`,
       // the address the parent holds) — the walk needs no leaf content.
@@ -45,8 +46,10 @@ Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
           NodePlacement{it.addr, std::move(routing[it.tag]), 0});
       return Status::OK();
     };
-    cb.on_internal = [&](const FrontierItem& it, const NodeView& node, Addr,
-                         uint32_t, std::vector<FrontierItem>* next) -> Status {
+    cb.on_internal = [&](const FrontierItem& it, const FetchedNode& fetched,
+                         Addr, uint32_t,
+                         std::vector<FrontierItem>* next) -> Status {
+      const NodeView& node = fetched.view;
       out->push_back(NodePlacement{it.addr, routing[it.tag], node.height()});
       for (size_t e = 0; e < node.num_entries(); e++) {
         next->push_back(FrontierItem{node.EntryChild(e), node.height() - 1,

@@ -1,6 +1,4 @@
 #include "btree/tree.h"
-#include <cstdlib>
-#include <cstdio>
 
 #include <cassert>
 
@@ -75,7 +73,7 @@ BTree::BTree(sinfonia::Coordinator* coord, NodeAllocator* allocator,
 
 ObjectRef BTree::NodeRef(Addr addr, bool internal) const {
   ObjectRef ref = layout().SlabRef(addr);
-  if (internal && options_.replicate_internal_seqnums) {
+  if (internal && !options_.dirty_traversals) {
     ref.rep_seq_offset = layout().SeqSlotFor(addr);
   }
   return ref;
@@ -181,7 +179,7 @@ Status BTree::PublishRoot(DynamicTxn& txn, const TipContext& tip,
 }
 
 // ---------------------------------------------------------------------------
-// Node fetch & traversal
+// Node fetch (the walks themselves live in descent.cc)
 
 Result<BTree::FetchedNode> BTree::FetchView(DynamicTxn& txn, Addr addr,
                                             bool as_leaf, TraverseMode mode) {
@@ -200,159 +198,19 @@ Result<BTree::FetchedNode> BTree::FetchView(DynamicTxn& txn, Addr addr,
     // parsed, so fetch with a plain ref and upgrade the mirror below.
     raw = txn.ReadCachedView(layout().SlabRef(addr));
   }
-  if (!raw.ok()) {
-    if (raw.status().IsUnavailable() && coord_->retired(addr.memnode)) {
-      // A pointer at a RETIRED memnode (elastic scale-in) is stale by
-      // definition — retirement guarantees the node held no live slab.
-      // Surface it as Corruption so every caller's existing stale-pointer
-      // conversion (invalidate the path, abort, retry) applies, instead of
-      // failing the operation with a permanent Unavailable.
-      return Status::Corruption("pointer to a retired memnode");
-    }
-    return raw.status();
-  }
+  if (!raw.ok()) return raw.status();
   FetchedNode out;
   out.raw = std::move(raw).value();
-  const Status init = out.view.Init(out.raw.data);
-  if (!init.ok()) {
-    if (std::getenv("MINUET_DEBUG") != nullptr && out.raw.size() >= 4) {
-      const char* b = out.raw.data.data();
-      std::fprintf(stderr,
-                   "[minuet] undecodable node at %s (as_leaf=%d len=%zu "
-                   "first4=%02x%02x%02x%02x)\n",
-                   addr.ToString().c_str(), as_leaf, out.raw.size(),
-                   static_cast<unsigned char>(b[0]),
-                   static_cast<unsigned char>(b[1]),
-                   static_cast<unsigned char>(b[2]),
-                   static_cast<unsigned char>(b[3]));
-    }
-    // A view-init failure (freed or garbage slab reached through a stale
-    // pointer) surfaces as Corruption; the traversal converts it into an
-    // abort that invalidates the WHOLE cached path, so the retry cannot
-    // walk the same dead pointer again.
-    return init;
-  }
+  // A view-init failure (freed or garbage slab reached through a stale
+  // pointer) surfaces as Corruption; the descent converts it into an abort
+  // that invalidates the WHOLE cached path, so the retry cannot walk the
+  // same dead pointer again.
+  MINUET_RETURN_NOT_OK(out.view.Init(out.raw.data));
   if (!out.view.is_leaf() && !as_leaf && !options_.dirty_traversals &&
-      mode == TraverseMode::kUpToDate &&
-      options_.replicate_internal_seqnums) {
+      mode == TraverseMode::kUpToDate) {
     txn.SetReadValidationMirror(addr, layout().SeqSlotFor(addr));
   }
   return out;
-}
-
-Result<std::vector<BTree::PathEntry>> BTree::Traverse(DynamicTxn& txn,
-                                                      uint64_t sid, Addr root,
-                                                      const Slice& key,
-                                                      TraverseMode mode) {
-  std::vector<PathEntry> path;
-  // Every traversal abort is, at bottom, a stale cached pointer or node
-  // image — except the retired-memnode case, which gets its own taxonomy
-  // bucket (the caller passes it explicitly).
-  auto abort = [&](Addr at, const char* reason,
-                   AbortReason why =
-                       AbortReason::kStaleCachePointer) -> Status {
-    if (cache_ != nullptr) {
-      cache_->Invalidate(at);
-      for (const PathEntry& p : path) cache_->Invalidate(p.addr);
-    }
-    stats_->traversal_aborts.Increment();
-    txn.MarkAborted(why);
-    return Status::Aborted(why, reason);
-  };
-
-  Addr addr = root;
-  // The address this level was ENTERED at (what the parent points to);
-  // differs from `addr` after a discretionary-copy hop.
-  Addr link_addr = root;
-  int expected_height = -1;  // unknown until the first node is decoded
-  // Bound redirect/descent loops defensively (a cyclic corruption would
-  // otherwise hang the proxy).
-  for (int steps = 0; steps < 256; steps++) {
-    const bool known_leaf = expected_height == 0;
-    auto fetched = FetchView(txn, addr, known_leaf, mode);
-    if (!fetched.ok()) {
-      if (fetched.status().IsCorruption()) {
-        return abort(addr, "undecodable node (stale pointer)",
-                     coord_->retired(addr.memnode)
-                         ? AbortReason::kRetiredMemnode
-                         : AbortReason::kStaleCachePointer);
-      }
-      return fetched.status();
-    }
-    FetchedNode fn = std::move(fetched).value();
-    const NodeView& node = fn.view;
-
-    // -- Version checks (§4.2, §5.2) --------------------------------------
-    if (!oracle_->IsAncestorOrEqual(node.created_sid(), sid)) {
-      return abort(addr, "node from a different version lineage");
-    }
-    DescendantEntry applicable_entry;
-    bool has_applicable = false;
-    for (size_t di = 0; di < node.descendant_count(); di++) {
-      const DescendantEntry d = node.descendant(di);
-      if (oracle_->IsAncestorOrEqual(d.sid, sid)) {
-        applicable_entry = d;
-        has_applicable = true;
-        break;
-      }
-    }
-    if (has_applicable) {
-      const DescendantEntry* applicable = &applicable_entry;
-      if (applicable->discretionary) {
-        // Discretionary copies (§5.2) exist only to bound descendant sets;
-        // they are content-identical but carry the folded-away real-copy
-        // records, so EVERY traversal must consult them: follow the copy
-        // (parents keep pointing at the chain's entry — remembered in
-        // link_addr — because nothing ever links to a discretionary copy).
-        // Safe with respect to GC: discretionary copies belong to
-        // branching histories, which the collector does not reclaim.
-        stats_->redirects.Increment();
-        addr = applicable->copy_addr;
-        continue;
-      }
-      // A real copy applies: the traversal came through stale pointers;
-      // a fresh retry reaches the copy through current parents (every
-      // copy updates its whole ancestor chain atomically). Following the
-      // copy pointer directly is NOT safe: intermediate links of a copy
-      // chain may already be garbage-collected even when this snapshot
-      // itself is still retained.
-      return abort(addr, "node copied for this or an earlier snapshot");
-    }
-
-    // -- Structural safety checks (Fig. 5) ---------------------------------
-    if (expected_height >= 0 &&
-        node.height() != static_cast<uint8_t>(expected_height)) {
-      return abort(addr, "height mismatch");
-    }
-    if (!node.InFenceRange(key)) {
-      return abort(addr, "key outside fence range");
-    }
-    if (!node.is_leaf() && node.num_entries() == 0) {
-      return abort(addr, "internal node without children");
-    }
-
-    if (node.is_leaf()) {
-      if (mode == TraverseMode::kUpToDate && !known_leaf) {
-        // The node arrived through the internal-read path (root == leaf);
-        // redo the fetch as a validated leaf read.
-        if (cache_ != nullptr) cache_->Invalidate(addr);
-        expected_height = 0;
-        continue;
-      }
-      path.push_back(
-          PathEntry{addr, link_addr, std::move(fn.raw), std::move(fn.view)});
-      return path;
-    }
-
-    const size_t idx = node.ChildIndexFor(key);
-    const Addr child = node.EntryChild(idx);
-    expected_height = node.height() - 1;
-    path.push_back(
-        PathEntry{addr, link_addr, std::move(fn.raw), std::move(fn.view)});
-    addr = child;
-    link_addr = child;
-  }
-  return abort(addr, "traversal did not terminate");
 }
 
 // ---------------------------------------------------------------------------
@@ -371,7 +229,7 @@ Result<Addr> BTree::WriteFreshNodeAt(DynamicTxn& txn, const Node& node,
   // commit, so the write set can reference it without another copy.
   const Slice image = node.EncodeToArena(txn.arena());
   ObjectRef ref = slab->ref;
-  if (node.height > 0 && options_.replicate_internal_seqnums) {
+  if (node.height > 0 && !options_.dirty_traversals) {
     ref.rep_seq_offset = layout().SeqSlotFor(ref.addr);
   }
   Status st = slab->known_seqnum
@@ -606,25 +464,22 @@ Status BTree::ApplyLeafMutation(DynamicTxn& txn, const TipContext& tip,
 // ---------------------------------------------------------------------------
 // Public operations
 
-namespace {
-Status LeafLookup(const NodeView& leaf, const std::string& key,
-                  std::string* value) {
-  const size_t i = leaf.FindKey(key);
-  if (i == leaf.num_entries()) return Status::NotFound("key absent");
-  if (value != nullptr) *value = leaf.EntryValue(i).ToString();
-  return Status::OK();
-}
-}  // namespace
-
 Status BTree::GetInTxn(DynamicTxn& txn, const std::string& key,
                        std::string* value, Tip tip) {
   MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
   auto ctx = ReadTipInTxn(txn, tip, /*for_write=*/false);
   if (!ctx.ok()) return ctx.status();
-  auto path = Traverse(txn, ctx->sid, ctx->root, key,
-                       TraverseMode::kUpToDate);
-  if (!path.ok()) return path.status();
-  return LeafLookup(path->back().view, key, value);
+  return GetAt(txn, ctx->sid, ctx->root, TraverseMode::kUpToDate, key, value);
+}
+
+Status BTree::GetAt(DynamicTxn& txn, uint64_t sid, Addr root,
+                    TraverseMode mode, const std::string& key,
+                    std::string* value) {
+  std::vector<std::optional<std::string>> values;
+  MINUET_RETURN_NOT_OK(MultiGetAt(txn, sid, root, mode, {key}, &values));
+  if (!values[0]) return Status::NotFound("key absent");
+  if (value != nullptr) *value = std::move(*values[0]);
+  return Status::OK();
 }
 
 Status BTree::MultiGetAt(DynamicTxn& txn, uint64_t sid, Addr root,
@@ -632,84 +487,20 @@ Status BTree::MultiGetAt(DynamicTxn& txn, uint64_t sid, Addr root,
                          const std::vector<std::string>& keys,
                          std::vector<std::optional<std::string>>* values) {
   values->assign(keys.size(), std::nullopt);
-
-  // All dirty-read addresses this operation leaned on; a safety-check
-  // failure invalidates them all (the same discipline as Traverse, which
-  // invalidates the implicated path) so the retry refetches fresh state.
+  // Warm internal levels come from the proxy cache (K keys sharing a path
+  // prefix pay for it once); on a cold cache every level is a single
+  // batched round across ALL keys, so resolution costs ~depth rounds
+  // instead of ~K × depth. All distinct leaves then share one round.
   std::vector<Addr> visited;
-  auto abort = [&](Addr at, const char* reason) -> Status {
-    return AbortDescent(txn, at, visited, reason);
-  };
-
-  // -- Phase 1: resolve each key's leaf with ONE level-synchronized descent.
-  // Warm internal levels come from the proxy cache exactly as before (K
-  // keys sharing a path prefix pay for it once); on a cold cache every
-  // level is a single batched round across ALL keys (descent.cc), so the
-  // whole resolution costs ~depth rounds instead of ~K × depth.
   std::vector<LeafGroup> groups;
+  std::vector<FetchedNode> leaves;
   MINUET_RETURN_NOT_OK(
       ResolveLeafGroups(txn, sid, root, mode, keys, &groups, &visited));
-
-  // -- Phase 2: fetch ALL distinct leaves in one minitransaction round ------
-  std::vector<ObjectRef> refs;
-  refs.reserve(groups.size());
-  for (const LeafGroup& g : groups) {
-    refs.push_back(NodeRef(g.addr, /*internal=*/false));
-  }
-  auto payloads = mode == TraverseMode::kUpToDate
-                      ? txn.ReadBatchViews(refs)
-                      : txn.FetchFreshBatchViews(refs);
-  if (!payloads.ok()) {
-    return MaybeRetiredAbort(txn, payloads.status(), refs, visited);
-  }
-
-  // -- Phase 3: the leaf-level safety checks Traverse would have run --------
-  for (size_t gi = 0; gi < groups.size(); gi++) {
-    Addr at = groups[gi].addr;
-    Payload cur = std::move((*payloads)[gi]);  // keeps the image pinned
-    NodeView leaf;
-    if (!leaf.Init(cur.data).ok()) {
-      return abort(at, "undecodable leaf (stale pointer)");
-    }
-    bool settled = false;  // the leaf passed its checks with no copy left
-    for (int hops = 0; hops < 256; hops++) {
-      if (!oracle_->IsAncestorOrEqual(leaf.created_sid(), sid)) {
-        return abort(at, "leaf from a different version lineage");
-      }
-      DescendantEntry applicable;
-      bool has_applicable = false;
-      for (size_t di = 0; di < leaf.descendant_count(); di++) {
-        const DescendantEntry d = leaf.descendant(di);
-        if (oracle_->IsAncestorOrEqual(d.sid, sid)) {
-          applicable = d;
-          has_applicable = true;
-          break;
-        }
-      }
-      if (!has_applicable) {
-        settled = true;
-        break;
-      }
-      if (!applicable.discretionary) {
-        return abort(at, "leaf copied for this or an earlier snapshot");
-      }
-      // Rare: follow the discretionary chain with point reads (the batch
-      // could not have known about the hop).
-      stats_->redirects.Increment();
-      at = applicable.copy_addr;
-      auto raw = mode == TraverseMode::kUpToDate
-                     ? txn.ReadView(NodeRef(at, /*internal=*/false))
-                     : txn.FetchFreshView(NodeRef(at, /*internal=*/false));
-      if (!raw.ok()) return raw.status();
-      cur = std::move(raw).value();
-      if (!leaf.Init(cur.data).ok()) return abort(at, "undecodable leaf copy");
-    }
-    if (!settled) return abort(at, "leaf redirect chain did not terminate");
-    if (!leaf.is_leaf()) return abort(at, "height mismatch");
-    for (size_t i : groups[gi].key_idx) {
-      if (!leaf.InFenceRange(keys[i])) {
-        return abort(at, "key outside fence range");
-      }
+  MINUET_RETURN_NOT_OK(
+      FetchLeaves(txn, sid, mode, keys, &groups, &leaves, &visited));
+  for (size_t g = 0; g < groups.size(); g++) {
+    const NodeView& leaf = leaves[g].view;
+    for (size_t i : groups[g].key_idx) {
       const size_t e = leaf.FindKey(keys[i]);
       if (e != leaf.num_entries()) {
         (*values)[i] = leaf.EntryValue(e).ToString();
@@ -822,10 +613,8 @@ Status BTree::SnapshotGet(const SnapshotRef& snap, const std::string& key,
                           std::string* value) {
   MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
   return TransactSnapshotRead(snap.sid, [&](DynamicTxn& txn) -> Status {
-    auto path = Traverse(txn, snap.sid, snap.root, key,
-                         TraverseMode::kSnapshotRead);
-    if (!path.ok()) return path.status();
-    return LeafLookup(path->back().view, key, value);
+    return GetAt(txn, snap.sid, snap.root, TraverseMode::kSnapshotRead, key,
+                 value);
   });
 }
 

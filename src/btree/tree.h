@@ -42,12 +42,10 @@ using txn::ObjectRef;
 
 struct TreeOptions {
   // Paper §3: traverse internal levels with dirty reads. OFF reproduces the
-  // Aguilera baseline (whole path in the read set).
+  // Aguilera baseline: the whole path joins the read set, and internal-node
+  // seqnums are replicated at every memnode so path validation happens at
+  // the leaf's memnode (splits then engage all memnodes).
   bool dirty_traversals = true;
-  // Aguilera baseline companion: replicate internal-node seqnums at every
-  // memnode so path validation can happen at the leaf's memnode. Splits
-  // then engage all memnodes.
-  bool replicate_internal_seqnums = false;
   // Descendant-set bound β for branching versions (≤ kMaxDescendants).
   uint32_t beta = 2;
   // Retry budget for optimistic B-tree operations.
@@ -327,34 +325,37 @@ class BTree {
   // Fetch a node as a zero-copy view. `as_leaf` selects the access path
   // (dirty/cached vs validated leaf read). An undecodable image — a freed
   // or garbage slab reached through a stale pointer — surfaces as
-  // Corruption, as does a pointer into a retired memnode.
+  // Corruption; a pointer into a retired memnode as the fetch's own
+  // Unavailable, which MaybeRetiredAbort turns into a retry.
   Result<FetchedNode> FetchView(DynamicTxn& txn, Addr addr, bool as_leaf,
                                 TraverseMode mode);
 
-  // Fig. 5 traversal plus the §4.2/§5.2 version checks. On success the
-  // returned path runs root → leaf. Aborts (Status::Aborted) on any safety
-  // check failure after invalidating implicated cache entries.
+  // --- The descent engine — descent.cc -------------------------------------
+  // Fig. 5 traversal plus the §4.2/§5.2 version checks for one key: a
+  // one-key ResolveLeafGroups run that records the path, then the leaf
+  // step (FetchLeaves). On success the returned path runs root → leaf.
+  // Aborts (Status::Aborted) on any safety check failure after invalidating
+  // implicated cache entries.
   Result<std::vector<PathEntry>> Traverse(DynamicTxn& txn, uint64_t sid,
                                           Addr root, const Slice& key,
                                           TraverseMode mode);
-
-  // --- Batched (level-synchronized) descent engine — descent.cc -----------
-  // The shared abort discipline of every batched descent: invalidate the
-  // implicated address plus everything the descent leaned on (`visited`),
-  // count the abort, and doom the transaction — same rules as Traverse.
+  // The abort discipline of every descent: invalidate the implicated
+  // address plus everything the descent leaned on (`visited`), count the
+  // abort, and doom the transaction.
   Status AbortDescent(DynamicTxn& txn, Addr at,
                       const std::vector<Addr>& visited, const char* reason,
                       AbortReason why = AbortReason::kStaleCachePointer);
-  // The §4.2/§5.2 node-settling checks shared by the batched descents:
-  // verify version lineage, follow discretionary-copy redirects with
-  // (cached) point hops — `*hop` is the caller's scratch storage, `*node`
-  // is repointed at it after a hop so the no-redirect common path stays
-  // zero-copy — and abort on an applicable real copy. On return `*at`
-  // names the settled content address; hop addresses join `visited`.
+  // The §4.2/§5.2 node-settling checks, the only copy of them: verify
+  // version lineage, follow discretionary-copy redirects with point hops
+  // (read with the leaf discipline when `as_leaf`, else cached) — `*hop`
+  // is the caller's scratch storage, `*node` is repointed at it after a
+  // hop so the no-redirect common path stays zero-copy — and abort on an
+  // applicable real copy. On return `*at` names the settled content
+  // address; hop addresses join `visited`.
   Status SettleNodeForSid(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
-                          const NodeView** node, FetchedNode* hop, Addr* at,
+                          bool as_leaf, const FetchedNode** node,
+                          FetchedNode* hop, Addr* at,
                           std::vector<Addr>* visited);
-  // --- The shared frontier-visitor (descent.cc) ----------------------------
   // One pending node of a level-synchronized walk: the address its PARENT
   // holds (what a later traversal must find in the parent again), the
   // height the parent promised (-1: unknown, the root), and an opaque
@@ -372,16 +373,19 @@ class BTree {
     // through the internal-read path (root == leaf, or a redirect): then
     // `node` is the settled content, `at` its address, and the engine has
     // already scrubbed it from the proxy cache.
-    std::function<Status(const FrontierItem&, const NodeView* node, Addr at)>
+    std::function<Status(const FrontierItem&, const FetchedNode* node,
+                         Addr at)>
         on_leaf;
-    // A settled internal node with at least one child. `level` counts fetch
+    // A settled internal node with at least one child; `node.raw` pins its
+    // image for as long as the consumer keeps a copy. `level` counts fetch
     // rounds from the roots (0-based). Push next-level items into `next` —
     // or none, to cut the walk below this node.
-    std::function<Status(const FrontierItem&, const NodeView& node, Addr at,
-                         uint32_t level, std::vector<FrontierItem>* next)>
+    std::function<Status(const FrontierItem&, const FetchedNode& node,
+                         Addr at, uint32_t level,
+                         std::vector<FrontierItem>* next)>
         on_internal;
   };
-  // The engine shared by every exhaustive or multi-key walk —
+  // The one tree walker, behind every descent — Traverse and
   // ResolveLeafGroups (per-key descents), PartitionRange (scan
   // partitioning), CollectTipPlacement (rebalancer/drain placement): the
   // whole frontier advances one level at a time, each level's distinct
@@ -391,56 +395,78 @@ class BTree {
   // node is decoded once, and every item settles through the §4.2/§5.2
   // version checks (SettleNodeForSid) and the promised-height check before
   // dispatching to the callbacks. Aborts (Status::Aborted) invalidate every
-  // implicated cache entry, exactly like Traverse; `visited` (caller-owned)
-  // collects every address the walk leaned on, so callbacks and the
-  // caller's own later aborts extend the same invalidation discipline.
+  // implicated cache entry; `visited` (caller-owned) collects every address
+  // the walk leaned on, so callbacks and the caller's own later aborts
+  // extend the same invalidation discipline.
   Status VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
                        bool validated_path, std::vector<FrontierItem> level,
                        const FrontierCallbacks& cb,
                        std::vector<Addr>* visited);
-  // Map a batch-fetch failure onto the abort discipline when it was caused
-  // by a stale pointer to a RETIRED memnode (elastic scale-in): retirement
+  // ONE round for `refs` through the `batch` read flavor; `(*out)[k].raw`
+  // receives refs[k]'s image. A lone ref — every level of a single-key
+  // operation — goes through `point`, the same flavor's point read: the
+  // same minitransaction, without the batch's dedupe bookkeeping.
+  static Status ReadRound(
+      DynamicTxn& txn, const std::vector<ObjectRef>& refs,
+      Result<Payload> (DynamicTxn::*point)(const ObjectRef&),
+      Result<std::vector<Payload>> (DynamicTxn::*batch)(
+          const std::vector<ObjectRef>&),
+      std::vector<FetchedNode>* out);
+  // Map a fetch failure onto the abort discipline when it was caused by a
+  // stale pointer to a RETIRED memnode (elastic scale-in): retirement
   // guarantees the node held no live slab, so any pointer at it is stale by
   // definition — invalidate and retry, instead of surfacing Unavailable.
   Status MaybeRetiredAbort(DynamicTxn& txn, Status st,
                            const std::vector<ObjectRef>& refs,
                            const std::vector<Addr>& visited);
 
-  // Keys that resolved to the same leaf, in key-index order. `addr` is the
-  // leaf's content address (after any discretionary hops of the inner
-  // descent; leaf-level hops are re-checked by the consumer's fetch).
+  // Keys that resolved to the same leaf, in key-index order; groups come
+  // in leaf-address order. `addr` is the leaf's content address (after any
+  // discretionary hops of the inner descent; FetchLeaves settles leaf-level
+  // hops).
   struct LeafGroup {
     Addr addr;
     std::vector<size_t> key_idx;
   };
-  // The shared cold-path engine: resolve every key's leaf address with a
-  // BFS frontier that walks ALL keys one level at a time. At each level,
-  // the distinct nodes no cache can serve are fetched in ONE batched
-  // minitransaction round (DirtyReadBatch — or ReadCachedBatch in the
-  // Aguilera baseline, where internal nodes join the read set), each node
-  // is decoded once, and every key advances through it under the Fig. 5 /
-  // §4.2 / §5.2 safety checks. A cold cache therefore pays ~depth rounds
-  // for ANY number of keys; a warm cache pays nothing, exactly as before.
-  // Discretionary-copy redirects fall back to (cached) point hops. Aborts
-  // (Status::Aborted) invalidate every implicated cache entry, like
-  // Traverse. Leaves are NOT fetched (only grouped): consumers batch-fetch
-  // them with the read discipline their mode requires. When `visited_out`
-  // is non-null it collects every address the descent leaned on, so the
-  // caller's own later aborts can extend the same invalidation discipline.
+  // Resolve every key's leaf address with a BFS frontier that walks ALL
+  // keys one level at a time. At each level, the distinct nodes no cache
+  // can serve are fetched in ONE batched minitransaction round
+  // (DirtyReadBatch — or ReadCachedBatch in the Aguilera baseline, where
+  // internal nodes join the read set), each node is decoded once, and
+  // every key advances through it under the Fig. 5 / §4.2 / §5.2 safety
+  // checks. A cold cache therefore pays ~depth rounds for ANY number of
+  // keys; a warm cache pays nothing. Leaves are NOT fetched (only grouped):
+  // FetchLeaves reads them. `visited` collects every address the descent
+  // leaned on. With a non-null `path` (one key only) the walk is recorded
+  // root → leaf: each settled internal node, then the leaf's entry with
+  // its content left for FetchLeaves.
   Status ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
                            TraverseMode mode,
                            const std::vector<std::string>& keys,
                            std::vector<LeafGroup>* groups,
-                           std::vector<Addr>* visited_out);
+                           std::vector<Addr>* visited,
+                           std::vector<PathEntry>* path = nullptr);
+  // The leaf step of every descent: fetch the groups' leaves in ONE round
+  // with `mode`'s read discipline (the tip's join the read set, a
+  // snapshot's are fetched fresh), settle each through SettleNodeForSid,
+  // and check that it is a leaf whose fences hold every key routed to it.
+  // On return `(*leaves)[g]` is group g's content and `(*groups)[g].addr`
+  // its settled address.
+  Status FetchLeaves(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
+                     const std::vector<std::string>& keys,
+                     std::vector<LeafGroup>* groups,
+                     std::vector<FetchedNode>* leaves,
+                     std::vector<Addr>* visited);
 
-  // Shared body of MultiGetInTxn / SnapshotMultiGet: resolve every key's
-  // leaf with ResolveLeafGroups, batch-fetch all distinct leaves in one
-  // minitransaction, then run the per-leaf safety checks (§4.2/§5.2
-  // version checks, fences, height) that Traverse would have run,
-  // aborting for retry on any failure.
+  // Shared body of MultiGetInTxn / SnapshotMultiGet (and, with one key, of
+  // GetAt): ResolveLeafGroups, then FetchLeaves, then the lookups.
   Status MultiGetAt(DynamicTxn& txn, uint64_t sid, Addr root,
                     TraverseMode mode, const std::vector<std::string>& keys,
                     std::vector<std::optional<std::string>>* values);
+  // Shared body of GetInTxn / SnapshotGet: a one-key MultiGetAt, NotFound
+  // when `key` is absent.
+  Status GetAt(DynamicTxn& txn, uint64_t sid, Addr root, TraverseMode mode,
+               const std::string& key, std::string* value);
 
   // Shared body of PutInTxn / InsertInTxn: traverse to the leaf under
   // `tip` and upsert `key`; with `strict`, fail AlreadyExists when the key

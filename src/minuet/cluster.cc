@@ -35,11 +35,6 @@ std::string MakeTempDataDir() {
 // Cluster
 
 Cluster::Cluster(ClusterOptions options) : options_(options) {
-  if (!options_.dirty_traversals) {
-    // The paper's baseline pairs validated traversals with the replicated
-    // seqnum table.
-    options_.replicate_internal_seqnums = true;
-  }
   layout_.node_size = options_.node_size;
   layout_.n_memnodes = options_.machines;
   // Elastic headroom: every derived layout offset is computed against this
@@ -400,7 +395,6 @@ rebalance::Rebalancer* Cluster::rebalancer() {
 Result<TreeHandle> Cluster::CreateTree(bool branching) {
   btree::TreeOptions topts;
   topts.dirty_traversals = options_.dirty_traversals;
-  topts.replicate_internal_seqnums = options_.replicate_internal_seqnums;
   topts.beta = options_.beta;
   topts.max_attempts = options_.max_op_attempts;
 

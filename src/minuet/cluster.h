@@ -74,10 +74,10 @@ struct ClusterOptions {
   // Cluster::AddProxy / RemoveProxy.
   uint32_t proxies = 0;
   uint32_t node_size = 4096;
+  // Paper §3 dirty traversals. OFF runs the Aguilera baseline of the
+  // paper's Fig. 10 comparison: validated paths plus the replicated
+  // internal-node seqnum table.
   bool dirty_traversals = true;
-  // Aguilera baseline (forced on automatically when dirty_traversals is
-  // off, as in the paper's Fig. 10 comparison).
-  bool replicate_internal_seqnums = false;
   bool replication = true;  // Sinfonia primary-backup
   uint32_t beta = 2;
   uint32_t alloc_batch = 32;

@@ -147,19 +147,99 @@ TEST_F(BTreeTest, SecondProxySeesCommittedData) {
 
 TEST_F(BTreeTest, StaleProxyCacheIsToleratedAfterSplits) {
   // Proxy 1 caches the internal structure, then proxy 0 splits nodes many
-  // times. Proxy 1's subsequent reads must still be correct (fence-key
-  // aborts + retry refresh the cache).
-  for (int i = 0; i < 50; i++) {
-    ASSERT_TRUE(tree(0).Put(EncodeUserKey(i), EncodeValue(i)).ok());
-  }
+  // times. Every kind of operation proxy 1 runs afterwards must still be
+  // correct (fence-key aborts + retry refresh the cache). Each operation
+  // starts from a freshly staled cache and must count a traversal abort,
+  // which shows it really walked a stale path.
+  int n_keys = 0;  // keys 0 .. n_keys-1 hold EncodeValue(key) unless noted
+  auto grow = [&](int to) {
+    for (; n_keys < to; n_keys++) {
+      ASSERT_TRUE(tree(0).Put(EncodeUserKey(n_keys), EncodeValue(n_keys)).ok());
+    }
+  };
+  // Warm proxy 1 on the current tree, then grow it through proxy 0.
+  auto stale_cache = [&](int to) {
+    std::string value;
+    ASSERT_TRUE(tree(1).Get(EncodeUserKey(n_keys / 2), &value).ok());
+    grow(to);
+  };
+  auto aborts = [&] { return tree(1).stats().traversal_aborts.Value(); };
+  auto run = [&](auto&& body) {
+    return txn::RunTransaction(cluster_->coord(), cluster_->cache(1), {}, 64,
+                               body);
+  };
+  grow(50);
+
+  // Get.
+  stale_cache(1200);
+  uint64_t before = aborts();
   std::string value;
-  ASSERT_TRUE(tree(1).Get(EncodeUserKey(25), &value).ok());  // warm cache
-  for (int i = 50; i < 1200; i++) {
-    ASSERT_TRUE(tree(0).Put(EncodeUserKey(i), EncodeValue(i)).ok());
-  }
   for (int i : {0, 25, 49, 50, 600, 1199}) {
     ASSERT_TRUE(tree(1).Get(EncodeUserKey(i), &value).ok()) << i;
     EXPECT_EQ(DecodeValue(value), static_cast<uint64_t>(i));
+  }
+  EXPECT_GT(aborts(), before) << "Get";
+
+  // MultiGet.
+  stale_cache(2400);
+  before = aborts();
+  const std::vector<std::string> keys = {EncodeUserKey(3), EncodeUserKey(1300),
+                                         EncodeUserKey(2399),
+                                         EncodeUserKey(5000)};
+  std::vector<std::optional<std::string>> values;
+  ASSERT_TRUE(run([&](txn::DynamicTxn& t) {
+                return tree(1).MultiGetInTxn(t, keys, &values);
+              }).ok());
+  ASSERT_EQ(values.size(), 4u);
+  EXPECT_EQ(DecodeValue(values[0].value_or("")), 3u);
+  EXPECT_EQ(DecodeValue(values[1].value_or("")), 1300u);
+  EXPECT_EQ(DecodeValue(values[2].value_or("")), 2399u);
+  EXPECT_FALSE(values[3].has_value());
+  EXPECT_GT(aborts(), before) << "MultiGet";
+
+  // Put.
+  stale_cache(3600);
+  before = aborts();
+  ASSERT_TRUE(tree(1).Put(EncodeUserKey(3500), EncodeValue(7)).ok());
+  EXPECT_GT(aborts(), before) << "Put";
+  ASSERT_TRUE(tree(0).Get(EncodeUserKey(3500), &value).ok());
+  EXPECT_EQ(DecodeValue(value), 7u);
+
+  // Remove.
+  stale_cache(4800);
+  before = aborts();
+  ASSERT_TRUE(tree(1).Remove(EncodeUserKey(4700)).ok());
+  EXPECT_GT(aborts(), before) << "Remove";
+  EXPECT_TRUE(tree(0).Get(EncodeUserKey(4700), &value).IsNotFound());
+
+  // WriteBatch (ApplyWritesInTxn).
+  stale_cache(6000);
+  before = aborts();
+  std::vector<BTree::WriteOp> ops(3);
+  ops[0] = {BTree::WriteOp::Kind::kPut, EncodeUserKey(10), EncodeValue(11)};
+  ops[1] = {BTree::WriteOp::Kind::kPut, EncodeUserKey(5900), EncodeValue(12)};
+  ops[2] = {BTree::WriteOp::Kind::kRemove, EncodeUserKey(5950), ""};
+  ASSERT_TRUE(run([&](txn::DynamicTxn& t) {
+                return tree(1).ApplyWritesInTxn(t, ops);
+              }).ok());
+  EXPECT_GT(aborts(), before) << "WriteBatch";
+  ASSERT_TRUE(tree(0).Get(EncodeUserKey(10), &value).ok());
+  EXPECT_EQ(DecodeValue(value), 11u);
+  ASSERT_TRUE(tree(0).Get(EncodeUserKey(5900), &value).ok());
+  EXPECT_EQ(DecodeValue(value), 12u);
+  EXPECT_TRUE(tree(0).Get(EncodeUserKey(5950), &value).IsNotFound());
+
+  // TipScan.
+  stale_cache(7200);
+  before = aborts();
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_TRUE(tree(1).TipScan(EncodeUserKey(7000), 150, &out).ok());
+  EXPECT_GT(aborts(), before) << "TipScan";
+  ASSERT_EQ(out.size(), 150u);
+  for (size_t i = 0; i < out.size(); i++) {
+    const int k = static_cast<int>(7000 + i);
+    EXPECT_EQ(out[i].first, EncodeUserKey(k));
+    EXPECT_EQ(DecodeValue(out[i].second), static_cast<uint64_t>(k));
   }
 }
 
@@ -215,7 +295,6 @@ TEST_F(BTreeTest, DirtyTraversalKeepsReadSetSmall) {
 TEST_F(BTreeTest, ValidatedTraversalPutsWholePathInReadSet) {
   TreeOptions topts;
   topts.dirty_traversals = false;
-  topts.replicate_internal_seqnums = true;
   Build({}, topts);
   for (int i = 0; i < 800; i++) {
     ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
@@ -231,7 +310,6 @@ TEST_F(BTreeTest, ValidatedTraversalPutsWholePathInReadSet) {
 TEST_F(BTreeTest, BaselineModeIsStillCorrect) {
   TreeOptions topts;
   topts.dirty_traversals = false;
-  topts.replicate_internal_seqnums = true;
   Build({}, topts);
   for (int i = 0; i < 1000; i++) {
     ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
@@ -431,7 +509,6 @@ TEST_P(BTreeSweepTest, InsertLookupScanHoldUnderConfig) {
                        .alloc_batch = 8});
   TreeOptions topts;
   topts.dirty_traversals = p.dirty;
-  topts.replicate_internal_seqnums = !p.dirty;
   auto trees = cluster.MakeTrees(0, topts);
   ASSERT_TRUE(trees[0]->CreateTree().ok());
 

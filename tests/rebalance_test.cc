@@ -455,6 +455,15 @@ TEST(ScaleInTest, RemoveMemnodeDrainsRetiresAndKeepsServing) {
   EXPECT_EQ(cluster.n_live_memnodes(), 3u);
   EXPECT_TRUE(cluster.coordinator()->retired(3));
 
+  auto aborts = [&](AbortReason reason) {
+    return cluster.coordinator()
+        ->metrics()
+        .txn_aborts[static_cast<unsigned>(reason)]
+        .Value();
+  };
+  const uint64_t retired_before = aborts(AbortReason::kRetiredMemnode);
+  const uint64_t stale_before = aborts(AbortReason::kStaleCachePointer);
+
   // Zero live slabs on the drained node (tip walk AND authoritative meta).
   auto counts = TipCounts(cluster, *tree);
   EXPECT_EQ(counts[3], 0u);
@@ -486,6 +495,13 @@ TEST(ScaleInTest, RemoveMemnodeDrainsRetiresAndKeepsServing) {
       EXPECT_EQ(DecodeValue(value), static_cast<uint64_t>(i));
     }
   }
+  // Every stale pointer the warm proxies still hold leads into the retired
+  // node (the drain only moved its slabs), so the walks and reads since
+  // the retirement aborted under the retired-memnode bucket alone — at the
+  // leaf fetch, and at the descent's pre-check for internal nodes — never
+  // as generic stale-cache-pointer aborts.
+  EXPECT_GT(aborts(AbortReason::kRetiredMemnode), retired_before);
+  EXPECT_EQ(aborts(AbortReason::kStaleCachePointer), stale_before);
   // The reclaim phase released the retained snapshots instead of creating
   // fresh ones, so no write after the removal has to copy its nodes.
   net::OpTrace trace;

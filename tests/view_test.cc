@@ -800,7 +800,7 @@ TEST(ViewTest, ColdApplyResolvesLeavesThroughBatchedDescent) {
 // per-key reads, warm and cold, and batched writes must still apply.
 TEST(ViewTest, BatchedPathsWorkWithValidatedTraversals) {
   ClusterOptions opts = SmallOptions();
-  opts.dirty_traversals = false;  // forces replicate_internal_seqnums too
+  opts.dirty_traversals = false;  // validated paths + replicated seqnums
   opts.node_size = 512;
   Cluster cluster(opts);
   auto tree = cluster.CreateTree();

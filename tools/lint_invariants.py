@@ -38,6 +38,13 @@ docs/ARCHITECTURE.md, "Concurrency invariants & tooling"):
                       in src/ outside src/txn/ is a second loop (its own
                       attempt budget, backoff and abort accounting).
                       Retry through RunTransaction instead.
+  one-settle          BTree::SettleNodeForSid is the one copy of the
+                      §4.2/§5.2 node checks (version lineage, applicable
+                      real or discretionary copy): a loop over a node's
+                      descendant_count() in src/btree/ outside it is a
+                      second copy, free to drift from the first (abort
+                      tags, hop read discipline). Settle through it
+                      instead.
   metrics             stat counters in src/ (outside src/obs/) must be
                       obs::Counter, not raw std::atomic integers — raw
                       atomics are invisible to the MetricsRegistry and
@@ -102,6 +109,14 @@ RAW_IO_RE = re.compile(
 TXN_CONSTRUCT_RE = re.compile(r"\bDynamicTxn\s+\w+\s*[({]")
 LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
 
+# Rule: one-settle. A loop over a NodeView's descendant set, and a
+# namespace-scope function definition (unindented, name before the first
+# '(') — the enclosing function such a loop belongs to.
+DESCENDANT_LOOP_RE = re.compile(
+    r"\b(?:for|while)\s*\(.*\bdescendant_count\s*\(")
+FUNCTION_DEF_RE = re.compile(r"^[A-Za-z_][\w:<>,*&\s]*?\b(\w+)\s*\(")
+SETTLE_FUNCTION = "SettleNodeForSid"
+
 # Rule: metrics. A raw std::atomic integer DECLARATION whose identifier
 # reads like a stat counter. Matches plain members/globals and array forms
 # (e.g. unique_ptr<std::atomic<uint64_t>[]>); loads/stores of such members
@@ -153,6 +168,8 @@ def lint_file(path, rel, findings):
 
     in_src = rel.startswith("src/")
     check_retry_loop = in_src and not rel.startswith("src/txn/")
+    check_one_settle = rel.startswith("src/btree/")
+    function = None  # enclosing namespace-scope function (one-settle)
     in_block_comment = False
     # Active exclusive guards: stack of brace depths at declaration.
     guard_depths = []
@@ -249,6 +266,19 @@ def lint_file(path, rel, findings):
                              "is held; route durable writes through "
                              "wal::Wal / store::* (guard declared at brace "
                              "depth %d)" % guard_depths[-1])
+            # --- one-settle --------------------------------------------
+            if check_one_settle:
+                m = FUNCTION_DEF_RE.match(code)
+                if m:
+                    function = m.group(1)
+                if (DESCENDANT_LOOP_RE.search(code)
+                        and function != SETTLE_FUNCTION
+                        and not allowed("one-settle", raw_lines, i)):
+                    findings.add(rel, lineno, "one-settle",
+                                 "descendant-set loop outside "
+                                 "BTree::SettleNodeForSid; settle the node "
+                                 "through it, the one copy of the "
+                                 "§4.2/§5.2 checks")
             # --- retry-loop --------------------------------------------
             constructs_txn = (check_retry_loop
                               and TXN_CONSTRUCT_RE.search(code)
