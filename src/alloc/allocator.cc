@@ -4,6 +4,8 @@
 
 namespace minuet::alloc {
 
+using txn::ReadMode;
+
 namespace {
 
 struct Meta {
@@ -144,7 +146,7 @@ Result<uint64_t> NodeAllocator::MetaLiveSlabs(MemnodeId m) {
   uint64_t live = 0;
   Status st = txn::RunTransaction(
       coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
-        auto raw = t.ReadView(layout_.MetaRef(m));
+        auto raw = t.Read(layout_.MetaRef(m), ReadMode::kValidated);
         if (!raw.ok()) return raw.status();
         const Meta meta = ParseMeta(raw->data, layout_);
         const uint64_t bumped =
@@ -217,7 +219,7 @@ Status NodeAllocator::Retire(MemnodeId m) {
   Status st = txn::RunTransaction(
       coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
         occupied = false;
-        auto raw = t.ReadView(layout_.MetaRef(m));
+        auto raw = t.Read(layout_.MetaRef(m), ReadMode::kValidated);
         if (!raw.ok()) return raw.status();
         const Meta meta = ParseMeta(raw->data, layout_);
         const uint64_t bumped =
@@ -253,7 +255,7 @@ Status NodeAllocator::FlushReservation(MemnodeId m) {
   Status st = txn::RunTransaction(
       coord_, nullptr, {}, 64,
       [&](txn::DynamicTxn& t) -> Status {
-        auto meta_raw = t.ReadView(layout_.MetaRef(m));
+        auto meta_raw = t.Read(layout_.MetaRef(m), ReadMode::kValidated);
         if (!meta_raw.ok()) return meta_raw.status();
         Meta meta = ParseMeta(meta_raw->data, layout_);
         for (const PooledSlab& slab : pool) {
@@ -296,13 +298,14 @@ Result<NodeAllocator::PooledSlab> NodeAllocator::TakeReserved(
     Status st = txn::RunTransaction(
         coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
           taken.clear();
-          auto meta_raw = t.ReadView(layout_.MetaRef(memnode));
+          auto meta_raw =
+              t.Read(layout_.MetaRef(memnode), ReadMode::kValidated);
           if (!meta_raw.ok()) return meta_raw.status();
           Meta meta = ParseMeta(meta_raw->data, layout_);
           uint64_t head = meta.free_head;
           while (head != 0 && taken.size() < options_.batch) {
             const ObjectRef head_ref = layout_.SlabRef(Addr{memnode, head});
-            auto link = t.ReadView(head_ref);
+            auto link = t.Read(head_ref, ReadMode::kValidated);
             if (!link.ok()) return link.status();
             taken.push_back(PooledSlab{head, t.ReadSeqnum(head_ref)});
             head = LinkNext(link->data);
@@ -317,7 +320,7 @@ Result<NodeAllocator::PooledSlab> NodeAllocator::TakeReserved(
             for (uint64_t off : run) {
               refs.push_back(layout_.SlabRef(Addr{memnode, off}));
             }
-            auto links = t.ReadBatchViews(refs);
+            auto links = t.Read(refs, ReadMode::kValidated);
             if (!links.ok()) return links.status();
             // Follow `next` through the run and stop where the two disagree:
             // only a verified chain prefix leaves the list.
@@ -380,7 +383,7 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
     live_[memnode]->fetch_sub(1, std::memory_order_relaxed);
     return st;
   };
-  auto meta_raw = txn.ReadView(layout_.MetaRef(memnode));
+  auto meta_raw = txn.Read(layout_.MetaRef(memnode), ReadMode::kValidated);
   if (!meta_raw.ok()) return fail(meta_raw.status());
   Meta meta = ParseMeta(meta_raw->data, layout_);
 
@@ -392,7 +395,7 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
     // Read the freed slab to learn the next free pointer (and to pull its
     // current seqnum into the read set so the re-initializing Write
     // validates).
-    auto raw = txn.ReadView(slab.ref);
+    auto raw = txn.Read(slab.ref, ReadMode::kValidated);
     if (!raw.ok()) return fail(raw.status());
     meta.free_head = LinkNext(raw->data);
     if (meta.free_count > 0) meta.free_count--;
@@ -415,7 +418,7 @@ Result<AllocatedSlab> NodeAllocator::AllocateAnywhere(txn::DynamicTxn& txn) {
 
 Status NodeAllocator::Free(txn::DynamicTxn& txn, Addr slab) {
   const MemnodeId memnode = slab.memnode;
-  auto meta_raw = txn.ReadView(layout_.MetaRef(memnode));
+  auto meta_raw = txn.Read(layout_.MetaRef(memnode), ReadMode::kValidated);
   if (!meta_raw.ok()) return meta_raw.status();
   Meta meta = ParseMeta(meta_raw->data, layout_);
 
@@ -436,7 +439,7 @@ Status NodeAllocator::Free(txn::DynamicTxn& txn, Addr slab) {
 Status NodeAllocator::FreeBatch(txn::DynamicTxn& txn, MemnodeId memnode,
                                 const std::vector<uint64_t>& offsets) {
   if (offsets.empty()) return Status::OK();
-  auto meta_raw = txn.ReadView(layout_.MetaRef(memnode));
+  auto meta_raw = txn.Read(layout_.MetaRef(memnode), ReadMode::kValidated);
   if (!meta_raw.ok()) return meta_raw.status();
   Meta meta = ParseMeta(meta_raw->data, layout_);
 

@@ -142,7 +142,7 @@ class NodeAllocator {
   // of the metadata object: the slabs are chained in order in front of the
   // old head, and each link carries the run of slabs behind it, so a refill
   // takes them back in one batched read. Read the slabs and MetaRef into
-  // `txn` first (one ReadBatchViews) or each write fetches on its own.
+  // `txn` first (one kValidated Read) or each write fetches on its own.
   Status FreeBatch(txn::DynamicTxn& txn, MemnodeId memnode,
                    const std::vector<uint64_t>& offsets);
 

@@ -7,7 +7,7 @@
 // cache cost ~K × depth coordinator rounds. The engine instead advances a
 // whole FRONTIER of keys one level at a time: every node the frontier needs
 // at a level — across ALL keys — is fetched in ONE batched minitransaction
-// (DynamicTxn::DirtyReadBatch, which also fills the cache per entry), each
+// (ReadNodes: a kDirty DynamicTxn::Read that also fills the cache), each
 // distinct node is decoded once, and every key steps through it under the
 // Fig. 5 safety checks (fence keys, height monotonicity) and the version
 // checks (lineage, copied-snapshot redirects, §4.2/§5.2). Cold cost becomes
@@ -86,58 +86,73 @@ Status BTree::SettleNodeForSid(DynamicTxn& txn, uint64_t sid,
     // target up front.
     stats_->redirects.Increment();
     *at = applicable.copy_addr;
-    auto fetched = FetchView(txn, *at, as_leaf, mode);
-    if (!fetched.ok()) {
-      if (fetched.status().IsCorruption()) {
-        return AbortDescent(txn, *at, *visited,
-                            "undecodable node (stale pointer)");
-      }
-      return MaybeRetiredAbort(txn, fetched.status(),
-                               {NodeRef(*at, !as_leaf)}, *visited);
-    }
-    *hop = std::move(fetched).value();
+    MINUET_RETURN_NOT_OK(ReadNodes(txn, at, 1, as_leaf, mode, *visited, hop));
     *node = hop;
     visited->push_back(*at);
   }
   return AbortDescent(txn, *at, *visited, "redirect chain did not terminate");
 }
 
-Status BTree::ReadRound(
-    DynamicTxn& txn, const std::vector<ObjectRef>& refs,
-    Result<Payload> (DynamicTxn::*point)(const ObjectRef&),
-    Result<std::vector<Payload>> (DynamicTxn::*batch)(
-        const std::vector<ObjectRef>&),
-    std::vector<FetchedNode>* out) {
-  out->resize(refs.size());
-  if (refs.size() == 1) {
-    auto one = (txn.*point)(refs[0]);
-    if (!one.ok()) return one.status();
-    (*out)[0].raw = std::move(one).value();
-    return Status::OK();
+ReadMode BTree::ReadModeFor(bool as_leaf, TraverseMode mode) const {
+  if (as_leaf) {
+    return mode == TraverseMode::kSnapshotRead ? ReadMode::kFresh
+                                               : ReadMode::kValidated;
   }
-  auto all = (txn.*batch)(refs);
-  if (!all.ok()) return all.status();
-  for (size_t k = 0; k < refs.size(); k++) (*out)[k].raw = std::move((*all)[k]);
-  return Status::OK();
+  if (mode == TraverseMode::kSnapshotRead ||
+      (mode == TraverseMode::kUpToDate && options_.dirty_traversals)) {
+    return ReadMode::kDirty;
+  }
+  return ReadMode::kCachedValidated;
 }
 
-Status BTree::MaybeRetiredAbort(DynamicTxn& txn, Status st,
-                                const std::vector<ObjectRef>& refs,
-                                const std::vector<Addr>& visited) {
+Status BTree::ReadNodes(DynamicTxn& txn, const Addr* addrs, size_t n,
+                        bool as_leaf, TraverseMode mode,
+                        const std::vector<Addr>& visited, FetchedNode* out) {
+  const ReadMode read_mode = ReadModeFor(as_leaf, mode);
+  Status st;
+  if (n == 1) {
+    auto one = txn.Read(layout().SlabRef(addrs[0]), read_mode);
+    if (one.ok() && out != nullptr) out[0].raw = std::move(one).value();
+    st = one.status();
+  } else {
+    std::vector<ObjectRef> refs;
+    refs.reserve(n);
+    for (size_t k = 0; k < n; k++) refs.push_back(layout().SlabRef(addrs[k]));
+    auto all = txn.Read(refs, read_mode);
+    if (all.ok() && out != nullptr) {
+      for (size_t k = 0; k < n; k++) out[k].raw = std::move((*all)[k]);
+    }
+    st = all.status();
+  }
   if (st.IsUnavailable()) {
-    for (const ObjectRef& r : refs) {
-      if (coord_->retired(r.addr.memnode)) {
-        return AbortDescent(txn, r.addr, visited,
+    for (size_t k = 0; k < n; k++) {
+      if (coord_->retired(addrs[k].memnode)) {
+        return AbortDescent(txn, addrs[k], visited,
                             "pointer to a retired memnode",
                             AbortReason::kRetiredMemnode);
       }
     }
   }
-  return st;
+  MINUET_RETURN_NOT_OK(st);
+  if (out == nullptr) return Status::OK();
+  for (size_t k = 0; k < n; k++) {
+    // The abort invalidates the WHOLE cached path, so the retry cannot
+    // walk the same dead pointer again.
+    if (!out[k].view.Init(out[k].raw.data).ok()) {
+      return AbortDescent(txn, addrs[k], visited,
+                          "undecodable node (stale pointer)");
+    }
+    // A cached-validated read learns the node's kind only now: an internal
+    // node validates against its replicated seqnum-table mirror at commit.
+    if (read_mode == ReadMode::kCachedValidated &&
+        !options_.dirty_traversals && !out[k].view.is_leaf()) {
+      txn.SetReadValidationMirror(addrs[k], layout().SeqSlotFor(addrs[k]));
+    }
+  }
+  return Status::OK();
 }
 
 Status BTree::VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
-                            bool validated_path,
                             std::vector<FrontierItem> level,
                             const FrontierCallbacks& cb,
                             std::vector<Addr>* visited) {
@@ -148,8 +163,8 @@ Status BTree::VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
   // Per-level scratch, reused across levels so a point operation's
   // one-item levels allocate once per walk rather than once per level.
   std::vector<FrontierItem> next;
-  std::vector<ObjectRef> refs;  // the level's distinct nodes, by address
-  std::vector<FetchedNode> nodes;  // parallel to refs
+  std::vector<Addr> addrs;  // the level's distinct nodes, ascending
+  std::vector<FetchedNode> nodes;  // parallel to addrs
 
   // Bound the walk defensively (a cyclic corruption would otherwise hang
   // the proxy).
@@ -170,64 +185,38 @@ Status BTree::VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
     if (level.empty()) return Status::OK();
 
     // ONE batched round fetches every distinct node this level needs.
-    // Items sharing a node are grouped by sorting the refs on address (no
-    // hash index: most levels hold a single item); an item finds its node
-    // by binary search.
-    refs.clear();
-    for (const FrontierItem& it : level) {
-      refs.push_back(validated_path ? layout().SlabRef(it.addr)
-                                    : NodeRef(it.addr, /*internal=*/true));
-    }
-    std::sort(refs.begin(), refs.end(),
-              [](const ObjectRef& a, const ObjectRef& b) {
-                return a.addr < b.addr;
-              });
-    refs.erase(std::unique(refs.begin(), refs.end(),
-                           [](const ObjectRef& a, const ObjectRef& b) {
-                             return a.addr == b.addr;
-                           }),
-               refs.end());
-    for (const ObjectRef& ref : refs) {
+    // Items sharing a node are grouped by sorting the addresses (no hash
+    // index: most levels hold a single item); an item finds its node by
+    // binary search.
+    addrs.clear();
+    for (const FrontierItem& it : level) addrs.push_back(it.addr);
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+    for (const Addr& addr : addrs) {
       // A pointer into a retired memnode can only come from a stale parent
       // (drains complete before retirement): abort-and-invalidate NOW. A
-      // fetch would be caught by MaybeRetiredAbort below, but a validated
-      // walk may serve this item from the proxy cache without fetching and
-      // only discover the retired home at commit — as a NON-retryable
-      // Unavailable that skips the cache-scrubbing retry discipline.
-      if (coord_->retired(ref.addr.memnode)) {
-        return AbortDescent(txn, ref.addr, *visited,
+      // fetch would be caught by ReadNodes, but a validated walk may serve
+      // this item from the proxy cache without fetching and only discover
+      // the retired home at commit — as a NON-retryable Unavailable that
+      // skips the cache-scrubbing retry discipline.
+      if (coord_->retired(addr.memnode)) {
+        return AbortDescent(txn, addr, *visited,
                             "pointer to a retired memnode",
                             AbortReason::kRetiredMemnode);
       }
     }
-    const Status fetched =
-        validated_path
-            ? ReadRound(txn, refs, &DynamicTxn::ReadCachedView,
-                        &DynamicTxn::ReadCachedBatchViews, &nodes)
-            : ReadRound(txn, refs, &DynamicTxn::DirtyReadView,
-                        &DynamicTxn::DirtyReadBatchViews, &nodes);
-    if (!fetched.ok()) return MaybeRetiredAbort(txn, fetched, refs, *visited);
-
     // Each distinct node gets ONE zero-copy view over its pinned image.
-    for (size_t k = 0; k < refs.size(); k++) {
-      const Addr at = refs[k].addr;
-      if (!nodes[k].view.Init(nodes[k].raw.data).ok()) {
-        return abort(at, "undecodable node (stale pointer)");
-      }
-      visited->push_back(at);
-      if (validated_path && !nodes[k].view.is_leaf() &&
-          !options_.dirty_traversals) {
-        txn.SetReadValidationMirror(at, layout().SeqSlotFor(at));
-      }
-    }
+    nodes.resize(addrs.size());
+    MINUET_RETURN_NOT_OK(ReadNodes(txn, addrs.data(), addrs.size(),
+                                   /*as_leaf=*/false, mode, *visited,
+                                   nodes.data()));
+    visited->insert(visited->end(), addrs.begin(), addrs.end());
 
     // Advance every item through its (shared) node.
     next.clear();
     for (const FrontierItem& it : level) {
-      const auto ref = std::lower_bound(
-          refs.begin(), refs.end(), it.addr,
-          [](const ObjectRef& r, const Addr& a) { return r.addr < a; });
-      const FetchedNode* node = &nodes[ref - refs.begin()];
+      const auto found = std::lower_bound(addrs.begin(), addrs.end(), it.addr);
+      const FetchedNode* node = &nodes[found - addrs.begin()];
       Addr at = it.addr;
       FetchedNode hop;  // content of a followed discretionary copy
       MINUET_RETURN_NOT_OK(SettleNodeForSid(txn, sid, mode, /*as_leaf=*/false,
@@ -293,13 +282,6 @@ Status BTree::ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
   std::vector<std::pair<Addr, size_t>> leaf_of;
   leaf_of.reserve(keys.size());
 
-  // In the Aguilera baseline the whole path joins the read set and
-  // validates against the replicated seqnum table at commit; level fetches
-  // then go through ReadCachedBatch so the batched descent keeps those
-  // semantics (still one round per level).
-  const bool validated_path =
-      mode == TraverseMode::kUpToDate && !options_.dirty_traversals;
-
   // One frontier item per key, tagged with the key's index.
   std::vector<FrontierItem> roots(keys.size());
   for (size_t i = 0; i < keys.size(); i++) {
@@ -332,7 +314,7 @@ Status BTree::ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
   // By reference: this descent runs on every single-key operation, and a
   // std::function holding the capture-heavy lambdas would allocate.
   MINUET_RETURN_NOT_OK(VisitFrontier(
-      txn, sid, mode, validated_path, std::move(roots),
+      txn, sid, mode, std::move(roots),
       FrontierCallbacks{std::ref(on_leaf), std::ref(on_internal)}, visited));
 
   // Group by leaf address; within a group the key indices ascend, so ops
@@ -353,25 +335,16 @@ Status BTree::FetchLeaves(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
                           std::vector<LeafGroup>* groups,
                           std::vector<FetchedNode>* leaves,
                           std::vector<Addr>* visited) {
-  std::vector<ObjectRef> refs;
-  refs.reserve(groups->size());
-  for (const LeafGroup& g : *groups) {
-    refs.push_back(NodeRef(g.addr, /*internal=*/false));
-  }
-  const Status fetched =
-      mode == TraverseMode::kUpToDate
-          ? ReadRound(txn, refs, &DynamicTxn::ReadView,
-                      &DynamicTxn::ReadBatchViews, leaves)
-          : ReadRound(txn, refs, &DynamicTxn::FetchFreshView,
-                      &DynamicTxn::FetchFreshBatchViews, leaves);
-  if (!fetched.ok()) return MaybeRetiredAbort(txn, fetched, refs, *visited);
+  std::vector<Addr> addrs;
+  addrs.reserve(groups->size());
+  for (const LeafGroup& g : *groups) addrs.push_back(g.addr);
+  leaves->resize(addrs.size());
+  MINUET_RETURN_NOT_OK(ReadNodes(txn, addrs.data(), addrs.size(),
+                                 /*as_leaf=*/true, mode, *visited,
+                                 leaves->data()));
   for (size_t g = 0; g < groups->size(); g++) {
     LeafGroup& group = (*groups)[g];
     FetchedNode& leaf = (*leaves)[g];
-    if (!leaf.view.Init(leaf.raw.data).ok()) {
-      return AbortDescent(txn, group.addr, *visited,
-                          "undecodable leaf (stale pointer)");
-    }
     const FetchedNode* node = &leaf;
     FetchedNode hop;
     MINUET_RETURN_NOT_OK(SettleNodeForSid(txn, sid, mode, /*as_leaf=*/true,
@@ -415,19 +388,15 @@ Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
                                          TraverseMode::kUpToDate, keys,
                                          &groups, &visited));
   {
-    // Fetch only: each flush's Traverse below settles its leaf from the
-    // read set.
-    std::vector<ObjectRef> refs;
-    refs.reserve(groups.size());
-    for (const LeafGroup& g : groups) {
-      refs.push_back(NodeRef(g.addr, /*internal=*/false));
-    }
-    auto payloads = txn.ReadBatchViews(refs);
-    if (!payloads.ok()) {
-      // `visited` lets a retired-pointer abort invalidate the cached
-      // inner path that produced the stale leaf address.
-      return MaybeRetiredAbort(txn, payloads.status(), refs, visited);
-    }
+    // Fetch only, with no views: each flush's Traverse below settles its
+    // leaf from the read set. `visited` lets a retired-pointer abort
+    // invalidate the cached inner path that produced a stale leaf address.
+    std::vector<Addr> addrs;
+    addrs.reserve(groups.size());
+    for (const LeafGroup& g : groups) addrs.push_back(g.addr);
+    MINUET_RETURN_NOT_OK(ReadNodes(txn, addrs.data(), addrs.size(),
+                                   /*as_leaf=*/true, TraverseMode::kUpToDate,
+                                   visited, /*out=*/nullptr));
   }
 
   // Apply the ops grouped per leaf: ONE traversal and ONE leaf mutation
@@ -541,7 +510,6 @@ Result<std::vector<BTree::ScanPartition>> BTree::PartitionRange(
     };
     MINUET_RETURN_NOT_OK(
         VisitFrontier(txn, snap.sid, TraverseMode::kSnapshotRead,
-                      /*validated_path=*/false,
                       {FrontierItem{snap.root, -1, 0}}, cb, &visited));
     if (parts.empty()) {
       parts.push_back(ScanPartition{start, end, snap.root.memnode});
@@ -573,13 +541,13 @@ Result<uint32_t> BTree::Depth() {
   Status st = Transact([&](DynamicTxn& txn) -> Status {
     auto tip = ReadTipInTxn(txn, Tip::Linear(), /*for_write=*/false);
     if (!tip.ok()) return tip.status();
-    auto node = FetchView(txn, tip->root, /*as_leaf=*/false,
-                          TraverseMode::kSnapshotRead);
-    if (!node.ok()) return node.status();
-    if (node->view.is_leaf() && cache_ != nullptr) {
+    FetchedNode node;
+    MINUET_RETURN_NOT_OK(ReadNodes(txn, &tip->root, 1, /*as_leaf=*/false,
+                                   TraverseMode::kSnapshotRead, {}, &node));
+    if (node.view.is_leaf() && cache_ != nullptr) {
       cache_->Invalidate(tip->root);
     }
-    depth = node->view.height() + 1u;
+    depth = node.view.height() + 1u;
     return Status::OK();
   });
   if (!st.ok()) return st;

@@ -59,7 +59,7 @@ Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
       }
       return Status::OK();
     };
-    // validated_path: placement is a control-plane listing that must be
+    // kValidatedPath: placement is a control-plane listing that must be
     // authoritative no matter which BTree instance runs it. Dirty reads
     // would happily serve a stale cached parent whose child pointer a
     // migration (run through a DIFFERENT instance, e.g. the catalog's
@@ -68,8 +68,7 @@ Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
     // forever. Joining the walk into the read set makes the commit inside
     // Transact validate every internal node; a stale parent aborts, the
     // retry refetches fresh state, and the listing converges to the truth.
-    return VisitFrontier(txn, tip->sid, TraverseMode::kUpToDate,
-                         /*validated_path=*/true,
+    return VisitFrontier(txn, tip->sid, TraverseMode::kValidatedPath,
                          {FrontierItem{tip->root, -1, 0}}, cb, &visited);
   });
 }
@@ -108,7 +107,7 @@ Status BTree::MigrateNodeInTxn(DynamicTxn& txn, const NodePlacement& expected,
   // during traversal, and the copy must base on bytes the commit validates
   // (for the leaf this is a read-set hit).
   const bool internal = entry.view.height() > 0;
-  auto raw = txn.ReadView(NodeRef(entry.addr, internal));
+  auto raw = txn.Read(NodeRef(entry.addr, internal), ReadMode::kValidated);
   if (!raw.ok()) return raw.status();
   auto decoded = Node::Decode(raw->data);
   if (!decoded.ok()) {
@@ -140,7 +139,8 @@ Status BTree::MigrateNodeInTxn(DynamicTxn& txn, const NodePlacement& expected,
     // validated content into the path, and let ApplyLeafMutation run the
     // CoW-aware write-back (copying/propagating up to the root as needed).
     PathEntry& parent = (*path)[i - 1];
-    auto praw = txn.ReadView(NodeRef(parent.addr, /*internal=*/true));
+    auto praw = txn.Read(NodeRef(parent.addr, /*internal=*/true),
+                         ReadMode::kValidated);
     if (!praw.ok()) return praw.status();
     auto pdecoded = Node::Decode(praw->data);
     if (!pdecoded.ok()) {

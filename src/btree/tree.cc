@@ -120,7 +120,8 @@ Result<TipContext> BTree::ReadTipInTxn(DynamicTxn& txn, Tip tip,
                                        bool for_write) {
   TipContext ctx;
   if (tip.branch) {
-    auto raw = txn.ReadCachedView(layout().CatalogRef(tree_slot_, tip.sid));
+    auto raw = txn.Read(layout().CatalogRef(tree_slot_, tip.sid),
+                        ReadMode::kCachedValidated);
     if (!raw.ok()) return raw.status();
     const CatalogEntry entry = DecodeCatalogEntry(raw->data);
     if (entry.root == sinfonia::kNullAddr) {
@@ -153,7 +154,7 @@ Result<TipContext> BTree::ReadTipInTxn(DynamicTxn& txn, Tip tip,
     ctx.sid = DecodeTipId(*id_raw);
     ctx.root = DecodeRootLoc(*root_raw);
   } else {
-    auto raw = txn.ReadCachedBatchViews({id_ref, root_ref});
+    auto raw = txn.Read({id_ref, root_ref}, ReadMode::kCachedValidated);
     if (!raw.ok()) return raw.status();
     ctx.sid = DecodeTipId((*raw)[0].data);
     ctx.root = DecodeRootLoc((*raw)[1].data);
@@ -171,46 +172,12 @@ Status BTree::PublishRoot(DynamicTxn& txn, const TipContext& tip,
                      EncodeRootLoc(new_root));
   }
   const ObjectRef ref = layout().CatalogRef(tree_slot_, tip.sid);
-  auto raw = txn.ReadView(ref);  // read-set hit: already validated
+  // A read-set hit: already validated.
+  auto raw = txn.Read(ref, ReadMode::kValidated);
   if (!raw.ok()) return raw.status();
   CatalogEntry entry = DecodeCatalogEntry(raw->data);
   entry.root = new_root;
   return txn.Write(ref, EncodeCatalogEntry(entry));
-}
-
-// ---------------------------------------------------------------------------
-// Node fetch (the walks themselves live in descent.cc)
-
-Result<BTree::FetchedNode> BTree::FetchView(DynamicTxn& txn, Addr addr,
-                                            bool as_leaf, TraverseMode mode) {
-  Result<Payload> raw = Status::Aborted("");
-  if (as_leaf) {
-    // Leaves are never served from the proxy cache.
-    raw = mode == TraverseMode::kUpToDate
-              ? txn.ReadView(NodeRef(addr, /*internal=*/false))
-              : txn.FetchFreshView(NodeRef(addr, /*internal=*/false));
-  } else if (options_.dirty_traversals || mode == TraverseMode::kSnapshotRead) {
-    raw = txn.DirtyReadView(NodeRef(addr, /*internal=*/true));
-  } else {
-    // Aguilera baseline: the whole path joins the read set; internal nodes
-    // come from the proxy cache and validate against the replicated seqnum
-    // table at commit. The node's kind is only known after the header is
-    // parsed, so fetch with a plain ref and upgrade the mirror below.
-    raw = txn.ReadCachedView(layout().SlabRef(addr));
-  }
-  if (!raw.ok()) return raw.status();
-  FetchedNode out;
-  out.raw = std::move(raw).value();
-  // A view-init failure (freed or garbage slab reached through a stale
-  // pointer) surfaces as Corruption; the descent converts it into an abort
-  // that invalidates the WHOLE cached path, so the retry cannot walk the
-  // same dead pointer again.
-  MINUET_RETURN_NOT_OK(out.view.Init(out.raw.data));
-  if (!out.view.is_leaf() && !as_leaf && !options_.dirty_traversals &&
-      mode == TraverseMode::kUpToDate) {
-    txn.SetReadValidationMirror(addr, layout().SeqSlotFor(addr));
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -233,8 +200,8 @@ Result<Addr> BTree::WriteFreshNodeAt(DynamicTxn& txn, const Node& node,
     ref.rep_seq_offset = layout().SeqSlotFor(ref.addr);
   }
   Status st = slab->known_seqnum
-                  ? txn.WriteNewStable(ref, image, *slab->known_seqnum)
-                  : txn.WriteStable(ref, image);
+                  ? txn.WriteNew(ref, image, *slab->known_seqnum)
+                  : txn.Write(ref, image);
   if (!st.ok()) return st;
   return ref.addr;
 }
@@ -296,15 +263,16 @@ Status BTree::RecordCopy(DynamicTxn& txn, Addr old_addr, Node old_node,
     stats_->discretionary_copies.Increment();
   }
 
-  return txn.WriteStable(NodeRef(old_addr, old_node.height > 0),
-                         old_node.EncodeToArena(txn.arena()));
+  return txn.Write(NodeRef(old_addr, old_node.height > 0),
+                   old_node.EncodeToArena(txn.arena()));
 }
 
 Result<Addr> BTree::CopyNodeInTxn(DynamicTxn& txn, Addr node_addr,
                                   uint64_t sid, bool record_copy) {
   // Transactional read: the copied content is validated through commit.
   // This is a mutation path, so the full decode is intentional.
-  auto raw = txn.ReadView(NodeRef(node_addr, /*internal=*/true));
+  auto raw =
+      txn.Read(NodeRef(node_addr, /*internal=*/true), ReadMode::kValidated);
   if (!raw.ok()) return raw.status();
   auto decoded = Node::Decode(raw->data);
   if (!decoded.ok()) return decoded.status();
@@ -357,7 +325,8 @@ Status BTree::ApplyLeafMutation(DynamicTxn& txn, const TipContext& tip,
     } else {
       // Internal nodes were (possibly) dirty-read; mutating one requires a
       // transactional re-read so the edit bases on validated content.
-      auto raw = txn.ReadView(NodeRef(addr, /*internal=*/true));
+      auto raw =
+          txn.Read(NodeRef(addr, /*internal=*/true), ReadMode::kValidated);
       if (!raw.ok()) return raw.status();
       auto decoded = Node::Decode(raw->data);
       if (!decoded.ok()) {
@@ -436,8 +405,8 @@ Status BTree::ApplyLeafMutation(DynamicTxn& txn, const TipContext& tip,
       new_child = target;
     } else {
       MINUET_RETURN_NOT_OK(
-          txn.WriteStable(NodeRef(addr, modified.height > 0),
-                          modified.EncodeToArena(txn.arena())));
+          txn.Write(NodeRef(addr, modified.height > 0),
+                    modified.EncodeToArena(txn.arena())));
       old_child = path[i].link_addr;
       new_child = path[i].link_addr;
     }
@@ -597,7 +566,7 @@ Status BTree::Remove(const std::string& key, Tip tip) {
 // horizon and fail fast with a clear status.
 Status BTree::CheckGcHorizon(uint64_t sid) {
   DynamicTxn txn(coord_, /*cache=*/nullptr);
-  auto raw = txn.FetchFreshView(layout().LowestSidRef(tree_slot_));
+  auto raw = txn.Read(layout().LowestSidRef(tree_slot_), ReadMode::kFresh);
   if (raw.ok() && DecodeTipId(raw->data) > sid) {
     // Non-retryable (the snapshot is gone for good), but worth a taxonomy
     // bucket: persistent retries that die here are a GC-pacing signal.
@@ -702,9 +671,11 @@ Status BTree::TipScan(
 // Snapshot creation (Fig. 6)
 
 Result<SnapshotRef> BTree::CreateSnapshotInTxn(DynamicTxn& txn) {
-  auto sid_raw = txn.ReadView(layout().TipIdRef(tree_slot_));
+  auto sid_raw =
+      txn.Read(layout().TipIdRef(tree_slot_), ReadMode::kValidated);
   if (!sid_raw.ok()) return sid_raw.status();
-  auto root_raw = txn.ReadView(layout().TipRootRef(tree_slot_));
+  auto root_raw =
+      txn.Read(layout().TipRootRef(tree_slot_), ReadMode::kValidated);
   if (!root_raw.ok()) return root_raw.status();
   const uint64_t sid = DecodeTipId(sid_raw->data);
   const Addr loc = DecodeRootLoc(root_raw->data);

@@ -39,6 +39,7 @@ using alloc::NodeAllocator;
 using txn::DynamicTxn;
 using txn::ObjectCache;
 using txn::ObjectRef;
+using txn::ReadMode;
 
 struct TreeOptions {
   // Paper §3: traverse internal levels with dirty reads. OFF reproduces the
@@ -293,9 +294,15 @@ class BTree {
   void set_oracle(const VersionOracle* oracle) { oracle_ = oracle; }
 
  private:
+  // Which version a descent reads, and so its read discipline
+  // (ReadModeFor).
   enum class TraverseMode {
-    kUpToDate,      // leaf joins the read set; abort on applicable copies
-    kSnapshotRead,  // nothing joins the read set; follow applicable copies
+    kUpToDate,      // the tip: the leaf joins the read set
+    kSnapshotRead,  // a snapshot: nothing joins the read set
+    // The tip with every internal node joining the read set too, whatever
+    // dirty_traversals says: control-plane listings that must be
+    // authoritative (CollectTipPlacement).
+    kValidatedPath,
   };
 
   // A fetched node on the read path: the pinned image bytes plus the
@@ -321,14 +328,6 @@ class BTree {
 
   ObjectRef NodeRef(Addr addr, bool internal) const;
   uint32_t capacity() const { return layout().slab_payload_len(); }
-
-  // Fetch a node as a zero-copy view. `as_leaf` selects the access path
-  // (dirty/cached vs validated leaf read). An undecodable image — a freed
-  // or garbage slab reached through a stale pointer — surfaces as
-  // Corruption; a pointer into a retired memnode as the fetch's own
-  // Unavailable, which MaybeRetiredAbort turns into a retry.
-  Result<FetchedNode> FetchView(DynamicTxn& txn, Addr addr, bool as_leaf,
-                                TraverseMode mode);
 
   // --- The descent engine — descent.cc -------------------------------------
   // Fig. 5 traversal plus the §4.2/§5.2 version checks for one key: a
@@ -389,36 +388,41 @@ class BTree {
   // ResolveLeafGroups (per-key descents), PartitionRange (scan
   // partitioning), CollectTipPlacement (rebalancer/drain placement): the
   // whole frontier advances one level at a time, each level's distinct
-  // nodes are fetched in ONE batched minitransaction round (DirtyReadBatch
-  // filling the cache — or, with `validated_path`, the Aguilera baseline's
-  // ReadCachedBatch joining the read set with seqnum-table mirrors), each
-  // node is decoded once, and every item settles through the §4.2/§5.2
-  // version checks (SettleNodeForSid) and the promised-height check before
+  // nodes are fetched in ONE minitransaction round (ReadNodes, with the
+  // internal-node discipline ReadModeFor gives `mode`), each node is
+  // decoded once, and every item settles through the §4.2/§5.2 version
+  // checks (SettleNodeForSid) and the promised-height check before
   // dispatching to the callbacks. Aborts (Status::Aborted) invalidate every
   // implicated cache entry; `visited` (caller-owned) collects every address
   // the walk leaned on, so callbacks and the caller's own later aborts
   // extend the same invalidation discipline.
   Status VisitFrontier(DynamicTxn& txn, uint64_t sid, TraverseMode mode,
-                       bool validated_path, std::vector<FrontierItem> level,
+                       std::vector<FrontierItem> level,
                        const FrontierCallbacks& cb,
                        std::vector<Addr>* visited);
-  // ONE round for `refs` through the `batch` read flavor; `(*out)[k].raw`
-  // receives refs[k]'s image. A lone ref — every level of a single-key
-  // operation — goes through `point`, the same flavor's point read: the
-  // same minitransaction, without the batch's dedupe bookkeeping.
-  static Status ReadRound(
-      DynamicTxn& txn, const std::vector<ObjectRef>& refs,
-      Result<Payload> (DynamicTxn::*point)(const ObjectRef&),
-      Result<std::vector<Payload>> (DynamicTxn::*batch)(
-          const std::vector<ObjectRef>&),
-      std::vector<FetchedNode>* out);
-  // Map a fetch failure onto the abort discipline when it was caused by a
-  // stale pointer to a RETIRED memnode (elastic scale-in): retirement
-  // guarantees the node held no live slab, so any pointer at it is stale by
-  // definition — invalidate and retry, instead of surfacing Unavailable.
-  Status MaybeRetiredAbort(DynamicTxn& txn, Status st,
-                           const std::vector<ObjectRef>& refs,
-                           const std::vector<Addr>& visited);
+  // The read discipline of a node fetch, the one place it is chosen.
+  // Leaves are never served from the proxy cache: the tip's join the read
+  // set (kValidated), a snapshot's are fetched fresh (kFresh, §4.2).
+  // Internal nodes are dirty reads (kDirty, §3) — except in the Aguilera
+  // baseline (no dirty_traversals) and on a kValidatedPath walk, where
+  // they come from the proxy cache and join the read set
+  // (kCachedValidated).
+  ReadMode ReadModeFor(bool as_leaf, TraverseMode mode) const;
+  // ONE round that reads the nodes at addrs[0..n) with ReadModeFor(as_leaf,
+  // mode) and gives each its zero-copy view: out[k] is addrs[k]'s. A lone
+  // node — every level of a single-key operation — takes the point
+  // overload of DynamicTxn::Read, so it allocates no result vector. In
+  // the Aguilera baseline a kCachedValidated internal node validates
+  // against the replicated seqnum table. An undecodable image (a freed or
+  // garbage slab reached through a stale pointer) aborts the descent, and
+  // so does a fetch that failed on a RETIRED memnode (elastic scale-in):
+  // retirement guarantees the node held no live slab, so any pointer at
+  // it is stale by definition — invalidate `visited` and retry, instead
+  // of surfacing Unavailable. A null `out` only fetches (ApplyWritesInTxn's
+  // leaf prefetch into the read set) and builds no views.
+  Status ReadNodes(DynamicTxn& txn, const Addr* addrs, size_t n,
+                   bool as_leaf, TraverseMode mode,
+                   const std::vector<Addr>& visited, FetchedNode* out);
 
   // Keys that resolved to the same leaf, in key-index order; groups come
   // in leaf-address order. `addr` is the leaf's content address (after any
@@ -430,16 +434,16 @@ class BTree {
   };
   // Resolve every key's leaf address with a BFS frontier that walks ALL
   // keys one level at a time. At each level, the distinct nodes no cache
-  // can serve are fetched in ONE batched minitransaction round
-  // (DirtyReadBatch — or ReadCachedBatch in the Aguilera baseline, where
-  // internal nodes join the read set), each node is decoded once, and
-  // every key advances through it under the Fig. 5 / §4.2 / §5.2 safety
-  // checks. A cold cache therefore pays ~depth rounds for ANY number of
-  // keys; a warm cache pays nothing. Leaves are NOT fetched (only grouped):
-  // FetchLeaves reads them. `visited` collects every address the descent
-  // leaned on. With a non-null `path` (one key only) the walk is recorded
-  // root → leaf: each settled internal node, then the leaf's entry with
-  // its content left for FetchLeaves.
+  // can serve are fetched in ONE minitransaction round (dirty reads — or,
+  // in the Aguilera baseline, cached reads that join the read set), each
+  // node is decoded once, and every key advances through it under the
+  // Fig. 5 / §4.2 / §5.2 safety checks. A cold cache therefore pays
+  // ~depth rounds for ANY number of keys; a warm cache pays nothing.
+  // Leaves are NOT fetched (only grouped): FetchLeaves reads them.
+  // `visited` collects every address the descent leaned on. With a
+  // non-null `path` (one key only) the walk is recorded root → leaf: each
+  // settled internal node, then the leaf's entry with its content left
+  // for FetchLeaves.
   Status ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
                            TraverseMode mode,
                            const std::vector<std::string>& keys,

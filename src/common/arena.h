@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -37,13 +38,14 @@ class Arena {
   char* Allocate(size_t n) {
     bytes_requested_ += n;
     if (n > kOversize) {
-      blocks_.push_back(std::make_unique<char[]>(n));
-      return blocks_.back().get();
+      blocks_.push_back(Block{std::make_unique<char[]>(n), n});
+      return blocks_.back().data.get();
     }
     const size_t aligned = (n + 7) & ~size_t{7};
     if (aligned > avail_) {
-      blocks_.push_back(std::make_unique<char[]>(kBlockSize));
-      ptr_ = blocks_.back().get();
+      blocks_.push_back(
+          Block{std::make_unique<char[]>(kBlockSize), kBlockSize});
+      ptr_ = blocks_.back().data.get();
       avail_ = kBlockSize;
     }
     char* out = ptr_;
@@ -60,6 +62,19 @@ class Arena {
     return Slice(buf, s.size());
   }
 
+  // Whether `s` lies inside one of this arena's blocks — bytes the arena
+  // already holds stably, which need no Dup. Walks the blocks: an arena
+  // holds few.
+  bool Owns(const Slice& s) const {
+    if (s.empty()) return false;
+    const auto p = reinterpret_cast<uintptr_t>(s.data());
+    for (const Block& b : blocks_) {
+      const auto base = reinterpret_cast<uintptr_t>(b.data.get());
+      if (p >= base && p + s.size() <= base + b.size) return true;
+    }
+    return false;
+  }
+
   // Drop every block. Outstanding pointers/Slices into the arena become
   // dangling — only call between uses (bench loops, pooled transactions).
   void Reset() {
@@ -74,7 +89,11 @@ class Arena {
   size_t block_count() const { return blocks_.size(); }
 
  private:
-  std::vector<std::unique_ptr<char[]>> blocks_;
+  struct Block {
+    std::unique_ptr<char[]> data;
+    size_t size;
+  };
+  std::vector<Block> blocks_;
   char* ptr_ = nullptr;
   size_t avail_ = 0;
   size_t bytes_requested_ = 0;

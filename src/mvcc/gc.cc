@@ -8,6 +8,7 @@ namespace minuet::mvcc {
 
 using sinfonia::Addr;
 using sinfonia::MemnodeId;
+using txn::ReadMode;
 
 namespace {
 
@@ -62,7 +63,7 @@ Status GarbageCollector::FreeCandidates(MemnodeId m,
         // allocator metadata, so the commit validates every slab it frees.
         // Each attempt judges them again: a slab that stopped being garbage
         // drops out of the batch.
-        auto images = txn.ReadBatchViews(refs);
+        auto images = txn.Read(refs, ReadMode::kValidated);
         if (!images.ok()) return images.status();
         skipped = Report();
         garbage.clear();
@@ -99,7 +100,7 @@ Status GarbageCollector::CollectBatch(MemnodeId m,
   std::vector<uint64_t> candidates;
   {
     txn::DynamicTxn scan(tree_->coordinator(), /*cache=*/nullptr);
-    auto images = scan.FetchFreshBatchViews(slabs);
+    auto images = scan.Read(slabs, ReadMode::kFresh);
     if (!images.ok()) {
       if (!images.status().IsRetryable()) return images.status();
       report->skipped_live += slabs.size();
@@ -127,7 +128,8 @@ Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
   // Publish the horizon so other proxies / tools can observe it.
   Status pub = txn::RunTransaction(
       coord, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
-        auto cur = t.ReadView(layout.LowestSidRef(tree_->tree_slot()));
+        auto cur = t.Read(layout.LowestSidRef(tree_->tree_slot()),
+                          ReadMode::kValidated);
         if (!cur.ok()) return cur.status();
         if (btree::DecodeTipId(cur->data) >= lowest_sid) return Status::OK();
         return t.Write(layout.LowestSidRef(tree_->tree_slot()),

@@ -167,7 +167,8 @@ Status SnapshotService::ReleaseUnpinned() {
   MINUET_RETURN_NOT_OK(txn::RunTransaction(
       tree_->coordinator(), /*cache=*/nullptr, {},
       tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
-        auto raw = txn.ReadView(tree_->layout().TipIdRef(tree_->tree_slot()));
+        auto raw = txn.Read(tree_->layout().TipIdRef(tree_->tree_slot()),
+                            txn::ReadMode::kValidated);
         if (!raw.ok()) return raw.status();
         tip = btree::DecodeTipId(raw->data);
         return Status::OK();

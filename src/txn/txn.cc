@@ -1,6 +1,6 @@
 #include "txn/txn.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace minuet::txn {
 
@@ -46,170 +46,84 @@ void DynamicTxn::AddSeqCompare(MiniTxn* mtx, const ReadRecord& rec,
   }
 }
 
-Result<DynamicTxn::ReadRecord> DynamicTxn::Fetch(const ObjectRef& ref) {
-  const MemnodeId home = ReadHome(ref);
-  MiniTxn mtx;
-  mtx.AddRead(Addr{home, ref.addr.offset}, ref.total_len());
-  if (options_.piggyback_validation) {
-    for (const ReadRecord& r : reads_) AddSeqCompare(&mtx, r, home);
-  }
-  MiniResult result;
-  MINUET_RETURN_NOT_OK(coord_->Execute(mtx, &result));
-  if (!result.committed) {
-    // Piggy-backed validation failed: some object read earlier has been
-    // overwritten. The transaction cannot commit; abort now.
-    MarkAborted(AbortReason::kValidationConflict);
-    if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->validation_aborts++;
-    return Status::Aborted(AbortReason::kValidationConflict,
-                           "piggyback validation failed");
-  }
-  // Every read-set record compared above held its seqnum at this instant.
-  if (options_.piggyback_validation) validated_reads_ = reads_.size();
-  ReadRecord rec;
-  rec.ref = ref;
-  rec.seqnum = ObjectSeqnum(result.read_results[0]);
-  // Strip the seqnum header in place (memmove) and pin the payload bytes
-  // behind a shared owner: every later view of this record is a refcount
-  // bump, not a copy.
-  rec.payload = Payload::Of(std::make_shared<const std::string>(
-      TakeObjectPayload(std::move(result.read_results[0]))));
-  return rec;
-}
-
-Result<Payload> DynamicTxn::ReadView(const ObjectRef& ref) {
-  if (doomed_) return DoomedStatus();
-  if (auto it = write_index_.find(ref.addr); it != write_index_.end()) {
-    return Payload::Borrowed(writes_[it->second].payload);
-  }
-  if (auto it = read_index_.find(ref.addr); it != read_index_.end()) {
-    return reads_[it->second].payload;
-  }
-  auto fetched = Fetch(ref);
-  if (!fetched.ok()) return fetched.status();
+void DynamicTxn::JoinReadSet(const ObjectRef& ref, uint64_t seqnum,
+                             Payload payload) {
   read_index_.emplace(ref.addr, reads_.size());
-  reads_.push_back(std::move(fetched).value());
-  // The new record was read atomically by the very minitransaction that
-  // validated the rest of the read set: count it as validated too (the
-  // paper's one-round warm Get depends on this).
-  if (options_.piggyback_validation) validated_reads_ = reads_.size();
-  return reads_.back().payload;
+  reads_.push_back(ReadRecord{ref, seqnum, std::move(payload)});
 }
 
-Result<Payload> DynamicTxn::DirtyReadView(const ObjectRef& ref) {
+Status DynamicTxn::ReadInto(const ObjectRef* refs, size_t n, ReadMode mode,
+                            Payload* out) {
   if (doomed_) return DoomedStatus();
-  if (auto it = write_index_.find(ref.addr); it != write_index_.end()) {
-    return Payload::Borrowed(writes_[it->second].payload);
-  }
-  if (auto it = read_index_.find(ref.addr); it != read_index_.end()) {
-    return reads_[it->second].payload;
-  }
-  if (cache_ != nullptr) {
-    ObjectCache::Entry entry;
-    if (cache_->Lookup(ref.addr, &entry)) {
-      return Payload::Of(std::move(entry.payload));
+  const bool fresh = mode == ReadMode::kFresh;
+  const bool cached =
+      mode == ReadMode::kCachedValidated || mode == ReadMode::kDirty;
+  const bool joins =
+      mode == ReadMode::kValidated || mode == ReadMode::kCachedValidated;
+
+  // first[i]: the lowest index holding refs[i]'s address — duplicates
+  // share its answer — with kFetched set on a first occurrence the
+  // minitransaction reads. Sorting indices by (address, index) finds the
+  // duplicates without per-entry heap nodes; a call of up to kInline refs
+  // (the tip pair, most frontier levels) keeps this scratch on the stack,
+  // and a point read needs none of it.
+  constexpr size_t kInline = 8;
+  constexpr uint32_t kFetched = 1u << 31;
+  uint32_t scratch_inline[2 * kInline];
+  std::vector<uint32_t> scratch_heap;
+  uint32_t* first = scratch_inline;
+  first[0] = 0;
+  if (n > 1) {
+    uint32_t* order = scratch_inline + kInline;
+    if (n > kInline) {
+      scratch_heap.resize(2 * n);
+      first = scratch_heap.data();
+      order = first + n;
+    }
+    for (uint32_t i = 0; i < n; i++) order[i] = i;
+    std::sort(order, order + n, [refs](uint32_t a, uint32_t b) {
+      return refs[a].addr < refs[b].addr ||
+             (refs[a].addr == refs[b].addr && a < b);
+    });
+    for (size_t k = 0; k < n; k++) {
+      const bool dup =
+          k > 0 && refs[order[k]].addr == refs[order[k - 1]].addr;
+      first[order[k]] = dup ? first[order[k - 1]] : order[k];
     }
   }
-  // Cache miss: fetch, but do NOT join the read set. The fetch still
-  // piggy-backs validation of the current read set (it is a minitransaction
-  // like any other, and early abort detection is free here).
-  auto fetched = Fetch(ref);
-  if (!fetched.ok()) return fetched.status();
-  if (cache_ != nullptr) {
-    cache_->Insert(ref.addr, fetched->seqnum, fetched->payload.owner);
-  }
-  return std::move(fetched->payload);
-}
 
-Result<Payload> DynamicTxn::ReadCachedView(const ObjectRef& ref) {
-  if (doomed_) return DoomedStatus();
-  if (auto it = write_index_.find(ref.addr); it != write_index_.end()) {
-    return Payload::Borrowed(writes_[it->second].payload);
-  }
-  if (auto it = read_index_.find(ref.addr); it != read_index_.end()) {
-    return reads_[it->second].payload;
-  }
-  if (cache_ != nullptr) {
-    ObjectCache::Entry entry;
-    if (cache_->Lookup(ref.addr, &entry)) {
-      ReadRecord rec;
-      rec.ref = ref;
-      rec.seqnum = entry.seqnum;
-      rec.payload = Payload::Of(std::move(entry.payload));
-      read_index_.emplace(ref.addr, reads_.size());
-      reads_.push_back(std::move(rec));
-      return reads_.back().payload;
-    }
-  }
-  auto fetched = Fetch(ref);
-  if (!fetched.ok()) return fetched.status();
-  if (cache_ != nullptr) {
-    cache_->Insert(ref.addr, fetched->seqnum, fetched->payload.owner);
-  }
-  read_index_.emplace(ref.addr, reads_.size());
-  reads_.push_back(std::move(fetched).value());
-  // Read atomically by the validating minitransaction itself: validated.
-  if (options_.piggyback_validation) validated_reads_ = reads_.size();
-  return reads_.back().payload;
-}
-
-Result<Payload> DynamicTxn::FetchFreshView(const ObjectRef& ref) {
-  if (doomed_) return DoomedStatus();
-  if (auto it = write_index_.find(ref.addr); it != write_index_.end()) {
-    return Payload::Borrowed(writes_[it->second].payload);
-  }
-  auto fetched = Fetch(ref);
-  if (!fetched.ok()) return fetched.status();
-  return std::move(fetched->payload);
-}
-
-// The one skeleton behind every batched-fetch flavor (see BatchPolicy in
-// the header): dedupe the addresses, serve what local state already can,
-// fetch ALL remaining misses in ONE minitransaction, then run the flavor's
-// per-entry bookkeeping (cache fill, read-set join).
-Result<std::vector<Payload>> DynamicTxn::BatchFetch(
-    const std::vector<ObjectRef>& refs, const BatchPolicy& policy) {
-  if (doomed_) return DoomedStatus();
-
-  // Distinct addresses this call resolved WITHOUT the read set: cache hits
-  // that must not join it, and fetched entries of non-joining flavors.
-  std::unordered_map<Addr, Payload, sinfonia::AddrHash> local;
-  std::unordered_set<Addr, sinfonia::AddrHash> pending;
-  std::vector<ObjectRef> fetched;
   MiniTxn mtx;
-  for (const ObjectRef& ref : refs) {
-    const Addr addr = ref.addr;
-    if (write_index_.count(addr) != 0 || local.count(addr) != 0 ||
-        pending.count(addr) != 0) {
+  for (uint32_t i = 0; i < n; i++) {
+    if (first[i] != i) continue;
+    const ObjectRef& ref = refs[i];
+    if (auto it = write_index_.find(ref.addr); it != write_index_.end()) {
+      out[i] = Payload::Borrowed(writes_[it->second].payload);
       continue;
     }
-    if (policy.serve_read_set && read_index_.count(addr) != 0) continue;
-    if (policy.consult_cache && cache_ != nullptr) {
-      ObjectCache::Entry entry;
-      if (cache_->Lookup(addr, &entry)) {
-        if (policy.cache_hit_joins_read_set) {
-          // Unfetched join: commit-time — or this very batch's
-          // piggy-backed — validation catches staleness.
-          ReadRecord rec;
-          rec.ref = ref;
-          rec.seqnum = entry.seqnum;
-          rec.payload = Payload::Of(std::move(entry.payload));
-          read_index_.emplace(addr, reads_.size());
-          reads_.push_back(std::move(rec));
-        } else {
-          local.emplace(addr, Payload::Of(std::move(entry.payload)));
-        }
+    if (!fresh) {
+      if (auto it = read_index_.find(ref.addr); it != read_index_.end()) {
+        out[i] = reads_[it->second].payload;
         continue;
       }
     }
-    pending.insert(addr);
-    mtx.AddRead(Addr{ReadHome(ref), addr.offset}, ref.total_len());
-    fetched.push_back(ref);
+    if (cached && cache_ != nullptr) {
+      ObjectCache::Entry entry;
+      if (cache_->Lookup(ref.addr, &entry)) {
+        out[i] = Payload::Of(std::move(entry.payload));
+        // Unfetched join: commit-time — or this very call's piggy-backed —
+        // validation catches staleness.
+        if (joins) JoinReadSet(ref, entry.seqnum, out[i]);
+        continue;
+      }
+    }
+    mtx.AddRead(Addr{ReadHome(ref), ref.addr.offset}, ref.total_len());
+    first[i] |= kFetched;
   }
 
   if (!mtx.reads.empty()) {
-    if (policy.piggyback) {
-      // Validate replicated read-set objects at the batch's first target so
-      // a single-memnode batch stays single-memnode. Cache-served records
+    if (!fresh) {
+      // Validate replicated read-set objects at the fetch's first target so
+      // a single-memnode read stays single-memnode. Cache-served records
       // joined above are validated here too: staleness surfaces now
       // instead of at commit.
       const MemnodeId at = mtx.reads[0].addr.memnode;
@@ -218,104 +132,63 @@ Result<std::vector<Payload>> DynamicTxn::BatchFetch(
     MiniResult result;
     MINUET_RETURN_NOT_OK(coord_->Execute(mtx, &result));
     if (!result.committed) {
-      if (policy.piggyback) {
-        MarkAborted(AbortReason::kValidationConflict);
-        if (net::OpTrace* tr = net::Fabric::ThreadTrace()) {
-          tr->validation_aborts++;
-        }
-        return Status::Aborted(AbortReason::kValidationConflict,
-                               "piggyback validation failed");
+      // Only a compare fails a read-only minitransaction: some object read
+      // earlier has been overwritten. The transaction cannot commit; abort
+      // now.
+      MarkAborted(AbortReason::kValidationConflict);
+      if (net::OpTrace* tr = net::Fabric::ThreadTrace()) {
+        tr->validation_aborts++;
       }
-      MarkAborted(AbortReason::kOther);
-      return Status::Aborted(AbortReason::kOther, "batched fetch failed");
+      return Status::Aborted(AbortReason::kValidationConflict,
+                             "piggyback validation failed");
     }
-    for (size_t k = 0; k < fetched.size(); k++) {
-      ReadRecord rec;
-      rec.ref = fetched[k];
-      rec.seqnum = ObjectSeqnum(result.read_results[k]);
-      rec.payload = Payload::Of(std::make_shared<const std::string>(
-          TakeObjectPayload(std::move(result.read_results[k]))));
-      if (policy.fill_cache && cache_ != nullptr) {
-        cache_->Insert(rec.ref.addr, rec.seqnum, rec.payload.owner);
+    size_t k = 0;
+    for (uint32_t i = 0; i < n; i++) {
+      if ((first[i] & kFetched) == 0) continue;
+      first[i] = i;
+      const uint64_t seqnum = ObjectSeqnum(result.read_results[k]);
+      // Strip the seqnum header in place (memmove) and pin the payload
+      // bytes behind a shared owner: every later view of them is a
+      // refcount bump, not a copy.
+      out[i] = Payload::Of(std::make_shared<const std::string>(
+          TakeObjectPayload(std::move(result.read_results[k++]))));
+      if (cached && cache_ != nullptr) {
+        cache_->Insert(refs[i].addr, seqnum, out[i].owner);
       }
-      if (policy.join_read_set) {
-        read_index_.emplace(rec.ref.addr, reads_.size());
-        reads_.push_back(std::move(rec));
-      } else {
-        local.emplace(rec.ref.addr, std::move(rec.payload));
-      }
+      if (joins) JoinReadSet(refs[i], seqnum, out[i]);
     }
-    // The batch compared every prior read-set record and atomically read
-    // the fetched ones: the whole read set held at this instant.
-    if (policy.piggyback) validated_reads_ = reads_.size();
+    // The fetch compared every prior read-set record and atomically read
+    // the joined ones: the whole read set held at this instant (the
+    // paper's one-round warm Get depends on this).
+    if (!fresh) validated_reads_ = reads_.size();
   }
 
-  // Resolve every ref, duplicates included: write set first, then what
-  // this call resolved locally (which outranks the read set — FetchFresh
-  // flavors must answer with the fresh bytes even for read-set members),
-  // then the read set. Each resolution is a refcount bump.
-  std::vector<Payload> out(refs.size());
-  for (size_t i = 0; i < refs.size(); i++) {
-    const Addr addr = refs[i].addr;
-    if (auto it = write_index_.find(addr); it != write_index_.end()) {
-      out[i] = Payload::Borrowed(writes_[it->second].payload);
-    } else if (auto it = local.find(addr); it != local.end()) {
-      out[i] = it->second;
-    } else {
-      out[i] = reads_[read_index_.at(addr)].payload;
-    }
+  for (uint32_t i = 0; i < n; i++) {
+    if (first[i] != i) out[i] = out[first[i]];
   }
+  return Status::OK();
+}
+
+Result<Payload> DynamicTxn::Read(const ObjectRef& ref, ReadMode mode) {
+  Payload out;
+  MINUET_RETURN_NOT_OK(ReadInto(&ref, 1, mode, &out));
   return out;
 }
 
-Result<std::vector<Payload>> DynamicTxn::ReadBatchViews(
-    const std::vector<ObjectRef>& refs) {
-  BatchPolicy policy{};
-  policy.serve_read_set = true;
-  policy.join_read_set = true;
-  policy.piggyback = options_.piggyback_validation;
-  return BatchFetch(refs, policy);
-}
-
-Result<std::vector<Payload>> DynamicTxn::FetchFreshBatchViews(
-    const std::vector<ObjectRef>& refs) {
-  // Like FetchFresh: an object this transaction already wrote is served
-  // from the write set, not the memnode's pre-write image; everything else
-  // is fetched even when the read set holds it.
-  BatchPolicy policy{};
-  return BatchFetch(refs, policy);
-}
-
-Result<std::vector<Payload>> DynamicTxn::DirtyReadBatchViews(
-    const std::vector<ObjectRef>& refs) {
-  BatchPolicy policy{};
-  policy.serve_read_set = true;
-  policy.consult_cache = true;
-  policy.fill_cache = true;
-  policy.piggyback = options_.piggyback_validation;
-  return BatchFetch(refs, policy);
-}
-
-Result<std::vector<Payload>> DynamicTxn::ReadCachedBatchViews(
-    const std::vector<ObjectRef>& refs) {
-  BatchPolicy policy{};
-  policy.serve_read_set = true;
-  policy.consult_cache = true;
-  policy.cache_hit_joins_read_set = true;
-  policy.fill_cache = true;
-  policy.join_read_set = true;
-  policy.piggyback = options_.piggyback_validation;
-  return BatchFetch(refs, policy);
+Result<std::vector<Payload>> DynamicTxn::Read(
+    const std::vector<ObjectRef>& refs, ReadMode mode) {
+  std::vector<Payload> out(refs.size());
+  MINUET_RETURN_NOT_OK(ReadInto(refs.data(), refs.size(), mode, out.data()));
+  return out;
 }
 
 Status DynamicTxn::WriteImpl(const ObjectRef& ref, Slice payload,
-                             std::optional<uint64_t> known_base,
-                             bool stable) {
+                             std::optional<uint64_t> known_base) {
   if (doomed_) return DoomedStatus();
   if (payload.size() > ref.payload_len) {
     return Status::InvalidArgument("payload exceeds object size");
   }
-  if (!stable) payload = arena_.Dup(payload);
+  if (!arena_.Owns(payload)) payload = arena_.Dup(payload);
   if (known_base.has_value()) {
     if (read_index_.count(ref.addr) != 0 ||
         write_index_.count(ref.addr) != 0) {
@@ -324,11 +197,7 @@ Status DynamicTxn::WriteImpl(const ObjectRef& ref, Slice payload,
     // Expect the known seqnum (0 for a virgin slab). The commit-time
     // compare makes a concurrent double-allocation — or any other write
     // since the caller learned the seqnum — fail validation.
-    ReadRecord rec;
-    rec.ref = ref;
-    rec.seqnum = *known_base;
-    read_index_.emplace(ref.addr, reads_.size());
-    reads_.push_back(std::move(rec));
+    JoinReadSet(ref, *known_base, Payload());
     write_index_.emplace(ref.addr, writes_.size());
     writes_.push_back(WriteRecord{ref, payload, *known_base + 1});
     return Status::OK();
@@ -340,42 +209,30 @@ Status DynamicTxn::WriteImpl(const ObjectRef& ref, Slice payload,
   // The object's current seqnum must be in the read set so commit can
   // validate it ("if the object is written later on, it will first be added
   // to the read set", §3).
-  uint64_t base_seq = 0;
-  if (auto it = read_index_.find(ref.addr); it != read_index_.end()) {
-    base_seq = reads_[it->second].seqnum;
-  } else {
-    auto fetched = Fetch(ref);
-    if (!fetched.ok()) return fetched.status();
-    base_seq = fetched->seqnum;
-    read_index_.emplace(ref.addr, reads_.size());
-    reads_.push_back(std::move(fetched).value());
+  auto it = read_index_.find(ref.addr);
+  if (it == read_index_.end()) {
+    MINUET_RETURN_NOT_OK(Read(ref, ReadMode::kValidated).status());
+    it = read_index_.find(ref.addr);
   }
+  const uint64_t base_seq = reads_[it->second].seqnum;
   write_index_.emplace(ref.addr, writes_.size());
   writes_.push_back(WriteRecord{ref, payload, base_seq + 1});
   return Status::OK();
 }
 
 Status DynamicTxn::Write(const ObjectRef& ref, Slice payload) {
-  return WriteImpl(ref, payload, std::nullopt, /*stable=*/false);
+  return WriteImpl(ref, payload, std::nullopt);
 }
 Status DynamicTxn::WriteNew(const ObjectRef& ref, Slice payload,
                             uint64_t base_seqnum) {
-  return WriteImpl(ref, payload, base_seqnum, /*stable=*/false);
-}
-Status DynamicTxn::WriteStable(const ObjectRef& ref, Slice payload) {
-  return WriteImpl(ref, payload, std::nullopt, /*stable=*/true);
-}
-Status DynamicTxn::WriteNewStable(const ObjectRef& ref, Slice payload,
-                                  uint64_t base_seqnum) {
-  return WriteImpl(ref, payload, base_seqnum, /*stable=*/true);
+  return WriteImpl(ref, payload, base_seqnum);
 }
 
 Status DynamicTxn::Commit() {
   if (doomed_) return DoomedStatus();
   if (committed_) return Status::InvalidArgument("already committed");
 
-  if (writes_.empty() && options_.piggyback_validation &&
-      validated_reads_ >= reads_.size()) {
+  if (writes_.empty() && validated_reads_ >= reads_.size()) {
     // Read-only transaction with piggy-backed validation: the last fetch
     // already validated the whole read set atomically, so the transaction
     // is serializable at that instant. No commit minitransaction needed.

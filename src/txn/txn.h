@@ -3,15 +3,15 @@
 // minitransactions.
 //
 // A dynamic transaction keeps a read set and a write set of objects.
-//   Read       — serve from the write/read set, else fetch from the memnode
-//                (one minitransaction) and add to the read set. Fetches
-//                piggy-back validation of the existing read set, so a
-//                transaction discovers staleness early and a read-only
-//                transaction needs no commit-time validation at all.
-//   DirtyRead  — serve from the proxy cache or fetch, WITHOUT adding to the
-//                read set (§3). Used for B-tree traversal of internal nodes;
-//                the traversal's own safety checks (fence keys, heights,
-//                copied-snapshot ids) replace validation.
+//   Read       — ONE call for every read, its policy selected by a ReadMode:
+//                validated reads that join the read set, dirty traversal
+//                reads served from the proxy cache (§3), and fresh snapshot
+//                leaf reads checked by fence keys alone (§4.2). Whatever
+//                the mode and however many objects, what local state cannot
+//                serve is fetched in ONE minitransaction, which piggy-backs
+//                validation of the existing read set, so a transaction
+//                discovers staleness early and a read-only transaction
+//                needs no commit-time validation at all.
 //   Write      — buffer in the write set; memnodes are updated only at
 //                commit. Writing an object not yet read fetches it first so
 //                its sequence number is known.
@@ -40,11 +40,38 @@
 
 namespace minuet::txn {
 
+// How DynamicTxn::Read serves an object. Every mode answers from the write
+// set first; the rest, per mode:
+//
+//                    serve     consult  cache hit  fill   fetch joins  validate
+//                    read set  cache    joins      cache  read set     read set
+//   kValidated         yes       no       -          no     yes          yes
+//   kCachedValidated   yes       yes      yes        yes    yes          yes
+//   kDirty             yes       yes      no         yes    no           yes
+//   kFresh             no        no       -          no     no           no
+//
+//   kValidated        the transactional read of §2.2: the object joins the
+//                     read set and commit validates it.
+//   kCachedValidated  cache-first transactional read: a cache hit joins the
+//                     read set WITHOUT fetching (commit-time validation
+//                     catches staleness, as when Aguilera et al. validate
+//                     cached internal nodes against the replicated seqnum
+//                     table, and when Minuet proxies validate their cached
+//                     tip snapshot id).
+//   kDirty            the §3 dirty read of B-tree traversals: nothing joins
+//                     the read set; the traversal's own safety checks
+//                     (fence keys, heights, copied-snapshot ids) replace
+//                     validation.
+//   kFresh            leaf reads of read-only snapshots, which the paper
+//                     validates by fence keys alone (§4.2): the memnode's
+//                     current bytes, even over a read-set copy, with no
+//                     cache and no read-set validation — its fetch carries
+//                     no compares, so it cannot abort the transaction.
+enum class ReadMode { kValidated, kCachedValidated, kDirty, kFresh };
+
 class DynamicTxn {
  public:
   struct Options {
-    // Validate the current read set inside every fetch minitransaction.
-    bool piggyback_validation = true;
     // Commit with a blocking minitransaction (waits for busy locks up to
     // the memnode threshold); used for replicated tip-snapshot-id updates.
     bool blocking_commit = false;
@@ -63,48 +90,18 @@ class DynamicTxn {
   // Every read returns a Payload — a Slice over the image bytes plus a
   // shared owner that pins them — so serving a read-set or cache hit is a
   // refcount bump, never a byte copy. Decoders take the Slice directly.
-  Result<Payload> ReadView(const ObjectRef& ref);
-  Result<Payload> DirtyReadView(const ObjectRef& ref);
-  // Cache-first transactional read: like ReadView, but a proxy-cache hit joins
-  // the read set WITHOUT fetching (commit-time validation catches staleness,
-  // as when Aguilera et al. validate cached internal nodes against the
-  // replicated seqnum table, and when Minuet proxies validate their cached
-  // tip snapshot id). Falls back to a fetch on miss.
-  Result<Payload> ReadCachedView(const ObjectRef& ref);
-  // Fetch without consulting or populating the proxy cache, and without
-  // joining the read set: used for leaf reads on read-only snapshots, which
-  // the paper validates by fence keys alone (§4.2).
-  Result<Payload> FetchFreshView(const ObjectRef& ref);
-  // Batched transactional read (the read-side analogue of the buffered
-  // write set): every ref not already served by the read/write set is
-  // fetched in ONE minitransaction — one coordinator round no matter how
-  // many objects or memnodes are involved — and joins the read set, with
-  // the usual piggy-backed validation. `(*this)[i]` of the result is
-  // refs[i]'s payload; duplicate addresses are fetched once.
-  Result<std::vector<Payload>> ReadBatchViews(
-      const std::vector<ObjectRef>& refs);
-  // Batched FetchFresh: one minitransaction, no cache, no read set. Used
-  // for the grouped leaf reads of snapshot MultiGet (§4.2: fence-key
-  // checks replace validation).
-  Result<std::vector<Payload>> FetchFreshBatchViews(
-      const std::vector<ObjectRef>& refs);
-  // Batched DirtyRead (§3): each ref is served from the write/read set or
-  // the proxy cache when possible; ALL remaining misses are fetched in ONE
-  // minitransaction (with the usual piggy-backed validation) and fill the
-  // cache per entry, WITHOUT joining the read set. This is the frontier
-  // fetch of level-synchronized B-tree descents: a cold cache pays one
-  // coordinator round per tree level, not one per node per key.
-  Result<std::vector<Payload>> DirtyReadBatchViews(
-      const std::vector<ObjectRef>& refs);
-  // Batched ReadCached: cache hits join the read set without fetching;
-  // all misses are fetched in ONE minitransaction, join the read set, and
-  // fill the cache. Used for the tip-object pair, so a cold tip resolution
-  // costs one round instead of two.
-  Result<std::vector<Payload>> ReadCachedBatchViews(
-      const std::vector<ObjectRef>& refs);
+  // An object this transaction wrote is always served from the write set.
+  // The batch overload's result[i] is refs[i]'s payload; duplicate
+  // addresses are resolved once. A doomed transaction answers every mode
+  // with its tagged Aborted. See ReadMode for what each mode does.
+  Result<Payload> Read(const ObjectRef& ref, ReadMode mode);
+  Result<std::vector<Payload>> Read(const std::vector<ObjectRef>& refs,
+                                    ReadMode mode);
   // Buffer a write. The payload bytes are COPIED into the transaction arena
   // (std::string arguments convert to Slice and are safe to pass as
-  // temporaries — the dup happens before Write returns).
+  // temporaries — the dup happens before Write returns) unless they
+  // already lie in arena() — a node encoded with EncodeToArena — which
+  // the write set then references as they are: do not modify them after.
   Status Write(const ObjectRef& ref, Slice payload);
   // Known-base write of an object this transaction has not read: expects
   // the object's seqnum to still be `base_seqnum` at commit, so no fetch is
@@ -113,12 +110,6 @@ class DynamicTxn {
   // validation if any other transaction wrote the object meanwhile.
   Status WriteNew(const ObjectRef& ref, Slice payload,
                   uint64_t base_seqnum = 0);
-  // Zero-copy variants: the caller guarantees `payload` stays valid and
-  // unmodified until the transaction is destroyed — in practice, bytes
-  // encoded directly into this transaction's arena(). No dup is taken.
-  Status WriteStable(const ObjectRef& ref, Slice payload);
-  Status WriteNewStable(const ObjectRef& ref, Slice payload,
-                        uint64_t base_seqnum = 0);
 
   // Commit. Returns OK, Aborted (validation failed — retry the whole
   // transaction), Busy (persistent lock contention) or Unavailable.
@@ -149,8 +140,8 @@ class DynamicTxn {
   // --- Introspection (B-tree cache refresh, tests) ------------------------
   struct WriteRecord {
     ObjectRef ref;
-    // Points into the transaction arena (or caller-stable bytes via
-    // WriteStable); valid for the transaction's lifetime.
+    // Points into the transaction arena; valid for the transaction's
+    // lifetime.
     Slice payload;
     uint64_t new_seqnum;
   };
@@ -216,34 +207,18 @@ class DynamicTxn {
     Payload payload;
   };
 
-  // What one batched-fetch flavor does at each stage. The four public
-  // variants are this one skeleton — dedupe → probe local state → ONE
-  // minitransaction for the misses → per-entry bookkeeping — with the
-  // stages toggled:
-  //                          serve_read_set  consult_cache  cache_hit_joins  fill_cache  join_read_set  piggyback
-  //   ReadBatchViews               yes            no              —              no           yes           yes
-  //   FetchFreshBatchViews         no             no              —              no           no            no
-  //   DirtyReadBatchViews          yes            yes             no             yes          no            yes
-  //   ReadCachedBatchViews         yes            yes             yes            yes          yes           yes
-  struct BatchPolicy {
-    bool serve_read_set;        // read-set hits answer without a fetch
-    bool consult_cache;         // probe the proxy cache before fetching
-    bool cache_hit_joins_read_set;  // a cache hit joins the read set unfetched
-    bool fill_cache;            // fetched entries populate the proxy cache
-    bool join_read_set;         // fetched entries join the read set
-    bool piggyback;             // validate the read set inside the fetch
-  };
-  Result<std::vector<Payload>> BatchFetch(
-      const std::vector<ObjectRef>& refs, const BatchPolicy& policy);
+  // The one read skeleton behind both Read overloads: serve what the
+  // write set, read set or proxy cache can (as `mode` allows), fetch ALL
+  // remaining distinct addresses in ONE minitransaction, then run the
+  // mode's per-entry bookkeeping. out[i] receives refs[i]'s payload.
+  Status ReadInto(const ObjectRef* refs, size_t n, ReadMode mode,
+                  Payload* out);
+  void JoinReadSet(const ObjectRef& ref, uint64_t seqnum, Payload payload);
 
-  // Shared body of the four Write* flavors. A `known_base` seqnum joins the
-  // read set unfetched (WriteNew*); `stable` skips the arena dup.
+  // Shared body of Write and WriteNew. A `known_base` seqnum joins the
+  // read set unfetched (WriteNew).
   Status WriteImpl(const ObjectRef& ref, Slice payload,
-                   std::optional<uint64_t> known_base, bool stable);
-
-  // Fetch `ref` from a memnode, piggy-backing read-set validation.
-  // On validation failure dooms the transaction and returns Aborted.
-  Result<ReadRecord> Fetch(const ObjectRef& ref);
+                   std::optional<uint64_t> known_base);
 
   // The Aborted status a doomed transaction answers every operation with,
   // tagged with the reason it was doomed.
@@ -273,7 +248,7 @@ class DynamicTxn {
 
   // How many reads_ entries the last successful piggy-backed fetch
   // validated. Records that joined the read set AFTER that fetch — cache
-  // hits served by ReadCachedView/ReadCachedBatchViews with no subsequent
+  // hits served by a kCachedValidated read with no subsequent
   // minitransaction — have never been checked against a memnode, so the
   // read-only commit shortcut must not trust them (a transaction served
   // 100% from a stale proxy cache would otherwise "commit" fiction).

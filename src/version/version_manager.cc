@@ -6,6 +6,7 @@ using btree::DecodeCatalogEntry;
 using btree::DecodeTipId;
 using btree::EncodeCatalogEntry;
 using btree::EncodeTipId;
+using txn::ReadMode;
 
 // ---------------------------------------------------------------------------
 // BranchOracle
@@ -21,7 +22,8 @@ uint64_t BranchOracle::ParentOf(uint64_t sid) const {
   // catalog entry is safe and cacheable forever.
   txn::DynamicTxn txn(tree_->coordinator(), tree_->cache());
   auto raw =
-      txn.DirtyReadView(tree_->layout().CatalogRef(tree_->tree_slot(), sid));
+      txn.Read(tree_->layout().CatalogRef(tree_->tree_slot(), sid),
+               ReadMode::kDirty);
   if (!raw.ok()) return CatalogEntry::kNoParent;
   const CatalogEntry entry = DecodeCatalogEntry(raw->data);
   if (entry.root == sinfonia::kNullAddr) return CatalogEntry::kNoParent;
@@ -89,7 +91,7 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
       tree_->coordinator(), tree_->cache(), topts,
       tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
         // Allocate the next snapshot id (totally ordered, §5.1).
-        auto next_raw = txn.ReadView(layout.NextSidRef(slot));
+        auto next_raw = txn.Read(layout.NextSidRef(slot), ReadMode::kValidated);
         if (!next_raw.ok()) return next_raw.status();
         new_sid = DecodeTipId(next_raw->data);
         if (new_sid >= layout.max_catalog_entries()) {
@@ -100,7 +102,8 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
 
         // Source snapshot: bounded branching factor keeps the §5.2
         // invariant maintainable.
-        auto from_raw = txn.ReadView(layout.CatalogRef(slot, from_sid));
+        auto from_raw = txn.Read(layout.CatalogRef(slot, from_sid),
+                                 ReadMode::kValidated);
         if (!from_raw.ok()) return from_raw.status();
         CatalogEntry from = DecodeCatalogEntry(from_raw->data);
         if (from.root == sinfonia::kNullAddr) {
@@ -140,7 +143,8 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
 
 Result<BranchInfo> VersionManager::Info(uint64_t sid) {
   txn::DynamicTxn txn(tree_->coordinator(), tree_->cache());
-  auto raw = txn.ReadView(tree_->layout().CatalogRef(tree_->tree_slot(), sid));
+  auto raw = txn.Read(tree_->layout().CatalogRef(tree_->tree_slot(), sid),
+                      ReadMode::kValidated);
   if (!raw.ok()) return raw.status();
   const CatalogEntry entry = DecodeCatalogEntry(raw->data);
   if (entry.root == sinfonia::kNullAddr) {

@@ -360,7 +360,7 @@ TEST_F(AllocatorTest, CommitThatFailsValidationGivesItsSlabBack) {
     auto slab = alloc.Allocate(t, 0);
     ASSERT_TRUE(slab.ok());
     ASSERT_TRUE(t.WriteNew(slab->ref, "loser").ok());
-    ASSERT_TRUE(t.ReadView(contended).ok());
+    ASSERT_TRUE(t.Read(contended, txn::ReadMode::kValidated).ok());
     txn::DynamicTxn rival(coord_.get(), nullptr);
     ASSERT_TRUE(rival.Write(contended, "winner").ok());
     ASSERT_TRUE(rival.Commit().ok());

@@ -479,8 +479,9 @@ TEST(ScaleInTest, RemoveMemnodeDrainsRetiresAndKeepsServing) {
   // ... and by the coordinator (a minitransaction naming it fails), and
   // recovery cannot resurrect it.
   txn::DynamicTxn probe(cluster.coordinator(), nullptr);
-  auto read = probe.ReadView(cluster.layout().SlabRef(
-      sinfonia::Addr{3, cluster.layout().slab_base()}));
+  auto read = probe.Read(
+      cluster.layout().SlabRef(sinfonia::Addr{3, cluster.layout().slab_base()}),
+      txn::ReadMode::kValidated);
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsUnavailable());
   cluster.RecoverMemnode(3);

@@ -1,8 +1,9 @@
 // Tests for the dynamic transaction layer: read/write sets, seqnum
-// validation, dirty reads, piggy-backed validation, replicated objects,
-// and the WriteNew fresh-slab path.
+// validation, the four read modes, piggy-backed validation, replicated
+// objects, and the WriteNew fresh-slab path.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -67,7 +68,7 @@ TEST_F(TxnTest, WriteNewThenReadBack) {
   }
   {
     DynamicTxn t(coord_.get(), nullptr);
-    auto v = Bytes(t.ReadView(ref));
+    auto v = Bytes(t.Read(ref, ReadMode::kValidated));
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(v->substr(0, 8), "payload0");
     ASSERT_TRUE(t.Commit().ok());
@@ -78,7 +79,7 @@ TEST_F(TxnTest, ReadYourOwnWrites) {
   const ObjectRef ref = PlainRef(0, 4096);
   DynamicTxn t(coord_.get(), nullptr);
   ASSERT_TRUE(t.WriteNew(ref, "before_commit___").ok());
-  auto v = Bytes(t.ReadView(ref));
+  auto v = Bytes(t.Read(ref, ReadMode::kValidated));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->substr(0, 6), "before");
 }
@@ -110,7 +111,7 @@ TEST_F(TxnTest, StaleReadFailsValidation) {
     ASSERT_TRUE(t.Commit().ok());
   }
   DynamicTxn reader(coord_.get(), nullptr);
-  ASSERT_TRUE(reader.ReadView(ref).ok());
+  ASSERT_TRUE(reader.Read(ref, ReadMode::kValidated).ok());
 
   // A concurrent writer updates the object.
   {
@@ -125,7 +126,7 @@ TEST_F(TxnTest, StaleReadFailsValidation) {
 
   // The stale write never reached the memnode.
   DynamicTxn check(coord_.get(), nullptr);
-  auto v = Bytes(check.ReadView(ref));
+  auto v = Bytes(check.Read(ref, ReadMode::kValidated));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ((*v)[0], 'b');
 }
@@ -141,7 +142,7 @@ TEST_F(TxnTest, ReadOnlyTxnCommitsWithoutExtraMessages) {
   trace.Reset(kNodes);
   net::Fabric::SetThreadTrace(&trace);
   DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.ReadView(ref).ok());
+  ASSERT_TRUE(t.Read(ref, ReadMode::kValidated).ok());
   ASSERT_TRUE(t.Commit().ok());
   net::Fabric::SetThreadTrace(nullptr);
   // One fetch, and the piggy-backed validation makes commit free.
@@ -158,14 +159,14 @@ TEST_F(TxnTest, PiggybackDetectsStalenessAtNextFetch) {
     ASSERT_TRUE(t.Commit().ok());
   }
   DynamicTxn reader(coord_.get(), nullptr);
-  ASSERT_TRUE(reader.ReadView(a).ok());
+  ASSERT_TRUE(reader.Read(a, ReadMode::kValidated).ok());
   {
     DynamicTxn w(coord_.get(), nullptr);
     ASSERT_TRUE(w.Write(a, std::string(16, 'y')).ok());
     ASSERT_TRUE(w.Commit().ok());
   }
   // The next fetch carries a compare on `a`'s seqnum and must fail it.
-  auto v = Bytes(reader.ReadView(b));
+  auto v = Bytes(reader.Read(b, ReadMode::kValidated));
   EXPECT_TRUE(v.status().IsAborted());
   EXPECT_TRUE(reader.doomed());
   EXPECT_TRUE(reader.Commit().IsAborted());
@@ -179,7 +180,7 @@ TEST_F(TxnTest, DirtyReadDoesNotJoinReadSet) {
     ASSERT_TRUE(t.Commit().ok());
   }
   DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.DirtyReadView(ref).ok());
+  ASSERT_TRUE(t.Read(ref, ReadMode::kDirty).ok());
   EXPECT_EQ(t.read_set_size(), 0u);
   EXPECT_FALSE(t.InReadSet(ref));
 
@@ -202,7 +203,7 @@ TEST_F(TxnTest, DirtyReadServedFromCache) {
   }
   {
     DynamicTxn t(coord_.get(), &cache, {});
-    ASSERT_TRUE(t.DirtyReadView(ref).ok());  // miss → fills cache
+    ASSERT_TRUE(t.Read(ref, ReadMode::kDirty).ok());  // miss → fills cache
     ASSERT_TRUE(t.Commit().ok());
   }
   net::OpTrace trace;
@@ -210,13 +211,153 @@ TEST_F(TxnTest, DirtyReadServedFromCache) {
   net::Fabric::SetThreadTrace(&trace);
   {
     DynamicTxn t(coord_.get(), &cache, {});
-    auto v = Bytes(t.DirtyReadView(ref));
+    auto v = Bytes(t.Read(ref, ReadMode::kDirty));
     ASSERT_TRUE(v.ok());
     EXPECT_EQ((*v)[0], 'a');
     ASSERT_TRUE(t.Commit().ok());
   }
   net::Fabric::SetThreadTrace(nullptr);
   EXPECT_EQ(trace.messages, 0u);  // served entirely from the proxy cache
+}
+
+// The ReadMode table of txn.h, row by row. Each mode runs with one ref,
+// then with a batch holding a duplicate, a write-set member and a read-set
+// member — once current, once stale — and finally on a doomed transaction.
+// Every call costs at most one round.
+TEST_F(TxnTest, EveryReadModeFollowsItsTable) {
+  struct Row {
+    ReadMode mode;
+    bool joins_read_set;
+    bool fills_cache;
+    bool serves_read_set;  // and validates the read set in its fetch
+  };
+  const Row rows[] = {
+      {ReadMode::kValidated, true, false, true},
+      {ReadMode::kCachedValidated, true, true, true},
+      {ReadMode::kDirty, false, true, true},
+      {ReadMode::kFresh, false, false, false},
+  };
+  const ObjectRef one = PlainRef(0, 4096);
+  const ObjectRef two = PlainRef(0, 8192);
+  const ObjectRef written = PlainRef(0, 12288);
+  const ObjectRef member = PlainRef(0, 16384);
+  for (const ObjectRef& ref : {one, two, written, member}) {
+    DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(t.WriteNew(ref, std::string(16, 'a')).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  net::OpTrace trace;
+  net::Fabric::SetThreadTrace(&trace);
+  char member_byte = 'a';
+  for (const Row& row : rows) {
+    SCOPED_TRACE(static_cast<int>(row.mode));
+    {
+      // One ref: one round, then the row's read-set and cache bookkeeping.
+      ObjectCache cache;
+      DynamicTxn t(coord_.get(), &cache);
+      trace.Reset(kNodes);
+      auto v = Bytes(t.Read(one, row.mode));
+      ASSERT_TRUE(v.ok());
+      EXPECT_EQ(*v, std::string(16, 'a'));
+      EXPECT_EQ(trace.round_trips, 1u);
+      EXPECT_EQ(t.InReadSet(one), row.joins_read_set);
+      ObjectCache::Entry entry;
+      EXPECT_EQ(cache.Lookup(one.addr, &entry), row.fills_cache);
+    }
+
+    ObjectCache cache;
+    DynamicTxn t(coord_.get(), &cache);
+    auto member_pin = t.Read(member, ReadMode::kValidated);
+    ASSERT_TRUE(member_pin.ok());
+    ASSERT_TRUE(t.WriteNew(written, std::string(16, 'w'), 1).ok());
+    const std::vector<ObjectRef> batch{one, written, one, member};
+    trace.Reset(kNodes);
+    auto current = t.Read(batch, row.mode);
+    ASSERT_TRUE(current.ok());
+    EXPECT_EQ(trace.round_trips, 1u);
+    EXPECT_EQ((*current)[0].data.ToString(), std::string(16, 'a'));
+    // The duplicate is fetched once: both answers pin the same image.
+    EXPECT_EQ((*current)[0].owner, (*current)[2].owner);
+    EXPECT_EQ((*current)[1].data.ToString(), std::string(16, 'w'));
+    EXPECT_EQ((*current)[3].data.ToString(), std::string(16, member_byte));
+    // A read-set answer is the read set's own image; kFresh refetches it.
+    EXPECT_EQ((*current)[3].owner == member_pin->owner, row.serves_read_set);
+    EXPECT_EQ(t.InReadSet(one), row.joins_read_set);
+    ObjectCache::Entry entry;
+    EXPECT_EQ(cache.Lookup(one.addr, &entry), row.fills_cache);
+    EXPECT_FALSE(cache.Lookup(written.addr, &entry));
+
+    // Another transaction overwrites the read-set member.
+    member_byte++;
+    {
+      DynamicTxn w(coord_.get(), nullptr);
+      ASSERT_TRUE(w.Write(member, std::string(16, member_byte)).ok());
+      ASSERT_TRUE(w.Commit().ok());
+    }
+    trace.Reset(kNodes);
+    auto stale = t.Read(std::vector<ObjectRef>{two, written, two, member},
+                        row.mode);
+    EXPECT_EQ(trace.round_trips, 1u);
+    if (row.serves_read_set) {
+      // The fetch of `two` piggy-backs the compare that finds the member
+      // overwritten.
+      ASSERT_TRUE(stale.status().IsAborted());
+      EXPECT_EQ(stale.status().abort_reason(),
+                AbortReason::kValidationConflict);
+      EXPECT_TRUE(t.doomed());
+    } else {
+      // kFresh answers the memnode's bytes over the stale read-set copy,
+      // and its fetch validates nothing, so it cannot abort.
+      ASSERT_TRUE(stale.ok());
+      EXPECT_EQ((*stale)[3].data.ToString(), std::string(16, member_byte));
+      EXPECT_EQ((*stale)[1].data.ToString(), std::string(16, 'w'));
+      EXPECT_FALSE(t.doomed());
+      t.MarkAborted(AbortReason::kStaleCachePointer);
+    }
+
+    // A doomed transaction answers every mode, both overloads, with its
+    // tagged abort and no round.
+    const AbortReason why = t.abort_reason();
+    trace.Reset(kNodes);
+    for (const Row& other : rows) {
+      const Status point = t.Read(one, other.mode).status();
+      const Status many = t.Read(batch, other.mode).status();
+      EXPECT_TRUE(point.IsAborted());
+      EXPECT_EQ(point.abort_reason(), why);
+      EXPECT_TRUE(many.IsAborted());
+      EXPECT_EQ(many.abort_reason(), why);
+    }
+    EXPECT_EQ(trace.round_trips, 0u);
+  }
+  net::Fabric::SetThreadTrace(nullptr);
+}
+
+// Write and WriteNew take bytes that already lie in the transaction arena
+// (a node encoded with EncodeToArena) as they are, and copy anything else.
+TEST_F(TxnTest, WriteTakesArenaBytesWithoutCopying) {
+  const ObjectRef a = PlainRef(0, 4096);
+  const ObjectRef b = PlainRef(0, 8192);
+  {
+    DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(t.WriteNew(b, std::string(16, 'a')).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  DynamicTxn t(coord_.get(), nullptr);
+  char* image = t.arena().Allocate(16);
+  std::memset(image, 'e', 16);
+  const size_t requested = t.arena().bytes_requested();
+  ASSERT_TRUE(t.WriteNew(a, Slice(image, 16)).ok());
+  EXPECT_EQ(t.arena().bytes_requested(), requested);
+  EXPECT_EQ(t.write_set()[0].payload.data(), image);
+  // A temporary std::string is copied before Write returns.
+  ASSERT_TRUE(t.Write(b, std::string(16, 't')).ok());
+  EXPECT_EQ(t.arena().bytes_requested(), requested + 16);
+  EXPECT_TRUE(t.arena().Owns(t.write_set()[1].payload));
+  ASSERT_TRUE(t.Commit().ok());
+
+  DynamicTxn check(coord_.get(), nullptr);
+  EXPECT_EQ(*Bytes(check.Read(a, ReadMode::kValidated)), std::string(16, 'e'));
+  EXPECT_EQ(*Bytes(check.Read(b, ReadMode::kValidated)), std::string(16, 't'));
 }
 
 TEST_F(TxnTest, WriteUnreadObjectFetchesForValidation) {
@@ -271,7 +412,7 @@ TEST_F(TxnTest, ReplicatedReadValidatesAtAnyReplica) {
   }
   // Reader sees the value; a concurrent replicated update then dooms it.
   DynamicTxn reader(coord_.get(), nullptr);
-  auto v = Bytes(reader.ReadView(rep));
+  auto v = Bytes(reader.Read(rep, ReadMode::kValidated));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "AAAAAAAA");
   {
@@ -303,8 +444,9 @@ TEST_F(TxnTest, ReplicatedReadPlusLeafWriteCommitsAtSingleMemnode) {
   trace.Reset(kNodes);
   net::Fabric::SetThreadTrace(&trace);
   DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.ReadView(leaf).ok());   // leaf first: home established
-  ASSERT_TRUE(t.ReadView(rep).ok());    // replica read lands on memnode 2
+  // Leaf first: home established. The replica read then lands on memnode 2.
+  ASSERT_TRUE(t.Read(leaf, ReadMode::kValidated).ok());
+  ASSERT_TRUE(t.Read(rep, ReadMode::kValidated).ok());
   ASSERT_TRUE(t.Write(leaf, std::string(16, 'm')).ok());
   ASSERT_TRUE(t.Commit().ok());
   net::Fabric::SetThreadTrace(nullptr);
@@ -338,7 +480,7 @@ TEST_F(TxnTest, RunTransactionRetriesAborted) {
   Status st = RunTransaction(
       coord_.get(), nullptr, {}, 8, [&](DynamicTxn& t) -> Status {
         attempts++;
-        MINUET_RETURN_NOT_OK(t.ReadView(ref).status());
+        MINUET_RETURN_NOT_OK(t.Read(ref, ReadMode::kValidated).status());
         if (attempts < 3) return Status::Aborted("forced retry");
         return t.Write(ref, std::string(16, 'z'));
       });
@@ -372,7 +514,7 @@ TEST_F(TxnTest, ConcurrentCountersSerialize) {
       for (int j = 0; j < kIncr; j++) {
         Status st = RunTransaction(
             coord_.get(), nullptr, {}, 10000, [&](DynamicTxn& t) -> Status {
-              auto v = Bytes(t.ReadView(ObjectRef{ref}));
+              auto v = Bytes(t.Read(ObjectRef{ref}, ReadMode::kValidated));
               if (!v.ok()) return v.status();
               std::string next(8, '\0');
               EncodeFixed64(next.data(), DecodeFixed64(v->data()) + 1);
@@ -384,7 +526,7 @@ TEST_F(TxnTest, ConcurrentCountersSerialize) {
   }
   for (auto& t : ts) t.join();
   DynamicTxn t(coord_.get(), nullptr);
-  auto v = Bytes(t.ReadView(ref));
+  auto v = Bytes(t.Read(ref, ReadMode::kValidated));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(DecodeFixed64(v->data()),
             static_cast<uint64_t>(kThreads) * kIncr);

@@ -795,7 +795,7 @@ TEST(ViewTest, ColdApplyResolvesLeavesThroughBatchedDescent) {
 }
 
 // The engine's Aguilera-baseline leg: with dirty traversals OFF, frontier
-// levels go through ReadCachedBatch (the path joins the read set and
+// levels are kCachedValidated reads (the path joins the read set and
 // validates against the replicated seqnum table) — results must match the
 // per-key reads, warm and cold, and batched writes must still apply.
 TEST(ViewTest, BatchedPathsWorkWithValidatedTraversals) {

@@ -45,6 +45,13 @@ docs/ARCHITECTURE.md, "Concurrency invariants & tooling"):
                       second copy, free to drift from the first (abort
                       tags, hop read discipline). Settle through it
                       instead.
+  one-fetch           DynamicTxn::ReadInto is the one read skeleton: in
+                      src/txn/txn.cc only it and Commit may build a
+                      MiniTxn. A MiniTxn declared in any other function
+                      there is a second fetch body, free to drift from the
+                      first (read-set joins, cache fills, piggy-backed
+                      validation, abort tags). Read through
+                      DynamicTxn::Read with a ReadMode instead.
   metrics             stat counters in src/ (outside src/obs/) must be
                       obs::Counter, not raw std::atomic integers — raw
                       atomics are invisible to the MetricsRegistry and
@@ -117,6 +124,13 @@ DESCENDANT_LOOP_RE = re.compile(
 FUNCTION_DEF_RE = re.compile(r"^[A-Za-z_][\w:<>,*&\s]*?\b(\w+)\s*\(")
 SETTLE_FUNCTION = "SettleNodeForSid"
 
+# Rule: one-fetch. A MiniTxn object declaration (references and pointers
+# do not match), the file it is policed in, and the functions that may
+# hold one.
+MINITXN_DECL_RE = re.compile(r"\bMiniTxn\s+\w+\s*[;({=]")
+ONE_FETCH_FILE = "src/txn/txn.cc"
+FETCH_FUNCTIONS = ("ReadInto", "Commit")
+
 # Rule: metrics. A raw std::atomic integer DECLARATION whose identifier
 # reads like a stat counter. Matches plain members/globals and array forms
 # (e.g. unique_ptr<std::atomic<uint64_t>[]>); loads/stores of such members
@@ -169,7 +183,9 @@ def lint_file(path, rel, findings):
     in_src = rel.startswith("src/")
     check_retry_loop = in_src and not rel.startswith("src/txn/")
     check_one_settle = rel.startswith("src/btree/")
-    function = None  # enclosing namespace-scope function (one-settle)
+    check_one_fetch = rel == ONE_FETCH_FILE
+    # Enclosing namespace-scope function (one-settle, one-fetch).
+    function = None
     in_block_comment = False
     # Active exclusive guards: stack of brace depths at declaration.
     guard_depths = []
@@ -266,11 +282,11 @@ def lint_file(path, rel, findings):
                              "is held; route durable writes through "
                              "wal::Wal / store::* (guard declared at brace "
                              "depth %d)" % guard_depths[-1])
+            m = FUNCTION_DEF_RE.match(code)
+            if m:
+                function = m.group(1)
             # --- one-settle --------------------------------------------
             if check_one_settle:
-                m = FUNCTION_DEF_RE.match(code)
-                if m:
-                    function = m.group(1)
                 if (DESCENDANT_LOOP_RE.search(code)
                         and function != SETTLE_FUNCTION
                         and not allowed("one-settle", raw_lines, i)):
@@ -279,6 +295,14 @@ def lint_file(path, rel, findings):
                                  "BTree::SettleNodeForSid; settle the node "
                                  "through it, the one copy of the "
                                  "§4.2/§5.2 checks")
+            # --- one-fetch ---------------------------------------------
+            if (check_one_fetch and MINITXN_DECL_RE.search(code)
+                    and function not in FETCH_FUNCTIONS
+                    and not allowed("one-fetch", raw_lines, i)):
+                findings.add(rel, lineno, "one-fetch",
+                             "MiniTxn built outside DynamicTxn::ReadInto "
+                             "and Commit; read through DynamicTxn::Read, "
+                             "the one read skeleton")
             # --- retry-loop --------------------------------------------
             constructs_txn = (check_retry_loop
                               and TXN_CONSTRUCT_RE.search(code)
