@@ -109,7 +109,7 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
   }
 
   Status last = Status::OK();
-  for (uint32_t attempt = 0; attempt <= options_.max_retries; attempt++) {
+  for (uint32_t attempt = 0; attempt <= kMaxBusyRetries; attempt++) {
     if (attempt > 0) {
       metrics_.busy_retries.Increment();
       if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->retries++;
@@ -139,8 +139,7 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
     const bool one_phase = parts.size() == 1;
     (one_phase ? metrics_.one_phase : metrics_.two_phase).Increment();
     const uint64_t t0 = trace != nullptr ? obs::NowNs() : 0;
-    Status st = one_phase ? ExecuteSingle(tx, parts[0], mtx.blocking, result)
-                          : ExecuteTwoPhase(tx, parts, mtx.blocking, result);
+    Status st = RunCommit(tx, parts, mtx.blocking, result);
     if (trace != nullptr) {
       // A decided compare mismatch returns OK with committed=false; stamp
       // the span with the abort it means rather than a bare OK.
@@ -163,158 +162,106 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
   return last.ok() ? Status::Busy("retries exhausted") : last;
 }
 
-Status Coordinator::ExecuteSingle(TxId tx, const PerNode& pn, bool blocking,
-                                  MiniResult* result) {
-  MINUET_RETURN_NOT_OK(fabric_->ChargeMessage(pn.node));
-  // Logging and replication must happen inside the primary's lock window,
-  // or two conflicting commits could reach the WAL / backup image
-  // concurrently and out of commit order — so a committed execution keeps
-  // its range locks until the log record and the backup write land.
-  const bool replicate = options_.replication && !pn.writes.empty();
-  const bool durable = options_.durability != wal::DurabilityMode::kNone &&
-                       durable_stores_[pn.node] != nullptr &&
-                       !pn.writes.empty();
-  const bool hold = replicate || durable;
-  MiniResult local;
-  MINUET_RETURN_NOT_OK(memnodes_[pn.node]->ExecuteLocal(
-      tx, pn.compares, pn.reads, pn.writes, blocking, &local,
-      /*hold_locks_on_commit=*/hold));
-  result->committed = local.committed;
-  if (local.committed) {
-    for (uint32_t i = 0; i < local.read_results.size(); i++) {
-      result->read_results[pn.read_index[i]] = std::move(local.read_results[i]);
-    }
-    if (hold) {
-      uint64_t lsn = 0;
-      const Status logged = LogDurable(pn, &lsn);
-      if (!logged.ok()) {
-        // Crash injection / log failure: the write applied locally but the
-        // commit is NOT acknowledged. The node is down; recovery decides
-        // whether the record survived.
-        memnodes_[pn.node]->Release(tx);
-        return logged;
-      }
-      if (replicate) ReplicateWrites(pn, lsn);
-      memnodes_[pn.node]->Release(tx);
-    }
-  } else {
-    for (uint32_t idx : local.failed_compares) {
-      result->failed_compares.push_back(pn.compare_index[idx]);
-    }
-  }
-  return Status::OK();
-}
+Status Coordinator::RunCommit(TxId tx, const std::vector<PerNode>& parts,
+                              bool blocking, MiniResult* result) {
+  bool read_only = true;
+  for (const PerNode& pn : parts) read_only &= pn.writes.empty();
 
-Status Coordinator::ExecuteTwoPhase(TxId tx,
-                                    const std::vector<PerNode>& parts,
-                                    bool blocking, MiniResult* result) {
-  // Phase one: prepare at every participant. Messages in this loop overlap
-  // on the wire, so they share one round trip.
-  std::vector<const PerNode*> prepared;
-  bool all_yes = true;
+  // Phase 1: lock, compare, read and vote at every participant. The
+  // messages overlap on the wire, so they share one round trip. The first
+  // `voted` participants answered: those in `no` voted no and released
+  // their locks, the rest hold theirs until phase 2 or 3. (Listing the
+  // no-voters keeps the common all-yes path free of an allocation.)
+  size_t voted = 0;
+  std::vector<const PerNode*> no;
   Status failure = Status::OK();
   {
     net::RoundTripScope rt;
+    std::vector<std::string> reads;
+    std::vector<uint32_t> failed;
     for (const PerNode& pn : parts) {
-      Status st = fabric_->ChargeMessage(pn.node);
-      if (st.ok()) {
-        bool vote = false;
-        std::vector<std::string> reads;
-        std::vector<uint32_t> failed;
-        st = memnodes_[pn.node]->Prepare(tx, pn.compares, pn.reads, pn.writes,
-                                         blocking, &vote, &reads, &failed);
-        if (st.ok()) {
-          if (vote) {
-            prepared.push_back(&pn);
-            for (uint32_t i = 0; i < reads.size(); i++) {
-              result->read_results[pn.read_index[i]] = std::move(reads[i]);
-            }
-          } else {
-            all_yes = false;
-            for (uint32_t idx : failed) {
-              result->failed_compares.push_back(pn.compare_index[idx]);
-            }
-          }
-          continue;
+      bool vote = false;
+      reads.clear();
+      failed.clear();
+      failure = fabric_->ChargeMessage(pn.node);
+      if (failure.ok()) {
+        failure = memnodes_[pn.node]->Prepare(tx, pn.compares, pn.reads,
+                                              pn.writes, blocking, &vote,
+                                              &reads, &failed);
+      }
+      if (!failure.ok()) break;  // Busy, TimedOut or Unavailable
+      voted++;
+      if (vote) {
+        for (uint32_t i = 0; i < reads.size(); i++) {
+          result->read_results[pn.read_index[i]] = std::move(reads[i]);
+        }
+      } else {
+        no.push_back(&pn);
+        for (uint32_t idx : failed) {
+          result->failed_compares.push_back(pn.compare_index[idx]);
         }
       }
-      // Lock conflict or node down: decided abort.
-      all_yes = false;
-      failure = st;
-      break;
     }
   }
 
-  if (!all_yes) {
-    // Phase two (abort): release locks at yes-voters. When a READ-ONLY
-    // minitransaction aborts on a decided compare mismatch, the outcome
-    // (committed=false) is already in hand after the votes, so — exactly
-    // as on the read-only commit path below — the release leaves the
-    // critical path. Read-only is judged over the WHOLE minitransaction
-    // (`parts`), not just the yes-voters: a write whose writing
-    // participant voted no still retries-and-waits like any write abort.
-    // A Busy/Unavailable abort likewise keeps the critical-path charge:
-    // the coordinator's own retry waits on that release.
-    bool decided_read_only = failure.ok();
-    for (const PerNode& pn : parts) decided_read_only &= pn.writes.empty();
+  // Phase 2: decided abort, releasing the yes-voters. When a read-only
+  // minitransaction aborts on a compare mismatch, the outcome is in hand
+  // after the votes, so the release leaves the critical path (charged, but
+  // not as a round trip). A minitransaction with writes keeps the charge:
+  // its retry waits on the release, as does every Busy/Unavailable abort.
+  if (!failure.ok() || !no.empty()) {
+    const bool async = failure.ok() && read_only;
     net::RoundTripScope rt;
-    for (const PerNode* pn : prepared) {
-      Status st = decided_read_only ? fabric_->ChargeMessageAsync(pn->node)
-                                    : fabric_->ChargeMessage(pn->node);
-      IgnoreStatus(st);  // local cleanup even if "down"
-      memnodes_[pn->node]->Abort(tx);
+    for (size_t i = 0; i < voted; i++) {
+      const PerNode& pn = parts[i];
+      if (std::find(no.begin(), no.end(), &pn) != no.end()) continue;
+      // Local cleanup even if the node is down.
+      IgnoreStatus(async ? fabric_->ChargeMessageAsync(pn.node)
+                         : fabric_->ChargeMessage(pn.node));
+      memnodes_[pn.node]->Abort(tx);
     }
-    if (!failure.ok()) return failure;  // Busy/TimedOut/Unavailable: retry?
-    result->committed = false;          // compare failure: final answer
+    if (!failure.ok()) return failure;
     std::sort(result->failed_compares.begin(), result->failed_compares.end());
-    return Status::OK();
+    return Status::OK();  // compare mismatch: committed=false is final
   }
 
-  // Phase two (commit). A minitransaction with no write items is decided
-  // the moment every participant votes yes: the read results are already
-  // in hand and commit cannot fail, so the lock-release messages leave the
-  // critical path (charged, but not as a round trip) — a read-only
-  // multi-node minitransaction costs ONE observed round, like Sinfonia's.
-  bool read_only = true;
-  for (const PerNode* pn : prepared) read_only &= pn->writes.empty();
+  // Phase 3: commit. Each writing participant logs, then replicates, then
+  // applies and releases: log and backup image see conflicting write sets
+  // in commit order, because the locks are still held, and a write applies
+  // only once it is logged. One participant (1PC) commits on phase 1's
+  // message; with several, a read-only commit cannot fail, so its release
+  // leaves the critical path. A participant that crashes after voting yes
+  // does not stop the others: Sinfonia's recovery would replay from the
+  // backup.
+  const bool one_phase = parts.size() == 1;
   Status commit_failure = Status::OK();
   {
     net::RoundTripScope rt;
-    for (const PerNode* pn : prepared) {
-      // A participant that crashed between prepare and commit does not stop
-      // the transaction: Sinfonia's recovery would replay from the backup.
-      if (read_only) {
-        IgnoreStatus(fabric_->ChargeMessageAsync(pn->node));
-      } else {
-        IgnoreStatus(fabric_->ChargeMessage(pn->node));
+    for (const PerNode& pn : parts) {
+      if (!one_phase) {
+        IgnoreStatus(read_only ? fabric_->ChargeMessageAsync(pn.node)
+                               : fabric_->ChargeMessage(pn.node));
       }
-      // Log and replicate BEFORE Commit releases the prepare locks:
-      // conflicting write sets must reach the WAL and the backup image in
-      // commit order (and never concurrently).
       uint64_t lsn = 0;
-      if (!pn->writes.empty()) {
-        const Status logged = LogDurable(*pn, &lsn);
-        if (!logged.ok()) {
-          // This participant crashed at its durability point. The other
-          // participants still commit — a torn cross-node commit, exactly
-          // the window 2PC leaves when a participant dies after voting yes
-          // (docs/ARCHITECTURE.md, Durability: known limitation). Its
-          // locks are released; recovery decides whether its record
-          // survived.
-          memnodes_[pn->node]->Abort(tx);
-          commit_failure = logged;
-          continue;
-        }
+      const Status logged = LogDurable(pn, &lsn);
+      if (!logged.ok()) {
+        // Crashed at its durability point: nothing applies here and the
+        // commit is not acknowledged. With other participants this is the
+        // torn cross-node commit 2PC leaves (docs/ARCHITECTURE.md,
+        // Durability: known limitation); recovery decides whether the
+        // record survived.
+        memnodes_[pn.node]->Abort(tx);
+        commit_failure = logged;
+        continue;
       }
-      if (options_.replication && !pn->writes.empty()) {
-        ReplicateWrites(*pn, lsn);
+      if (options_.replication && !pn.writes.empty()) {
+        ReplicateWrites(pn, lsn);
       }
-      memnodes_[pn->node]->Commit(tx, pn->writes);
+      memnodes_[pn.node]->Commit(tx, pn.writes);
     }
   }
   if (!commit_failure.ok()) return commit_failure;
   result->committed = true;
-  std::sort(result->failed_compares.begin(), result->failed_compares.end());
   return Status::OK();
 }
 

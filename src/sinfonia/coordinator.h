@@ -1,7 +1,12 @@
 // The Sinfonia application library: executes minitransactions against the
-// memnode set. Implements the paper's commit protocol (§2.1):
-//   - the two-phase protocol for multi-memnode minitransactions,
-//   - collapsed single-phase execution when one memnode is involved,
+// memnode set. Implements the paper's commit protocol (§2.1) as one commit
+// pipeline over the sorted participant list (RunCommit):
+//   1. lock, compare, read and vote at every participant (one round),
+//   2. on any no vote, Busy or Unavailable: release the yes-voters,
+//   3. otherwise, per writing participant: log, replicate, then apply and
+//      release. A write applies only once it is logged.
+// Two-phase commit is the general case; one participant (1PC) is the same
+// pipeline with the commit riding phase 1's message. Around it:
 //   - automatic, transparent retry when a lock is busy (compare failures
 //     are returned to the application instead),
 //   - blocking minitransactions that wait (bounded) at the memnode,
@@ -58,11 +63,12 @@ class Coordinator {
     obs::Counter txn_aborts[kNumAbortReasons];  // indexed by AbortReason
   };
 
+  // Give up after this many busy-lock re-executions. The paper's library
+  // retries "automatically and transparently"; the cap only bounds
+  // pathological livelock.
+  static constexpr uint32_t kMaxBusyRetries = 256;
+
   struct Options {
-    // Give up after this many busy-lock re-executions. The paper's library
-    // retries "automatically and transparently"; the cap only bounds
-    // pathological livelock in tests.
-    uint32_t max_retries = 256;
     bool replication = false;  // primary-backup mirroring of writes
     // WAL durability of committed write sets (wal/wal.h). Requires a
     // CheckpointedStore per memnode (SetDurableStore) to take effect.
@@ -76,7 +82,7 @@ class Coordinator {
 
   // Execute a minitransaction to completion. Returns:
   //   OK           — protocol ran; inspect result->committed / failed_compares
-  //   Busy         — lock contention persisted past max_retries
+  //   Busy         — lock contention persisted past kMaxBusyRetries
   //   Unavailable  — a participant memnode is down
   // Holds the membership lock (shared) end to end, so the memnode set —
   // including the expansion of all-node writes — is stable per execution.
@@ -222,10 +228,10 @@ class Coordinator {
   // must hold membership_mu_ (shared suffices).
   std::vector<PerNode> Partition(const MiniTxn& mtx) const;
 
-  Status ExecuteSingle(TxId tx, const PerNode& pn, bool blocking,
-                       MiniResult* result);
-  Status ExecuteTwoPhase(TxId tx, const std::vector<PerNode>& parts,
-                         bool blocking, MiniResult* result);
+  // One attempt of the commit pipeline over `parts` (see the file header).
+  // Busy means no participant kept its locks and nothing applied.
+  Status RunCommit(TxId tx, const std::vector<PerNode>& parts, bool blocking,
+                   MiniResult* result);
   void ReplicateWrites(const PerNode& pn, uint64_t lsn);
 
   // Append pn's write set to its node's WAL (inside the lock window) and,

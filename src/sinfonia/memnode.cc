@@ -31,64 +31,6 @@ std::vector<LockTable::Range> Memnode::TouchedRanges(
   return ranges;
 }
 
-bool Memnode::EvaluateAndRead(
-    const std::vector<MiniTxn::CompareItem>& compares,
-    const std::vector<MiniTxn::ReadItem>& reads,
-    std::vector<std::string>* read_results,
-    std::vector<uint32_t>* failed_compares) const {
-  bool all_ok = true;
-  for (uint32_t i = 0; i < compares.size(); i++) {
-    const auto& c = compares[i];
-    std::string actual;
-    space_.Read(c.addr.offset, static_cast<uint32_t>(c.expected.size()),
-                &actual);
-    if (actual != c.expected) {
-      all_ok = false;
-      if (failed_compares != nullptr) failed_compares->push_back(i);
-    }
-  }
-  if (read_results != nullptr) {
-    for (const auto& r : reads) {
-      std::string data;
-      space_.Read(r.addr.offset, r.len, &data);
-      read_results->push_back(std::move(data));
-    }
-  }
-  return all_ok;
-}
-
-void Memnode::ApplyWrites(const std::vector<MiniTxn::WriteItem>& writes) {
-  for (const auto& w : writes) {
-    space_.Write(w.addr.offset, w.data.data(),
-                 static_cast<uint32_t>(w.data.size()));
-  }
-}
-
-Status Memnode::ExecuteLocal(TxId tx,
-                             const std::vector<MiniTxn::CompareItem>& compares,
-                             const std::vector<MiniTxn::ReadItem>& reads,
-                             const std::vector<MiniTxn::WriteItem>& writes,
-                             bool blocking, MiniResult* result,
-                             bool hold_locks_on_commit) {
-  const auto wait = blocking ? options_.blocking_wait
-                             : std::chrono::microseconds(0);
-  MINUET_RETURN_NOT_OK(locks_.Lock(tx, TouchedRanges(compares, reads, writes),
-                                   wait));
-  result->read_results.clear();
-  result->failed_compares.clear();
-  const bool ok = EvaluateAndRead(compares, reads, &result->read_results,
-                                  &result->failed_compares);
-  if (ok) ApplyWrites(writes);
-  result->committed = ok;
-  if (!ok) result->read_results.clear();
-  // A committed execution may keep its locks so the coordinator can
-  // replicate the write set inside the lock window (see the header).
-  if (!(ok && hold_locks_on_commit)) locks_.Unlock(tx);
-  return Status::OK();
-}
-
-void Memnode::Release(TxId tx) { locks_.Unlock(tx); }
-
 Status Memnode::Prepare(TxId tx,
                         const std::vector<MiniTxn::CompareItem>& compares,
                         const std::vector<MiniTxn::ReadItem>& reads,
@@ -100,17 +42,36 @@ Status Memnode::Prepare(TxId tx,
                              : std::chrono::microseconds(0);
   MINUET_RETURN_NOT_OK(locks_.Lock(tx, TouchedRanges(compares, reads, writes),
                                    wait));
-  *vote = EvaluateAndRead(compares, reads, read_results, failed_compares);
+  *vote = true;
+  std::string actual;
+  for (uint32_t i = 0; i < compares.size(); i++) {
+    const auto& c = compares[i];
+    space_.Read(c.addr.offset, static_cast<uint32_t>(c.expected.size()),
+                &actual);
+    if (actual != c.expected) {
+      *vote = false;
+      failed_compares->push_back(i);
+    }
+  }
   if (!*vote) {
     // Compare mismatch: the outcome is decided (abort), release now rather
     // than waiting for the coordinator's abort round.
     locks_.Unlock(tx);
+    return Status::OK();
+  }
+  for (const auto& r : reads) {
+    std::string data;
+    space_.Read(r.addr.offset, r.len, &data);
+    read_results->push_back(std::move(data));
   }
   return Status::OK();
 }
 
 void Memnode::Commit(TxId tx, const std::vector<MiniTxn::WriteItem>& writes) {
-  ApplyWrites(writes);
+  for (const auto& w : writes) {
+    space_.Write(w.addr.offset, w.data.data(),
+                 static_cast<uint32_t>(w.data.size()));
+  }
   locks_.Unlock(tx);
 }
 

@@ -1,8 +1,8 @@
 // A Sinfonia memnode: an unstructured byte-addressable storage space plus
-// the server half of the minitransaction commit protocol (lock, compare,
-// read, conditionally write). Also hosts the backup images of peer memnodes
-// when primary-backup replication is enabled, and supports crash/recovery
-// fault injection.
+// the server half of the minitransaction commit protocol (Prepare: lock,
+// compare, read and vote; then Commit or Abort). Also hosts the backup
+// images of peer memnodes when primary-backup replication is enabled, and
+// supports crash/recovery fault injection.
 #pragma once
 
 #include <chrono>
@@ -49,35 +49,25 @@ class Memnode {
 
   MemnodeId id() const { return id_; }
 
-  // ---- One-phase execution (single-memnode minitransactions) -----------
-  // Locks every touched range, evaluates compares, performs reads, applies
-  // writes if all compares match, and unlocks. Returns Busy/TimedOut if
-  // locks could not be acquired; `result->committed` reports compare
-  // outcome. With `hold_locks_on_commit` the locks stay held after a
-  // COMMITTED execution (abort paths always release) so the coordinator
-  // can log and replicate the write set inside the lock window —
-  // conflicting transactions then reach the WAL and the backup in commit
-  // order. The caller must follow up with Release(tx).
-  Status ExecuteLocal(TxId tx, const std::vector<MiniTxn::CompareItem>& compares,
-                      const std::vector<MiniTxn::ReadItem>& reads,
-                      const std::vector<MiniTxn::WriteItem>& writes,
-                      bool blocking, MiniResult* result,
-                      bool hold_locks_on_commit = false);
-  // Release the range locks a hold_locks_on_commit execution kept.
-  void Release(TxId tx);
-
-  // ---- Two-phase protocol ----------------------------------------------
-  // Phase one: acquire locks, evaluate compares, perform reads. On success
-  // the memnode votes yes and HOLDS its locks until Commit/Abort. A false
-  // `*vote` (compare mismatch) also releases locks immediately: the
-  // coordinator will abort everywhere.
+  // ---- Commit protocol ---------------------------------------------------
+  // The memnode's whole commit surface: the coordinator's pipeline calls
+  // these three for one participant and for many alike.
+  //
+  // Lock every touched range, evaluate compares and, if all match, perform
+  // the reads. The memnode then votes yes and HOLDS its locks until
+  // Commit/Abort, so the coordinator can log and replicate the write set
+  // inside the lock window: conflicting transactions reach the WAL and the
+  // backup in commit order. A false `*vote` (compare mismatch) releases
+  // the locks at once: the outcome is decided. Busy/TimedOut if the locks
+  // could not be acquired; nothing is then held.
   Status Prepare(TxId tx, const std::vector<MiniTxn::CompareItem>& compares,
                  const std::vector<MiniTxn::ReadItem>& reads,
                  const std::vector<MiniTxn::WriteItem>& writes, bool blocking,
                  bool* vote, std::vector<std::string>* read_results,
                  std::vector<uint32_t>* failed_compares);
-  // Phase two.
+  // Apply `writes` and release a yes-voter's locks.
   void Commit(TxId tx, const std::vector<MiniTxn::WriteItem>& writes);
+  // Release a yes-voter's locks, applying nothing.
   void Abort(TxId tx);
 
   // ---- Replication & fault injection ------------------------------------
@@ -145,14 +135,6 @@ class Memnode {
       const std::vector<MiniTxn::CompareItem>& compares,
       const std::vector<MiniTxn::ReadItem>& reads,
       const std::vector<MiniTxn::WriteItem>& writes);
-
-  // Evaluate compares and perform reads with locks already held.
-  bool EvaluateAndRead(const std::vector<MiniTxn::CompareItem>& compares,
-                       const std::vector<MiniTxn::ReadItem>& reads,
-                       std::vector<std::string>* read_results,
-                       std::vector<uint32_t>* failed_compares) const;
-
-  void ApplyWrites(const std::vector<MiniTxn::WriteItem>& writes);
 
   MemnodeId id_;
   Options options_;

@@ -85,6 +85,86 @@ TEST_F(CoordinatorTest, MultiNodeUsesTwoRounds) {
   EXPECT_EQ(trace.round_trips, 2u);
 }
 
+// The commit protocol's cost and outcome for every minitransaction shape:
+// one participant (1PC) and two (2PC), writing, read-only, compare
+// mismatches, replication on, and a participant down. Each row pins the
+// outcome and the modeled messages and round trips.
+TEST_F(CoordinatorTest, ShapeTableOutcomesAndCosts) {
+  struct Shape {
+    const char* name;
+    bool replication;
+    int down;  // memnode marked down before executing, or -1
+    void (*build)(MiniTxn*);
+    bool ok;  // Status::OK, else Unavailable
+    bool committed;
+    uint64_t messages;
+    uint64_t round_trips;
+  };
+  const Shape shapes[] = {
+      {"1pc write", false, -1,
+       [](MiniTxn* t) { t->AddWrite(Addr{1, 64}, "w"); }, true, true, 1, 1},
+      {"1pc read-only", false, -1,
+       [](MiniTxn* t) { t->AddRead(Addr{1, 64}, 8); }, true, true, 1, 1},
+      {"1pc compare mismatch", false, -1,
+       [](MiniTxn* t) {
+         t->AddCompare(Addr{1, 64}, "x");
+         t->AddWrite(Addr{1, 128}, "w");
+       },
+       true, false, 1, 1},
+      {"1pc write, replication", true, -1,
+       [](MiniTxn* t) { t->AddWrite(Addr{1, 64}, "w"); }, true, true, 2, 2},
+      {"2pc write", false, -1,
+       [](MiniTxn* t) {
+         t->AddWrite(Addr{1, 64}, "a");
+         t->AddWrite(Addr{2, 64}, "b");
+       },
+       true, true, 4, 2},
+      {"2pc read-only", false, -1,
+       [](MiniTxn* t) {
+         t->AddRead(Addr{1, 64}, 8);
+         t->AddRead(Addr{2, 64}, 8);
+       },
+       true, true, 4, 1},
+      {"2pc read-only compare mismatch", false, -1,
+       [](MiniTxn* t) {
+         t->AddCompare(Addr{1, 64}, "x");
+         t->AddRead(Addr{2, 64}, 8);
+       },
+       true, false, 3, 1},
+      {"2pc compare mismatch with writes", false, -1,
+       [](MiniTxn* t) {
+         t->AddCompare(Addr{1, 64}, "x");
+         t->AddWrite(Addr{2, 64}, "b");
+       },
+       true, false, 3, 2},
+      {"2pc down participant", false, 2,
+       [](MiniTxn* t) {
+         t->AddWrite(Addr{1, 64}, "a");
+         t->AddWrite(Addr{2, 64}, "b");
+       },
+       false, false, 2, 2},
+  };
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(s.name);
+    Coordinator::Options options;
+    options.replication = s.replication;
+    Build(options);
+    if (s.down >= 0) fabric_->SetUp(static_cast<uint32_t>(s.down), false);
+    MiniTxn t;
+    s.build(&t);
+    net::OpTrace trace;
+    trace.Reset(kNodes);
+    net::Fabric::SetThreadTrace(&trace);
+    MiniResult r;
+    const Status st = coord_->Execute(t, &r);
+    net::Fabric::SetThreadTrace(nullptr);
+    EXPECT_TRUE(s.ok ? st.ok() : st.IsUnavailable()) << st.ToString();
+    EXPECT_EQ(r.committed, s.committed);
+    EXPECT_EQ(trace.messages, s.messages);
+    EXPECT_EQ(trace.round_trips, s.round_trips);
+  }
+}
+
 TEST_F(CoordinatorTest, MultiNodeAtomicAbortOnCompareFailure) {
   // Seed node 0 with a value the compare will reject.
   MiniTxn seed;
@@ -165,7 +245,7 @@ TEST_F(CoordinatorTest, MultiNodeWithDownParticipantAborts) {
 }
 
 TEST_F(CoordinatorTest, ReplicationMirrorsWritesAndRecovers) {
-  Build({.max_retries = 16, .replication = true});
+  Build({.replication = true});
   MiniTxn w;
   w.AddWrite(Addr{1, 64}, "precious");
   MiniResult r;

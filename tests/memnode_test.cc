@@ -1,5 +1,5 @@
-// Tests for a single memnode: byte space semantics, one-phase execution,
-// prepare/commit/abort, backup images, crash & restore.
+// Tests for a single memnode: byte space semantics, the prepare/commit/
+// abort commit surface, backup images, crash & restore.
 #include <gtest/gtest.h>
 
 #include "sinfonia/memnode.h"
@@ -34,20 +34,36 @@ TEST(ByteSpaceTest, CrossChunkWrite) {
 
 class MemnodeTest : public ::testing::Test {
  protected:
+  // One participant's whole commit: Prepare, then Commit on a yes vote.
+  // Returns Prepare's status; *r carries the vote, the reads and the
+  // failed compares.
+  Status PrepareAndCommit(TxId tx,
+                          const std::vector<MiniTxn::CompareItem>& compares,
+                          const std::vector<MiniTxn::ReadItem>& reads,
+                          const std::vector<MiniTxn::WriteItem>& writes,
+                          MiniResult* r) {
+    r->read_results.clear();
+    r->failed_compares.clear();
+    const Status st = node_.Prepare(tx, compares, reads, writes, false,
+                                    &r->committed, &r->read_results,
+                                    &r->failed_compares);
+    if (st.ok() && r->committed) node_.Commit(tx, writes);
+    return st;
+  }
+
   Memnode node_{0};
 };
 
-TEST_F(MemnodeTest, ExecuteLocalCommitsWritesWhenComparesMatch) {
+TEST_F(MemnodeTest, PrepareCommitAppliesWritesWhenComparesMatch) {
   MiniResult r;
   // Empty compare set commits unconditionally.
-  ASSERT_TRUE(node_.ExecuteLocal(1, {}, {}, {{Addr{0, 64}, "data"}},
-                                 false, &r).ok());
+  ASSERT_TRUE(PrepareAndCommit(1, {}, {}, {{Addr{0, 64}, "data"}}, &r).ok());
   EXPECT_TRUE(r.committed);
 
   // Compare against what we wrote: should match and apply the new write.
   MiniResult r2;
-  ASSERT_TRUE(node_.ExecuteLocal(2, {{Addr{0, 64}, "data"}}, {},
-                                 {{Addr{0, 128}, "more"}}, false, &r2).ok());
+  ASSERT_TRUE(PrepareAndCommit(2, {{Addr{0, 64}, "data"}}, {},
+                               {{Addr{0, 128}, "more"}}, &r2).ok());
   EXPECT_TRUE(r2.committed);
 
   std::string out;
@@ -55,11 +71,10 @@ TEST_F(MemnodeTest, ExecuteLocalCommitsWritesWhenComparesMatch) {
   EXPECT_EQ(out, "more");
 }
 
-TEST_F(MemnodeTest, ExecuteLocalFailedCompareAppliesNothing) {
+TEST_F(MemnodeTest, PrepareNoVoteAppliesNothing) {
   MiniResult r;
-  ASSERT_TRUE(node_.ExecuteLocal(1, {{Addr{0, 64}, "expected"}}, {},
-                                 {{Addr{0, 128}, "neverwritten"}},
-                                 false, &r).ok());
+  ASSERT_TRUE(PrepareAndCommit(1, {{Addr{0, 64}, "expected"}}, {},
+                               {{Addr{0, 128}, "neverwritten"}}, &r).ok());
   EXPECT_FALSE(r.committed);
   ASSERT_EQ(r.failed_compares.size(), 1u);
   EXPECT_EQ(r.failed_compares[0], 0u);
@@ -69,22 +84,23 @@ TEST_F(MemnodeTest, ExecuteLocalFailedCompareAppliesNothing) {
   EXPECT_EQ(out, std::string(12, '\0'));
 }
 
-TEST_F(MemnodeTest, ExecuteLocalReturnsReads) {
+TEST_F(MemnodeTest, PrepareReturnsReads) {
   node_.RawWrite(64, "abcd");
   MiniResult r;
-  ASSERT_TRUE(node_.ExecuteLocal(1, {}, {{Addr{0, 64}, 4}, {Addr{0, 66}, 2}},
-                                 {}, false, &r).ok());
+  ASSERT_TRUE(
+      PrepareAndCommit(1, {}, {{Addr{0, 64}, 4}, {Addr{0, 66}, 2}}, {}, &r)
+          .ok());
   ASSERT_TRUE(r.committed);
   ASSERT_EQ(r.read_results.size(), 2u);
   EXPECT_EQ(r.read_results[0], "abcd");
   EXPECT_EQ(r.read_results[1], "cd");
 }
 
-TEST_F(MemnodeTest, ExecuteLocalReadsAndWritesAtomicTogether) {
+TEST_F(MemnodeTest, PrepareReadsAndCommitWritesAtomicTogether) {
   node_.RawWrite(64, "v1");
   MiniResult r;
-  ASSERT_TRUE(node_.ExecuteLocal(1, {{Addr{0, 64}, "v1"}}, {{Addr{0, 64}, 2}},
-                                 {{Addr{0, 64}, "v2"}}, false, &r).ok());
+  ASSERT_TRUE(PrepareAndCommit(1, {{Addr{0, 64}, "v1"}}, {{Addr{0, 64}, 2}},
+                               {{Addr{0, 64}, "v2"}}, &r).ok());
   ASSERT_TRUE(r.committed);
   EXPECT_EQ(r.read_results[0], "v1");  // reads see pre-write state
   std::string out;
@@ -102,8 +118,7 @@ TEST_F(MemnodeTest, PrepareHoldsLocksUntilCommit) {
 
   // Another transaction on the same range must see Busy.
   MiniResult r;
-  EXPECT_TRUE(node_.ExecuteLocal(2, {}, {}, {{Addr{0, 64}, "y"}},
-                                 false, &r).IsBusy());
+  EXPECT_TRUE(PrepareAndCommit(2, {}, {}, {{Addr{0, 64}, "y"}}, &r).IsBusy());
 
   node_.Commit(1, {{Addr{0, 64}, "x"}});
   std::string out;
@@ -111,8 +126,7 @@ TEST_F(MemnodeTest, PrepareHoldsLocksUntilCommit) {
   EXPECT_EQ(out, "x");
 
   // Locks released after commit.
-  ASSERT_TRUE(node_.ExecuteLocal(3, {}, {}, {{Addr{0, 64}, "y"}},
-                                 false, &r).ok());
+  ASSERT_TRUE(PrepareAndCommit(3, {}, {}, {{Addr{0, 64}, "y"}}, &r).ok());
   EXPECT_TRUE(r.committed);
 }
 
@@ -127,8 +141,7 @@ TEST_F(MemnodeTest, PrepareNoVoteReleasesLocksImmediately) {
   ASSERT_EQ(failed.size(), 1u);
 
   MiniResult r;
-  EXPECT_TRUE(node_.ExecuteLocal(2, {}, {}, {{Addr{0, 64}, "y"}},
-                                 false, &r).ok());
+  EXPECT_TRUE(PrepareAndCommit(2, {}, {}, {{Addr{0, 64}, "y"}}, &r).ok());
 }
 
 TEST_F(MemnodeTest, AbortReleasesLocks) {
@@ -139,8 +152,7 @@ TEST_F(MemnodeTest, AbortReleasesLocks) {
                             &reads, &failed).ok());
   node_.Abort(1);
   MiniResult r;
-  EXPECT_TRUE(node_.ExecuteLocal(2, {}, {}, {{Addr{0, 64}, "y"}},
-                                 false, &r).ok());
+  EXPECT_TRUE(PrepareAndCommit(2, {}, {}, {{Addr{0, 64}, "y"}}, &r).ok());
   std::string out;
   node_.RawRead(64, 1, &out);
   EXPECT_EQ(out, "y");  // the aborted write never applied
@@ -152,8 +164,8 @@ TEST_F(MemnodeTest, OneNodeReadWithSeqnumCompareTakesOneStripe) {
   constexpr uint64_t kNode = 8 * 4096;  // node-aligned, as slabs are
   const uint64_t before = node_.lock_table().TotalStats().acquires;
   MiniResult r;
-  ASSERT_TRUE(node_.ExecuteLocal(1, {{Addr{0, kNode}, std::string(8, '\0')}},
-                                 {{Addr{0, kNode}, 4096}}, {}, false, &r)
+  ASSERT_TRUE(PrepareAndCommit(1, {{Addr{0, kNode}, std::string(8, '\0')}},
+                               {{Addr{0, kNode}, 4096}}, {}, &r)
                   .ok());
   ASSERT_TRUE(r.committed);
   EXPECT_EQ(node_.lock_table().TotalStats().acquires - before, 1u);
@@ -176,12 +188,12 @@ TEST_F(MemnodeTest, ReadOnlyPreparesOnOneNodeShareItsLock) {
   EXPECT_TRUE(vote2);
   // A writer of that node conflicts with both readers.
   MiniResult r;
-  EXPECT_TRUE(node_.ExecuteLocal(3, {}, {}, {{Addr{0, kNode + 8}, "w"}},
-                                 false, &r).IsBusy());
+  EXPECT_TRUE(
+      PrepareAndCommit(3, {}, {}, {{Addr{0, kNode + 8}, "w"}}, &r).IsBusy());
   node_.Commit(1, {});
   node_.Commit(2, {});
-  EXPECT_TRUE(node_.ExecuteLocal(3, {}, {}, {{Addr{0, kNode + 8}, "w"}},
-                                 false, &r).ok());
+  EXPECT_TRUE(
+      PrepareAndCommit(3, {}, {}, {{Addr{0, kNode + 8}, "w"}}, &r).ok());
   EXPECT_TRUE(r.committed);
 }
 

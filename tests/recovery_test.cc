@@ -76,12 +76,21 @@ void ExpectImageMatchesPeerBackup(Cluster& cluster, uint32_t victim) {
 }
 
 // One raw single-memnode write at a known offset: the minimal commit the
-// durability path sees, with no cross-node write set to tear. Returns the
-// Execute status; *committed reports the protocol outcome.
+// durability path sees, with no cross-node write set to tear. With a
+// `peer`, the write rides a two-participant minitransaction instead: the
+// peer only compares zeros past its extent, so it votes yes and writes
+// nothing (two-phase, still no write set to tear). Returns the Execute
+// status; *committed reports the protocol outcome.
 Status RawWrite(Cluster& cluster, uint32_t node, uint64_t offset,
-                const std::string& data, bool* committed) {
+                const std::string& data, bool* committed, int peer = -1) {
   sinfonia::MiniTxn mtx;
   mtx.AddWrite(sinfonia::Addr{node, offset}, data);
+  if (peer >= 0) {
+    const uint32_t p = static_cast<uint32_t>(peer);
+    const uint64_t past =
+        ((cluster.coordinator()->memnode(p)->Extent() >> 20) + 4) << 20;
+    mtx.AddCompare(sinfonia::Addr{p, past}, std::string(8, '\0'));
+  }
   sinfonia::MiniResult res;
   const Status st = cluster.coordinator()->Execute(mtx, &res);
   *committed = res.committed;
@@ -106,9 +115,15 @@ std::string RawReadAt(Cluster& cluster, uint32_t node, uint64_t offset,
 //   after-fsync-before-ack    -> record durable            -> PRESENT
 //                                (local log ahead of the ring: the local
 //                                 path must win and re-seed the peer)
+//
+// Each point runs twice: as a one-phase write, and as a two-phase
+// minitransaction whose peer only compares. Either way the unacknowledged
+// write is never applied to the victim's RAM image: a write applies only
+// after its record is logged.
 struct CommitCrashCase {
   CrashPoint point;
   bool in_flight_survives;
+  bool two_phase = false;
 };
 
 class CommitCrashMatrix
@@ -118,6 +133,7 @@ TEST_P(CommitCrashMatrix, RecoversToConsistentImage) {
   const CommitCrashCase c = GetParam();
   constexpr uint32_t kVictim = 1;
   constexpr int kKeys = 200;
+  const int peer = c.two_phase ? 3 : -1;
 
   Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
   auto tree = cluster.CreateTree();
@@ -143,9 +159,17 @@ TEST_P(CommitCrashMatrix, RecoversToConsistentImage) {
 
   cluster.coordinator()->ArmCrashPoint(kVictim, c.point);
   const std::string doomed(64, 'B');
-  Status st = RawWrite(cluster, kVictim, base + 5 * 64, doomed, &committed);
+  const uint64_t two_phase_before =
+      cluster.coordinator()->metrics().two_phase.Value();
+  Status st =
+      RawWrite(cluster, kVictim, base + 5 * 64, doomed, &committed, peer);
   ASSERT_TRUE(st.IsUnavailable()) << st.ToString();
+  EXPECT_EQ(cluster.coordinator()->metrics().two_phase.Value(),
+            two_phase_before + (c.two_phase ? 1 : 0));
   EXPECT_FALSE(cluster.fabric()->IsUp(kVictim));
+  // Never acknowledged, so never applied: the RAM image still reads zeros.
+  EXPECT_EQ(RawReadAt(cluster, kVictim, base + 5 * 64, 64),
+            std::string(64, '\0'));
 
   // The node is down: nothing touching it can commit.
   st = RawWrite(cluster, kVictim, base + 6 * 64, payload, &committed);
@@ -185,16 +209,23 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         CommitCrashCase{CrashPoint::kBeforeWalAppend, false},
         CommitCrashCase{CrashPoint::kAfterWalAppendBeforeSync, false},
-        CommitCrashCase{CrashPoint::kAfterWalSyncBeforeAck, true}),
+        CommitCrashCase{CrashPoint::kAfterWalSyncBeforeAck, true},
+        CommitCrashCase{CrashPoint::kBeforeWalAppend, false, true},
+        CommitCrashCase{CrashPoint::kAfterWalAppendBeforeSync, false, true},
+        CommitCrashCase{CrashPoint::kAfterWalSyncBeforeAck, true, true}),
     [](const ::testing::TestParamInfo<CommitCrashCase>& info) {
+      std::string name;
       switch (info.param.point) {
         case CrashPoint::kBeforeWalAppend:
-          return std::string("BeforeWalAppend");
+          name = "BeforeWalAppend";
+          break;
         case CrashPoint::kAfterWalAppendBeforeSync:
-          return std::string("AfterWalAppendBeforeSync");
+          name = "AfterWalAppendBeforeSync";
+          break;
         default:
-          return std::string("AfterWalSyncBeforeAck");
+          name = "AfterWalSyncBeforeAck";
       }
+      return info.param.two_phase ? name + "TwoPhase" : name;
     });
 
 // --- Checkpoint-path crash points ------------------------------------------

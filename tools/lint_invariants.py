@@ -52,6 +52,14 @@ docs/ARCHITECTURE.md, "Concurrency invariants & tooling"):
                       first (read-set joins, cache fills, piggy-backed
                       validation, abort tags). Read through
                       DynamicTxn::Read with a ReadMode instead.
+  one-commit          Coordinator::RunCommit is the one commit pipeline:
+                      in src/ only it may call a memnode's Prepare, Commit
+                      or Abort (a call with arguments; DynamicTxn::Commit()
+                      takes none). A second caller is a second copy of the
+                      protocol's tail, free to drift from the first (the
+                      log-before-apply order, the message and round
+                      charges). Commit through Coordinator::Execute
+                      instead.
   metrics             stat counters in src/ (outside src/obs/) must be
                       obs::Counter, not raw std::atomic integers — raw
                       atomics are invisible to the MetricsRegistry and
@@ -131,6 +139,13 @@ MINITXN_DECL_RE = re.compile(r"\bMiniTxn\s+\w+\s*[;({=]")
 ONE_FETCH_FILE = "src/txn/txn.cc"
 FETCH_FUNCTIONS = ("ReadInto", "Commit")
 
+# Rule: one-commit. A call of the memnode commit surface: Prepare, Commit
+# or Abort reached through `->` or `.` with at least one argument (the
+# TxId), and the one function that may make it.
+MEMNODE_COMMIT_CALL_RE = re.compile(
+    r"(?:->|\.)\s*(?:Prepare|Commit|Abort)\s*\(\s*[^)\s]")
+COMMIT_FUNCTION = "RunCommit"
+
 # Rule: metrics. A raw std::atomic integer DECLARATION whose identifier
 # reads like a stat counter. Matches plain members/globals and array forms
 # (e.g. unique_ptr<std::atomic<uint64_t>[]>); loads/stores of such members
@@ -184,7 +199,8 @@ def lint_file(path, rel, findings):
     check_retry_loop = in_src and not rel.startswith("src/txn/")
     check_one_settle = rel.startswith("src/btree/")
     check_one_fetch = rel == ONE_FETCH_FILE
-    # Enclosing namespace-scope function (one-settle, one-fetch).
+    # Enclosing namespace-scope function (one-settle, one-fetch,
+    # one-commit).
     function = None
     in_block_comment = False
     # Active exclusive guards: stack of brace depths at declaration.
@@ -303,6 +319,15 @@ def lint_file(path, rel, findings):
                              "MiniTxn built outside DynamicTxn::ReadInto "
                              "and Commit; read through DynamicTxn::Read, "
                              "the one read skeleton")
+            # --- one-commit --------------------------------------------
+            if (MEMNODE_COMMIT_CALL_RE.search(code)
+                    and function != COMMIT_FUNCTION
+                    and not allowed("one-commit", raw_lines, i)):
+                findings.add(rel, lineno, "one-commit",
+                             "memnode Prepare/Commit/Abort called outside "
+                             "Coordinator::RunCommit; commit through "
+                             "Coordinator::Execute, the one commit "
+                             "pipeline")
             # --- retry-loop --------------------------------------------
             constructs_txn = (check_retry_loop
                               and TXN_CONSTRUCT_RE.search(code)
