@@ -108,6 +108,7 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
     }
   }
 
+  const bool one_phase = parts.size() == 1;
   Status last = Status::OK();
   for (uint32_t attempt = 0; attempt <= kMaxBusyRetries; attempt++) {
     if (attempt > 0) {
@@ -136,10 +137,9 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
     result->failed_compares.clear();
     result->read_results.assign(mtx.reads.size(), std::string());
 
-    const bool one_phase = parts.size() == 1;
     (one_phase ? metrics_.one_phase : metrics_.two_phase).Increment();
     const uint64_t t0 = trace != nullptr ? obs::NowNs() : 0;
-    Status st = RunCommit(tx, parts, mtx.blocking, result);
+    Status st = RunCommit(tx, parts, one_phase, mtx.blocking, result);
     if (trace != nullptr) {
       // A decided compare mismatch returns OK with committed=false; stamp
       // the span with the abort it means rather than a bare OK.
@@ -163,7 +163,8 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
 }
 
 Status Coordinator::RunCommit(TxId tx, const std::vector<PerNode>& parts,
-                              bool blocking, MiniResult* result) {
+                              bool one_phase, bool blocking,
+                              MiniResult* result) {
   bool read_only = true;
   for (const PerNode& pn : parts) read_only &= pn.writes.empty();
 
@@ -233,7 +234,6 @@ Status Coordinator::RunCommit(TxId tx, const std::vector<PerNode>& parts,
   // leaves the critical path. A participant that crashes after voting yes
   // does not stop the others: Sinfonia's recovery would replay from the
   // backup.
-  const bool one_phase = parts.size() == 1;
   Status commit_failure = Status::OK();
   {
     net::RoundTripScope rt;

@@ -229,9 +229,10 @@ class Coordinator {
   std::vector<PerNode> Partition(const MiniTxn& mtx) const;
 
   // One attempt of the commit pipeline over `parts` (see the file header).
-  // Busy means no participant kept its locks and nothing applied.
-  Status RunCommit(TxId tx, const std::vector<PerNode>& parts, bool blocking,
-                   MiniResult* result);
+  // `one_phase` is parts.size() == 1, decided once by Execute. Busy means
+  // no participant kept its locks and nothing applied.
+  Status RunCommit(TxId tx, const std::vector<PerNode>& parts, bool one_phase,
+                   bool blocking, MiniResult* result);
   void ReplicateWrites(const PerNode& pn, uint64_t lsn);
 
   // Append pn's write set to its node's WAL (inside the lock window) and,

@@ -59,6 +59,15 @@ Status Memnode::Prepare(TxId tx,
     locks_.Unlock(tx);
     return Status::OK();
   }
+  // A yes-voter's write ranges join the extent before the coordinator logs
+  // them. A fuzzy checkpoint whose LSN covers the record then reads back an
+  // extent that covers the range, and its block read waits on the lock
+  // held here until Commit applies the write.
+  uint64_t write_end = 0;
+  for (const auto& w : writes) {
+    write_end = std::max<uint64_t>(write_end, w.addr.offset + w.data.size());
+  }
+  if (write_end > 0) space_.EnsureExtent(write_end);
   for (const auto& r : reads) {
     std::string data;
     space_.Read(r.addr.offset, r.len, &data);

@@ -57,7 +57,10 @@ class Memnode {
   // the reads. The memnode then votes yes and HOLDS its locks until
   // Commit/Abort, so the coordinator can log and replicate the write set
   // inside the lock window: conflicting transactions reach the WAL and the
-  // backup in commit order. A false `*vote` (compare mismatch) releases
+  // backup in commit order. A yes vote also raises the extent over the
+  // write ranges, so a fuzzy checkpoint that starts once the write set is
+  // logged dumps those ranges (waiting on the held locks until Commit
+  // applies them). A false `*vote` (compare mismatch) releases
   // the locks at once: the outcome is decided. Busy/TimedOut if the locks
   // could not be acquired; nothing is then held.
   Status Prepare(TxId tx, const std::vector<MiniTxn::CompareItem>& compares,

@@ -57,24 +57,25 @@ void RamSlabStore::Write(uint64_t offset, const char* data, uint32_t len) {
     std::memcpy(MutableChunkAt(chunk) + in_chunk, data + done, n);
     done += n;
   }
-  std::lock_guard<std::mutex> g(grow_mu_);
-  extent_ = std::max(extent_, offset + len);
+  EnsureExtent(offset + len);
 }
 
 uint64_t RamSlabStore::Extent() const {
-  std::lock_guard<std::mutex> g(grow_mu_);
-  return extent_;
+  return extent_.load(std::memory_order_acquire);
 }
 
 void RamSlabStore::EnsureExtent(uint64_t extent) {
+  if (extent_.load(std::memory_order_acquire) >= extent) return;
   std::lock_guard<std::mutex> g(grow_mu_);
-  extent_ = std::max(extent_, extent);
+  if (extent_.load(std::memory_order_relaxed) < extent) {
+    extent_.store(extent, std::memory_order_release);
+  }
 }
 
 void RamSlabStore::Reset() {
   std::lock_guard<std::mutex> g(grow_mu_);
   chunks_.clear();
-  extent_ = 0;
+  extent_.store(0, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------

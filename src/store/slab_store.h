@@ -16,6 +16,7 @@
 // lock table).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -76,9 +77,11 @@ class RamSlabStore final : public SlabStore {
   const char* ChunkAt(uint64_t index) const;
   char* MutableChunkAt(uint64_t index);
 
-  mutable std::mutex grow_mu_;
+  mutable std::mutex grow_mu_;  // guards chunks_ and extent_'s growth
   std::vector<std::unique_ptr<char[]>> chunks_;
-  uint64_t extent_ = 0;
+  // Monotonic between Resets, so a write or EnsureExtent that the extent
+  // already covers reads it without taking grow_mu_.
+  std::atomic<uint64_t> extent_{0};
 };
 
 // The same contract over a file. Open() creates the file if absent; Reset()

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "minuet/cluster.h"
 #include "sinfonia/addr.h"
 #include "sinfonia/coordinator.h"
+#include "sinfonia/memnode.h"
 #include "sinfonia/minitxn.h"
 #include "store/checkpointed_store.h"
 #include "wal/wal.h"
@@ -311,6 +314,71 @@ TEST(RecoveryTest, CrashAfterRootFlipBeforeTruncateReplaysIdempotently) {
                   .Put(*tree, EncodeUserKey(kKeys), EncodeValue(kKeys))
                   .ok());
   VerifyKeys(cluster, *tree, kKeys + 1, 0);
+}
+
+// A fuzzy checkpoint that starts after a write's record is logged but
+// before the write applies must still capture it: replay skips records at
+// or below the checkpoint LSN, and truncation may drop them. The write
+// lands in a fresh slab past the node's extent, the case where the dump
+// would otherwise never read the range. The test steps the participant
+// through the commit pipeline's order by hand (Prepare, WAL append and
+// fsync, then Commit) and runs the checkpoint in the gap.
+TEST(RecoveryTest, CheckpointBetweenLogAndApplyKeepsWrite) {
+  constexpr uint32_t kVictim = 2;
+  constexpr int kKeys = 100;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, kKeys);
+
+  sinfonia::Coordinator* coord = cluster.coordinator();
+  sinfonia::Memnode* node = coord->memnode(kVictim);
+  store::CheckpointedStore* ds = cluster.durable_store(kVictim);
+  ASSERT_NE(ds, nullptr);
+  const uint64_t offset = ((node->Extent() >> 20) + 4) << 20;
+  const std::string data(64, 'C');
+  const std::vector<sinfonia::MiniTxn::WriteItem> writes{
+      {sinfonia::Addr{kVictim, offset}, data, false}};
+
+  // Lock and vote yes. The id sits far above the coordinator's counter.
+  constexpr sinfonia::TxId kTx = ~sinfonia::TxId{0};
+  bool vote = false;
+  std::vector<std::string> reads;
+  std::vector<uint32_t> failed;
+  ASSERT_TRUE(node->Prepare(kTx, {}, {}, writes, /*blocking=*/false, &vote,
+                            &reads, &failed)
+                  .ok());
+  ASSERT_TRUE(vote);
+  // The record is durable; the write has not applied yet.
+  auto lsn = ds->wal().Append({wal::WalWrite{offset, data}});
+  ASSERT_TRUE(lsn.ok());
+  ASSERT_TRUE(ds->wal().Sync(*lsn).ok());
+
+  // The checkpoint's LSN covers the record. Apply once its dump is waiting
+  // on the write's lock (a busy retry), or once it has finished without
+  // reading the range.
+  const uint64_t retries_before = coord->metrics().busy_retries.Value();
+  std::atomic<bool> done{false};
+  Status ckpt;
+  std::thread checkpointer([&] {
+    ckpt = cluster.CheckpointMemnode(kVictim);
+    done.store(true, std::memory_order_release);
+  });
+  while (!done.load(std::memory_order_acquire) &&
+         coord->metrics().busy_retries.Value() == retries_before) {
+    std::this_thread::yield();
+  }
+  node->Commit(kTx, writes);
+  checkpointer.join();
+  ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+  ASSERT_GE(ds->LastCheckpointLsn(), *lsn);
+
+  cluster.CrashMemnode(kVictim);
+  cluster.RecoverMemnode(kVictim);
+  ASSERT_TRUE(cluster.fabric()->IsUp(kVictim));
+  EXPECT_EQ(RawReadAt(cluster, kVictim, offset, 64), data);
+  ExpectImageMatchesPeerBackup(cluster, kVictim);
+  VerifyKeys(cluster, *tree, kKeys, 1);
 }
 
 // --- Local-log vs peer-re-seed convergence ---------------------------------
