@@ -307,8 +307,21 @@ Result<uint32_t> Cluster::AddMemnode() {
     // Seed checkpoint: the cloned replicated region exists only in RAM
     // until an image captures it. A node that crashes before its first
     // write must recover that seed from an empty WAL + this checkpoint
-    // (tests/failure_test.cc proves exactly this path).
-    IgnoreStatus(coord_->CheckpointMemnode(id));
+    // (tests/failure_test.cc proves exactly this path), and a later record
+    // that leaves a cloned byte unchanged does not carry it. Busy means a
+    // checkpoint pass reached the new node first: wait it out and take
+    // our own. Any other failure leaves the node joined but its seed not
+    // durable: its next recovery re-seeds from its peer, and the error is
+    // returned.
+    Status seeded = coord_->CheckpointMemnode(id);
+    while (seeded.IsBusy()) {
+      std::this_thread::yield();
+      seeded = coord_->CheckpointMemnode(id);
+    }
+    if (!seeded.ok()) {
+      coord_->RequireReseed(id);
+      return seeded;
+    }
   }
   return id;
 }

@@ -322,8 +322,10 @@ class Cluster {
   // coordinator's exclusive membership lock, never under a running
   // minitransaction), and the allocator opens it for load-aware placement.
   // Returns the new memnode id. Existing data does NOT move by itself —
-  // run the rebalancer to migrate slabs onto the new node. Not safe to call
-  // concurrently with itself, RemoveMemnode, or Crash/RecoverMemnode.
+  // run the rebalancer to migrate slabs onto the new node. With durability
+  // on, an error from the node's seed checkpoint is returned after the
+  // node has joined. Not safe to call concurrently with itself,
+  // RemoveMemnode, or Crash/RecoverMemnode.
   Result<uint32_t> AddMemnode();
 
   // --- Elastic scale-in ------------------------------------------------------

@@ -1,9 +1,30 @@
 #include "sinfonia/coordinator.h"
 
 #include <algorithm>
+#include <cstring>
 #include <thread>
 
 namespace minuet::sinfonia {
+
+namespace {
+
+// A ring watermark no local log reaches: recovery of the primary it is set
+// for takes the peer path.
+constexpr uint64_t kReseedOnNextRecovery = ~uint64_t{0};
+
+// Lay the bytes `earlier` writes over *image, the bytes `w` covers.
+void OverlayWrite(const MiniTxn::WriteItem& earlier,
+                  const MiniTxn::WriteItem& w, std::string* image) {
+  const uint64_t begin = std::max(earlier.addr.offset, w.addr.offset);
+  const uint64_t end = std::min(earlier.addr.offset + earlier.data.size(),
+                                w.addr.offset + image->size());
+  if (begin >= end) return;
+  std::memcpy(image->data() + (begin - w.addr.offset),
+              earlier.data.data() + (begin - earlier.addr.offset),
+              end - begin);
+}
+
+}  // namespace
 
 Coordinator::Coordinator(net::Fabric* fabric, std::vector<Memnode*> memnodes,
                          Options options)
@@ -275,10 +296,21 @@ Status Coordinator::LogDurable(const PerNode& pn, uint64_t* lsn) {
   if (FireCrashPoint(pn.node, CrashPoint::kBeforeWalAppend)) {
     return Status::Unavailable("crash injected before WAL append");
   }
+  // Log only the bytes this commit changes. The participant holds every
+  // write range exclusively and Commit has not applied it, so the space
+  // still reads the pre-image; an earlier item of the write set that
+  // overlaps is laid over it, as Commit applies items in order. Recovery
+  // rebuilds every omitted byte from the checkpoint image and earlier
+  // records (docs/ARCHITECTURE.md, "Record format"). A write set that
+  // changes nothing still appends its (empty) record.
   std::vector<wal::WalWrite> writes;
-  writes.reserve(pn.writes.size());
-  for (const auto& w : pn.writes) {
-    writes.push_back(wal::WalWrite{w.addr.offset, w.data});
+  std::string pre;
+  for (size_t i = 0; i < pn.writes.size(); i++) {
+    const MiniTxn::WriteItem& w = pn.writes[i];
+    memnodes_[pn.node]->RawRead(w.addr.offset,
+                                static_cast<uint32_t>(w.data.size()), &pre);
+    for (size_t j = 0; j < i; j++) OverlayWrite(pn.writes[j], w, &pre);
+    wal::AppendChangedRanges(w.addr.offset, pre, w.data, &writes);
   }
   auto appended = ds->wal().Append(writes);
   MINUET_RETURN_NOT_OK(appended.status());
@@ -401,15 +433,27 @@ void Coordinator::Recover(MemnodeId id) {
   if (ds != nullptr) {
     ds->metrics().recoveries_reseed.Increment();
     // Re-anchor durable state to the restored image (quiesced: the node is
-    // still fenced off the fabric, so raw reads cannot race writers). A
-    // failure here only costs the NEXT crash a re-seed.
-    IgnoreStatus(CheckpointNode(id, /*quiesced=*/true));
-    memnodes_[backup]->SetBackupLsn(id, ds->wal().CurrentLsn());
+    // still fenced off the fabric, so raw reads cannot race writers). Until
+    // an image holds the restored bytes, the local log cannot rebuild them:
+    // a later record omits every byte it leaves unchanged. So a failed
+    // re-anchor pins the ring watermark above any LSN, and the NEXT
+    // recovery re-seeds again; that re-seed is all the failure costs.
+    const Status anchored = CheckpointNode(id, /*quiesced=*/true);
+    memnodes_[backup]->SetBackupLsn(
+        id, anchored.ok() ? ds->wal().CurrentLsn() : kReseedOnNextRecovery);
   }
   fabric_->SetUp(id, true);
   if (trace != nullptr) {
     trace->RecordRound("recover.reseed", 2, 0, Status::OK(),
                        obs::NowNs() - t0);
+  }
+}
+
+void Coordinator::RequireReseed(MemnodeId id) {
+  std::shared_lock<std::shared_mutex> membership(membership_mu_);
+  const MemnodeId backup = BackupOf(id);
+  if (options_.replication && backup != id) {
+    memnodes_[backup]->SetBackupLsn(id, kReseedOnNextRecovery);
   }
 }
 
@@ -479,6 +523,14 @@ Status Coordinator::RunCheckpoint(MemnodeId id, store::CheckpointedStore* ds,
     if (!store::IsAllZero(block)) {
       MINUET_RETURN_NOT_OK(ds->WriteImageBlock(off, block));
     }
+  }
+  // Every record the image may reflect is durable before the image becomes
+  // the root: recovery replays the records after the checkpoint LSN over
+  // it, and those carry only the bytes they change. A write applies only
+  // after it is logged, and under sync durability only after it is
+  // synced; under async durability this sync covers what the dump read.
+  if (options_.durability == wal::DurabilityMode::kAsync) {
+    MINUET_RETURN_NOT_OK(ds->wal().Sync(ds->wal().CurrentLsn()));
   }
   MINUET_RETURN_NOT_OK(ds->SealImageAndFlipRoot());
   if (FireCrashPoint(id, CrashPoint::kAfterRootFlipBeforeTruncate)) {

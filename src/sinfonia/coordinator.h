@@ -179,6 +179,10 @@ class Coordinator {
   // its backup peer and a quiesced checkpoint re-anchors the durable state.
   // No-op for a retired id (retirement is permanent).
   void Recover(MemnodeId id);
+  // Make the next Recover(id) re-seed from the backup peer (with
+  // replication on), for when `id` holds bytes that no checkpoint image
+  // or log record of its own captured. A successful re-anchor clears it.
+  void RequireReseed(MemnodeId id);
 
   // --- Elastic membership (online scale-out) ------------------------------
   // Register `node` (id must be the next free one) while NO minitransaction

@@ -12,11 +12,16 @@
 // All integers little-endian (common/byteio.h). The CRC covers the payload
 // only; the reader treats a bad length, short payload, or CRC mismatch as a
 // torn tail and stops cleanly at the last whole record.
+//
+// A write carries only the bytes its commit changed (AppendChangedRanges),
+// not the whole item the minitransaction wrote. Replay needs no special
+// case: a full-image write and a changed-range write are the same frame.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace minuet::wal {
@@ -34,6 +39,9 @@ struct WalRecord {
 };
 
 inline constexpr uint32_t kFrameHeaderBytes = 8;
+// [lsn u64][write_count u32], and per write [offset u64][len u32].
+inline constexpr uint32_t kPayloadHeaderBytes = 12;
+inline constexpr uint32_t kWriteHeaderBytes = 12;
 // Upper bound on a sane payload. A torn or bit-flipped length field must
 // never drive a multi-gigabyte allocation in the reader.
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
@@ -47,6 +55,15 @@ void EncodeRecord(uint64_t lsn, const std::vector<WalWrite>& writes,
 inline void EncodeRecord(const WalRecord& rec, std::string* out) {
   EncodeRecord(rec.lsn, rec.writes, out);
 }
+
+// Append to *writes the runs where `post` differs from `pre`, the bytes at
+// `offset` before and after one write (pre.size() == post.size()). Runs
+// whose gap is shorter than kWriteHeaderBytes merge into one write, since
+// a second write would cost more header than the gap's bytes. Equal
+// images append nothing. Replaying the appended writes over `pre` yields
+// `post`.
+void AppendChangedRanges(uint64_t offset, std::string_view pre,
+                         std::string_view post, std::vector<WalWrite>* writes);
 
 // Parse a payload (framing stripped, CRC already verified). Returns false
 // on structural corruption (truncated fields, count/length overruns).

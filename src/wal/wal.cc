@@ -55,19 +55,67 @@ void EncodeRecord(uint64_t lsn, const std::vector<WalWrite>& writes,
                 Crc32(out->data() + payload_start, len));
 }
 
+namespace {
+
+// First index in [i, n) where the images differ, or n. Equal stretches
+// are skipped a word at a time.
+size_t NextDifference(const char* a, const char* b, size_t i, size_t n) {
+  for (; i + 8 <= n; i += 8) {
+    if (DecodeFixed64(a + i) != DecodeFixed64(b + i)) break;
+  }
+  while (i < n && a[i] == b[i]) i++;
+  return i;
+}
+
+// First index in [i, n) where the images agree again, or n.
+size_t NextAgreement(const char* a, const char* b, size_t i, size_t n) {
+  while (i < n && a[i] != b[i]) i++;
+  return i;
+}
+
+}  // namespace
+
+void AppendChangedRanges(uint64_t offset, std::string_view pre,
+                         std::string_view post,
+                         std::vector<WalWrite>* writes) {
+  const size_t n = post.size();
+  const char* a = pre.data();
+  const char* b = post.data();
+  size_t run_begin = 0;
+  size_t run_end = 0;  // run_end == 0: no run open yet
+  auto flush = [&] {
+    writes->push_back(WalWrite{
+        offset + run_begin,
+        std::string(post.substr(run_begin, run_end - run_begin))});
+  };
+  size_t i = NextDifference(a, b, 0, n);
+  while (i < n) {
+    const size_t end = NextAgreement(a, b, i, n);
+    if (run_end > 0 && i - run_end < kWriteHeaderBytes) {
+      run_end = end;  // the gap costs less than a second header
+    } else {
+      if (run_end > 0) flush();
+      run_begin = i;
+      run_end = end;
+    }
+    i = NextDifference(a, b, end, n);
+  }
+  if (run_end > 0) flush();
+}
+
 bool DecodePayload(const char* data, size_t n, WalRecord* rec) {
-  if (n < 12) return false;
+  if (n < kPayloadHeaderBytes) return false;
   rec->lsn = DecodeFixed64(data);
   const uint32_t count = DecodeFixed32(data + 8);
-  size_t pos = 12;
+  size_t pos = kPayloadHeaderBytes;
   rec->writes.clear();
   rec->writes.reserve(std::min<uint32_t>(count, 1024));
   for (uint32_t i = 0; i < count; i++) {
-    if (pos + 12 > n) return false;
+    if (pos + kWriteHeaderBytes > n) return false;
     WalWrite w;
     w.offset = DecodeFixed64(data + pos);
     const uint32_t len = DecodeFixed32(data + pos + 8);
-    pos += 12;
+    pos += kWriteHeaderBytes;
     if (len > n || pos + len > n) return false;
     w.data.assign(data + pos, len);
     pos += len;

@@ -7,9 +7,15 @@
 // checkpoints + WAL alone.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,11 +23,13 @@
 
 #include "common/key_codec.h"
 #include "minuet/cluster.h"
+#include "minuet/write_batch.h"
 #include "sinfonia/addr.h"
 #include "sinfonia/coordinator.h"
 #include "sinfonia/memnode.h"
 #include "sinfonia/minitxn.h"
 #include "store/checkpointed_store.h"
+#include "store/slab_store.h"
 #include "wal/wal.h"
 
 namespace minuet {
@@ -106,6 +114,85 @@ std::string RawReadAt(Cluster& cluster, uint32_t node, uint64_t offset,
   cluster.coordinator()->memnode(node)->RawRead(offset, len, &out);
   return out;
 }
+
+// Framed WAL bytes appended cluster-wide, summed from the metrics
+// registry's memnode*.wal.append_bytes counters.
+int64_t WalAppendBytes(const Cluster& cluster) {
+  int64_t total = 0;
+  for (const obs::Sample& s : cluster.metrics_registry().Snapshot()) {
+    if (s.subsystem.rfind("memnode", 0) == 0 && s.name == "append_bytes") {
+      total += s.value;
+    }
+  }
+  return total;
+}
+
+// Holds an exclusive lock on [offset, offset + 8) of `node` the way a
+// yes-voting participant does, stalling a checkpoint dump that reaches the
+// range until Release. The id sits far above the coordinator's counter.
+class RangeHold {
+ public:
+  RangeHold(sinfonia::Memnode* node, uint64_t offset) : node_(node) {
+    bool vote = false;
+    std::vector<std::string> reads;
+    std::vector<uint32_t> failed;
+    const std::vector<sinfonia::MiniTxn::WriteItem> writes{
+        {sinfonia::Addr{node->id(), offset}, std::string(8, 'S'), false}};
+    held_ = node_->Prepare(kTx, {}, {}, writes, /*blocking=*/false, &vote,
+                           &reads, &failed)
+                .ok() &&
+            vote;
+  }
+  ~RangeHold() { Release(); }
+  RangeHold(const RangeHold&) = delete;
+  RangeHold& operator=(const RangeHold&) = delete;
+
+  bool held() const { return held_; }
+  void Release() {
+    if (held_) node_->Abort(kTx);
+    held_ = false;
+  }
+
+ private:
+  static constexpr sinfonia::TxId kTx = ~sinfonia::TxId{0} - 1;
+  sinfonia::Memnode* node_;
+  bool held_ = false;
+};
+
+// Runs a checkpoint of `id` on another thread. The constructor returns once
+// the dump is stalled on a held lock (a busy retry) or has finished; Wait
+// joins the thread and returns the checkpoint's status.
+class BackgroundCheckpoint {
+ public:
+  BackgroundCheckpoint(Cluster& cluster, uint32_t id) {
+    sinfonia::Coordinator* coord = cluster.coordinator();
+    const uint64_t retries_before = coord->metrics().busy_retries.Value();
+    thread_ = std::thread([this, &cluster, id] {
+      status_ = cluster.CheckpointMemnode(id);
+      done_.store(true, std::memory_order_release);
+    });
+    while (!done_.load(std::memory_order_acquire) &&
+           coord->metrics().busy_retries.Value() == retries_before) {
+      std::this_thread::yield();
+    }
+  }
+  ~BackgroundCheckpoint() { IgnoreStatus(Wait()); }
+  BackgroundCheckpoint(const BackgroundCheckpoint&) = delete;
+  BackgroundCheckpoint& operator=(const BackgroundCheckpoint&) = delete;
+
+  Status Wait() {
+    if (thread_.joinable()) thread_.join();
+    return status_;
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  Status status_;
+  std::thread thread_;  // last: it uses the members above
+};
+
+// The dump reads the space in blocks of this size.
+constexpr uint64_t kDumpBlock = 64 * 1024;
 
 // --- The commit-path crash matrix -----------------------------------------
 //
@@ -381,6 +468,340 @@ TEST(RecoveryTest, CheckpointBetweenLogAndApplyKeepsWrite) {
   VerifyKeys(cluster, *tree, kKeys, 1);
 }
 
+// --- Changed-range records -------------------------------------------------
+//
+// A record carries only the bytes its commit changed. Recovery rebuilds
+// every omitted byte from the checkpoint image plus earlier records.
+
+// A fuzzy checkpoint whose image holds a LATER state than the first record
+// replayed over it. The dump stalls on a lock in one block while two
+// commits rewrite a range in the next: the image holds the second commit's
+// bytes, and the checkpoint LSN precedes both records. The second commit
+// undoes the first one's run, so replaying the first record over the image
+// is wrong until the second replays too.
+TEST(RecoveryTest, ChangedRangesReplayOverLaterCheckpointImage) {
+  constexpr uint32_t kVictim = 1;
+  constexpr int kKeys = 100;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, kKeys);
+
+  sinfonia::Memnode* node = cluster.coordinator()->memnode(kVictim);
+  store::CheckpointedStore* ds = cluster.durable_store(kVictim);
+  ASSERT_NE(ds, nullptr);
+  const uint64_t stall = ((node->Extent() >> 20) + 4) << 20;
+  const uint64_t target = stall + kDumpBlock;
+  const std::string v0(64, 'A');
+  std::string v1 = v0;
+  v1.replace(0, 16, 16, 'B');
+  std::string v2 = v0;
+  v2.replace(32, 16, 16, 'C');
+  bool committed = false;
+  ASSERT_TRUE(RawWrite(cluster, kVictim, target, v0, &committed).ok());
+  ASSERT_TRUE(committed);
+
+  RangeHold hold(node, stall);
+  ASSERT_TRUE(hold.held());
+  BackgroundCheckpoint checkpoint(cluster, kVictim);
+  const int64_t bytes_before = WalAppendBytes(cluster);
+  ASSERT_TRUE(RawWrite(cluster, kVictim, target, v1, &committed).ok());
+  ASSERT_TRUE(committed);
+  const uint64_t first_lsn = ds->wal().CurrentLsn();
+  const int64_t bytes_mid = WalAppendBytes(cluster);
+  ASSERT_TRUE(RawWrite(cluster, kVictim, target, v2, &committed).ok());
+  ASSERT_TRUE(committed);
+  const int64_t bytes_after = WalAppendBytes(cluster);
+  hold.Release();
+  const Status ckpt = checkpoint.Wait();
+  ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+  ASSERT_LT(ds->LastCheckpointLsn(), first_lsn);
+
+  // Frame, payload header, then one 16-byte run for v1 and two for v2.
+  constexpr int64_t kRecordHeader =
+      wal::kFrameHeaderBytes + wal::kPayloadHeaderBytes;
+  EXPECT_EQ(bytes_mid - bytes_before,
+            kRecordHeader + wal::kWriteHeaderBytes + 16);
+  EXPECT_EQ(bytes_after - bytes_mid,
+            kRecordHeader + 2 * (wal::kWriteHeaderBytes + 16));
+
+  cluster.CrashMemnode(kVictim);
+  cluster.RecoverMemnode(kVictim);
+  ASSERT_TRUE(cluster.fabric()->IsUp(kVictim));
+  EXPECT_EQ(ds->metrics().recoveries_local.Value(), 1u);
+  EXPECT_EQ(RawReadAt(cluster, kVictim, target, 64), v2);
+  ExpectImageMatchesPeerBackup(cluster, kVictim);
+  VerifyKeys(cluster, *tree, kKeys, 1);
+}
+
+// Write items of one minitransaction may overlap; they apply in order. A
+// later item's changed ranges are taken against the bytes the earlier
+// items leave, so an item that restores a byte an earlier one changed
+// still logs it.
+TEST(RecoveryTest, OverlappingWriteItemsReplayInOrder) {
+  constexpr uint32_t kVictim = 2;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, 50);
+
+  const uint64_t base =
+      ((cluster.coordinator()->memnode(kVictim)->Extent() >> 20) + 4) << 20;
+  bool committed = false;
+  ASSERT_TRUE(
+      RawWrite(cluster, kVictim, base, std::string(64, 'A'), &committed)
+          .ok());
+  sinfonia::MiniTxn mtx;
+  mtx.AddWrite(sinfonia::Addr{kVictim, base}, std::string(32, 'B'));
+  mtx.AddWrite(sinfonia::Addr{kVictim, base + 8}, std::string(16, 'A'));
+  sinfonia::MiniResult res;
+  ASSERT_TRUE(cluster.coordinator()->Execute(mtx, &res).ok());
+  ASSERT_TRUE(res.committed);
+  const std::string want = std::string(8, 'B') + std::string(16, 'A') +
+                           std::string(8, 'B') + std::string(32, 'A');
+  ASSERT_EQ(RawReadAt(cluster, kVictim, base, 64), want);
+
+  cluster.CrashMemnode(kVictim);
+  cluster.RecoverMemnode(kVictim);
+  ASSERT_TRUE(cluster.fabric()->IsUp(kVictim));
+  EXPECT_EQ(RawReadAt(cluster, kVictim, base, 64), want);
+  ExpectImageMatchesPeerBackup(cluster, kVictim);
+}
+
+// A log written before records carried changed ranges holds whole-item
+// writes. Continued with changed-range records, it replays to the live
+// bytes.
+TEST(RecoveryTest, FullImageRecordsThenChangedRangeRecordsReplay) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("minuet-mixed-wal-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir / "wal");
+
+  // The older log: whole 256-byte objects, framed by EncodeRecord.
+  constexpr uint32_t kObject = 256;
+  store::RamSlabStore live;
+  std::string old_log;
+  uint64_t lsn = 0;
+  for (int r = 0; r < 6; r++) {
+    std::vector<wal::WalWrite> writes;
+    for (uint64_t obj = 0; obj < 3; obj++) {
+      std::string image(kObject, static_cast<char>('a' + r));
+      image[obj * 7] = 'z';
+      writes.push_back(wal::WalWrite{obj * 4096, image});
+      live.Write(obj * 4096, image.data(), kObject);
+    }
+    wal::EncodeRecord(++lsn, writes, &old_log);
+  }
+  {
+    std::ofstream out(dir / "wal" / "wal-000001.log", std::ios::binary);
+    out.write(old_log.data(), static_cast<std::streamsize>(old_log.size()));
+  }
+
+  store::CheckpointedStore ds(dir.string());
+  ASSERT_TRUE(ds.Open().ok());
+  EXPECT_EQ(ds.wal().CurrentLsn(), lsn);
+
+  // Newer records: the changed ranges of small edits to the live objects.
+  std::string pre;
+  for (int r = 0; r < 8; r++) {
+    std::vector<wal::WalWrite> writes;
+    for (uint64_t obj = 0; obj < 3; obj++) {
+      live.Read(obj * 4096, kObject, &pre);
+      std::string post = pre;
+      post[(r * 31 + obj * 17) % kObject] = static_cast<char>('0' + r);
+      post[(r * 53 + 100) % kObject] = static_cast<char>('A' + obj);
+      wal::AppendChangedRanges(obj * 4096, pre, post, &writes);
+      live.Write(obj * 4096, post.data(), kObject);
+    }
+    auto appended = ds.wal().Append(writes);
+    ASSERT_TRUE(appended.ok());
+    ASSERT_TRUE(ds.wal().Sync(*appended).ok());
+  }
+
+  store::RamSlabStore recovered;
+  store::CheckpointedStore::RecoveryInfo info;
+  ASSERT_TRUE(ds.RecoverInto(&recovered, &info).ok());
+  EXPECT_EQ(info.replayed, 6u + 8u);
+  EXPECT_EQ(info.lsn, lsn + 8);
+  std::string want, got;
+  live.Read(0, static_cast<uint32_t>(live.Extent()), &want);
+  recovered.Read(0, static_cast<uint32_t>(live.Extent()), &got);
+  EXPECT_EQ(got, want);
+  ds.Close();
+  fs::remove_all(dir);
+}
+
+// Cross-memnode WriteBatches under sync durability, overwriting and adding
+// keys around a checkpoint: after every memnode loses its RAM and its
+// backups, every acknowledged key reads back its last acknowledged value.
+TEST(RecoveryTest, CrossMemnodeWriteBatchesSurviveColdRestart) {
+  constexpr int kKeys = 300;
+  constexpr int kBatches = 60;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, kKeys);
+  std::map<int, uint64_t> acked;
+  for (int i = 0; i < kKeys; i++) acked[i] = i;
+
+  const uint64_t two_phase_before =
+      cluster.coordinator()->metrics().two_phase.Value();
+  int next_key = kKeys;
+  for (int b = 0; b < kBatches; b++) {
+    if (b == kBatches / 2) {
+      ASSERT_TRUE(cluster.CheckpointAll().ok());
+    }
+    WriteBatch batch;
+    std::map<int, uint64_t> staged;
+    for (int k = 0; k < 7; k++) {
+      const int key = (b * 37 + k * 43) % kKeys;  // spread over the leaves
+      staged[key] = 1000000 + b * 10 + k;
+    }
+    staged[next_key++] = 2000000 + b;  // one new key per batch
+    for (const auto& [key, value] : staged) {
+      batch.Put(*tree, EncodeUserKey(key), EncodeValue(value));
+    }
+    ASSERT_TRUE(cluster.proxy(b % cluster.n_proxies()).Apply(batch).ok())
+        << "batch " << b;
+    for (const auto& [key, value] : staged) acked[key] = value;
+  }
+  // The batches spanned memnodes: they committed in two phases.
+  EXPECT_GT(cluster.coordinator()->metrics().two_phase.Value(),
+            two_phase_before);
+
+  cluster.CrashAllMemnodes();
+  cluster.RecoverAllMemnodes();
+  cluster.DropProxyCaches();
+  std::string value;
+  for (uint32_t p = 0; p < cluster.n_proxies(); p++) {
+    for (const auto& [key, want] : acked) {
+      ASSERT_TRUE(cluster.proxy(p).Get(*tree, EncodeUserKey(key), &value).ok())
+          << "key " << key << " via proxy " << p;
+      EXPECT_EQ(DecodeValue(value), want) << "key " << key;
+    }
+  }
+  for (uint32_t id = 0; id < cluster.n_memnodes(); id++) {
+    ExpectImageMatchesPeerBackup(cluster, id);
+  }
+}
+
+// Structural gate: a warm same-size overwrite of one key logs the bytes
+// it changes, not the leaf it rewrites.
+TEST(RecoveryTest, WarmSameSizePutLogsOnlyChangedBytes) {
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, 200);
+  Proxy& proxy = cluster.proxy(0);
+  // Warm the path to the key's leaf.
+  ASSERT_TRUE(proxy.Put(*tree, EncodeUserKey(77), EncodeValue(1)).ok());
+
+  const int64_t before = WalAppendBytes(cluster);
+  ASSERT_TRUE(proxy.Put(*tree, EncodeUserKey(77), EncodeValue(2)).ok());
+  const int64_t appended = WalAppendBytes(cluster) - before;
+  std::printf("[ MEASURED ] warm same-size Put: %lld WAL bytes\n",
+              static_cast<long long>(appended));
+  EXPECT_GT(appended, 0);
+  EXPECT_LE(appended, 64);
+}
+
+// A node that joins keeps its seed (the cloned replicated region) only in
+// RAM until its seed checkpoint lands. When that checkpoint fails,
+// AddMemnode says so, and the node's recovery re-seeds from its peer
+// rather than rebuild from a log that never held the seed.
+TEST(RecoveryTest, FailedSeedCheckpointFailsAddMemnodeAndReseeds) {
+  constexpr int kKeys = 150;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, kKeys);
+
+  const uint32_t id = cluster.n_memnodes();
+  cluster.coordinator()->ArmCrashPoint(id, CrashPoint::kMidCheckpoint);
+  auto added = cluster.AddMemnode();
+  ASSERT_FALSE(added.ok());
+  EXPECT_TRUE(added.status().IsUnavailable()) << added.status().ToString();
+  ASSERT_EQ(cluster.n_memnodes(), id + 1);
+  EXPECT_FALSE(cluster.fabric()->IsUp(id));
+
+  store::CheckpointedStore* ds = cluster.durable_store(id);
+  ASSERT_NE(ds, nullptr);
+  cluster.RecoverMemnode(id);
+  ASSERT_TRUE(cluster.fabric()->IsUp(id));
+  EXPECT_EQ(ds->metrics().recoveries_reseed.Value(), 1u);
+  EXPECT_EQ(ds->metrics().recoveries_local.Value(), 0u);
+  // The replicated region sits at the same offsets on every memnode.
+  const uint32_t region =
+      static_cast<uint32_t>(cluster.layout().alloc_meta_base());
+  EXPECT_EQ(RawReadAt(cluster, id, 0, region), RawReadAt(cluster, 0, 0, region));
+  ExpectImageMatchesPeerBackup(cluster, id);
+  VerifyKeys(cluster, *tree, kKeys, id % cluster.n_proxies());
+}
+
+// Under async durability the log is synced before a checkpoint's root
+// flips, so a crash between the flip and the truncation cannot leave an
+// image that reflects a record the crash lost. The dump stalls on a held
+// lock while one commit lands in a block it has read and one in a block it
+// has yet to read; without replication the local log is the only source.
+// The victim is the memnode with the smallest extent, and the held lock's
+// stripe is chosen so that no block below it shares the stripe: the dump
+// must pass the first block before it stalls.
+TEST(RecoveryTest, AsyncCheckpointImageReflectsOnlyDurableRecords) {
+  ClusterOptions opts = DurableOpts(wal::DurabilityMode::kAsync);
+  opts.replication = false;
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, 50);
+
+  sinfonia::Coordinator* coord = cluster.coordinator();
+  uint32_t victim = 0;
+  for (uint32_t id = 1; id < cluster.n_memnodes(); id++) {
+    if (coord->memnode(id)->Extent() < coord->memnode(victim)->Extent()) {
+      victim = id;
+    }
+  }
+  sinfonia::Memnode* node = coord->memnode(victim);
+  const uint64_t read = (node->Extent() / kDumpBlock + 1) * kDumpBlock;
+  const uint64_t unread = read + 2 * kDumpBlock;
+  bool committed = false;
+  for (uint64_t off : {read, unread}) {
+    ASSERT_TRUE(
+        RawWrite(cluster, victim, off, std::string(64, 'A'), &committed)
+            .ok());
+  }
+  std::unique_ptr<RangeHold> hold;
+  for (uint64_t stall = read + kDumpBlock; stall < unread; stall += 1024) {
+    hold = std::make_unique<RangeHold>(node, stall);
+    ASSERT_TRUE(hold->held());
+    if (!node->lock_table().IsLocked(
+            {0, read + kDumpBlock, sinfonia::LockTable::Mode::kShared})) {
+      break;
+    }
+    hold.reset();
+  }
+  ASSERT_NE(hold, nullptr) << "every stall offset shares a stripe below it";
+
+  coord->ArmCrashPoint(victim, CrashPoint::kAfterRootFlipBeforeTruncate);
+  BackgroundCheckpoint checkpoint(cluster, victim);
+  const std::string first(64, 'B'), second(64, 'C');
+  ASSERT_TRUE(RawWrite(cluster, victim, read, first, &committed).ok());
+  ASSERT_TRUE(RawWrite(cluster, victim, unread, second, &committed).ok());
+  hold->Release();
+  const Status ckpt = checkpoint.Wait();
+  ASSERT_TRUE(ckpt.IsUnavailable()) << ckpt.ToString();
+
+  cluster.RecoverMemnode(victim);
+  ASSERT_TRUE(cluster.fabric()->IsUp(victim));
+  // Both records were synced before the flip and replay in order: the
+  // recovered bytes are a prefix of the history, never the second write
+  // without the first.
+  EXPECT_EQ(RawReadAt(cluster, victim, read, 64), first);
+  EXPECT_EQ(RawReadAt(cluster, victim, unread, 64), second);
+  VerifyKeys(cluster, *tree, 50, 1);
+}
+
 // --- Local-log vs peer-re-seed convergence ---------------------------------
 
 TEST(RecoveryTest, DiscardedLogFallsBackToPeerThenConverges) {
@@ -419,6 +840,50 @@ TEST(RecoveryTest, DiscardedLogFallsBackToPeerThenConverges) {
   EXPECT_EQ(ds->metrics().recoveries_reseed.Value(), 1u);
   ExpectImageMatchesPeerBackup(cluster, kVictim);
   VerifyKeys(cluster, *tree, kKeys + 50, 0);
+}
+
+// A re-seed re-anchors durable state with a checkpoint. When that
+// checkpoint fails, the local log cannot rebuild the re-seeded bytes (later
+// records omit what they leave unchanged), so the next recovery re-seeds
+// again instead of trusting it. That re-seed's re-anchor lands, and the
+// recovery after it is local.
+TEST(RecoveryTest, FailedReanchorReseedsNextRecovery) {
+  constexpr uint32_t kVictim = 3;
+  constexpr int kKeys = 200;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kSync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, kKeys);
+
+  store::CheckpointedStore* ds = cluster.durable_store(kVictim);
+  ASSERT_TRUE(ds->DiscardDurableState().ok());
+  cluster.CrashMemnode(kVictim);
+  cluster.coordinator()->ArmCrashPoint(kVictim, CrashPoint::kMidCheckpoint);
+  cluster.RecoverMemnode(kVictim);
+  ASSERT_TRUE(cluster.fabric()->IsUp(kVictim));
+  EXPECT_EQ(ds->metrics().recoveries_reseed.Value(), 1u);
+  EXPECT_EQ(ds->metrics().checkpoints.Value(), 0u);  // the re-anchor failed
+  VerifyKeys(cluster, *tree, kKeys, 2);
+
+  for (int i = kKeys; i < kKeys + 50; i++) {
+    ASSERT_TRUE(cluster.proxy(1)
+                    .Put(*tree, EncodeUserKey(i), EncodeValue(i))
+                    .ok());
+  }
+  cluster.CrashMemnode(kVictim);
+  cluster.RecoverMemnode(kVictim);
+  ASSERT_TRUE(cluster.fabric()->IsUp(kVictim));
+  EXPECT_EQ(ds->metrics().recoveries_reseed.Value(), 2u);
+  EXPECT_EQ(ds->metrics().recoveries_local.Value(), 0u);
+  EXPECT_EQ(ds->metrics().checkpoints.Value(), 1u);
+  ExpectImageMatchesPeerBackup(cluster, kVictim);
+  VerifyKeys(cluster, *tree, kKeys + 50, 0);
+
+  cluster.CrashMemnode(kVictim);
+  cluster.RecoverMemnode(kVictim);
+  EXPECT_EQ(ds->metrics().recoveries_local.Value(), 1u);
+  ExpectImageMatchesPeerBackup(cluster, kVictim);
+  VerifyKeys(cluster, *tree, kKeys + 50, 3);
 }
 
 // Async durability: commits are acked without fsync, so a crash loses the

@@ -1,10 +1,12 @@
-// WAL and durable-store unit tests: record framing round-trips, torn-tail
-// truncation at every byte offset, CRC bit-flip fuzzing (the reader never
-// crashes and never returns a corrupt record), group-commit batching, and
-// the SlabStore / Superblock / CheckpointedStore building blocks.
+// WAL and durable-store unit tests: record framing round-trips, the
+// changed-range diff a record carries, torn-tail truncation at every byte
+// offset, CRC bit-flip fuzzing (the reader never crashes and never returns
+// a corrupt record), group-commit batching, and the SlabStore / Superblock
+// / CheckpointedStore building blocks.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +16,7 @@
 #include "store/checkpointed_store.h"
 #include "store/slab_store.h"
 #include "store/superblock.h"
+#include "test_seed.h"
 #include "wal/wal.h"
 
 namespace minuet {
@@ -94,6 +97,134 @@ TEST_F(WalTest, RecordRoundTrip) {
   }
   EXPECT_EQ(i, originals.size());
   EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Changed-range redo: AppendChangedRanges
+
+// `pre` (the bytes at `offset`) with `writes` laid over it, as replay does.
+std::string ReplayOver(uint64_t offset, std::string pre,
+                       const std::vector<wal::WalWrite>& writes) {
+  for (const wal::WalWrite& w : writes) {
+    pre.replace(w.offset - offset, w.data.size(), w.data);
+  }
+  return pre;
+}
+
+TEST(WalDiffTest, EqualImagesAppendNothing) {
+  const std::string image(4096, 'x');
+  std::vector<wal::WalWrite> writes;
+  wal::AppendChangedRanges(100, image, image, &writes);
+  EXPECT_TRUE(writes.empty());
+  wal::AppendChangedRanges(100, "", "", &writes);
+  EXPECT_TRUE(writes.empty());
+}
+
+TEST(WalDiffTest, ChangeAtFirstAndLastByte) {
+  const std::string pre(64, 'a');
+  std::string first = pre;
+  first.front() = 'b';
+  std::string last = pre;
+  last.back() = 'c';
+  std::string both = first;
+  both.back() = 'c';
+
+  std::vector<wal::WalWrite> writes;
+  wal::AppendChangedRanges(1000, pre, first, &writes);
+  ASSERT_EQ(writes.size(), 1u);
+  EXPECT_EQ(writes[0].offset, 1000u);
+  EXPECT_EQ(writes[0].data, "b");
+
+  writes.clear();
+  wal::AppendChangedRanges(1000, pre, last, &writes);
+  ASSERT_EQ(writes.size(), 1u);
+  EXPECT_EQ(writes[0].offset, 1063u);
+  EXPECT_EQ(writes[0].data, "c");
+
+  // A 62-byte gap costs more than a second header: two writes.
+  writes.clear();
+  wal::AppendChangedRanges(1000, pre, both, &writes);
+  ASSERT_EQ(writes.size(), 2u);
+  EXPECT_EQ(writes[0].offset, 1000u);
+  EXPECT_EQ(writes[0].data, "b");
+  EXPECT_EQ(writes[1].offset, 1063u);
+  EXPECT_EQ(writes[1].data, "c");
+}
+
+TEST(WalDiffTest, RunsMergeOnlyAcrossGapsShorterThanAHeader) {
+  static_assert(wal::kWriteHeaderBytes == 12, "the gaps below assume it");
+  const std::string pre(128, '\0');
+  // Two one-byte changes at 10 and 11 + gap.
+  auto diff_with_gap = [&pre](size_t gap) {
+    std::string post = pre;
+    post[10] = 'x';
+    post[11 + gap] = 'y';
+    std::vector<wal::WalWrite> writes;
+    wal::AppendChangedRanges(0, pre, post, &writes);
+    EXPECT_EQ(ReplayOver(0, pre, writes), post) << "gap " << gap;
+    return writes;
+  };
+
+  const auto merged = diff_with_gap(11);
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].offset, 10u);
+  EXPECT_EQ(merged[0].data, "x" + std::string(11, '\0') + "y");
+
+  // A gap of exactly one header costs the same either way: not merged.
+  EXPECT_EQ(diff_with_gap(12).size(), 2u);
+
+  const auto split = diff_with_gap(13);
+  ASSERT_EQ(split.size(), 2u);
+  EXPECT_EQ(split[0].offset, 10u);
+  EXPECT_EQ(split[0].data, "x");
+  EXPECT_EQ(split[1].offset, 24u);
+  EXPECT_EQ(split[1].data, "y");
+}
+
+// Random pre/post pairs: replaying the ranges over the pre-image yields the
+// post-image byte for byte, and the ranges are ordered, disjoint, begin and
+// end on a changed byte, and sit at least one header apart.
+TEST(WalDiffTest, ReplayOverPreImageYieldsPostImage) {
+  Rng rng(testing::SuiteSeed("ReplayOverPreImageYieldsPostImage", 0xD1FF));
+  for (int iter = 0; iter < 3000; iter++) {
+    const size_t n = rng.Uniform(300);
+    std::string pre(n, '\0');
+    for (char& c : pre) c = static_cast<char>('a' + rng.Uniform(3));
+    std::string post = pre;
+    const uint64_t edits = n == 0 ? 0 : rng.Uniform(8);
+    for (uint64_t e = 0; e < edits; e++) {
+      // A run of random bytes from a small alphabet: some "edits" rewrite
+      // a byte to the value it already had.
+      const size_t at = rng.Uniform(n);
+      const size_t len = std::min<size_t>(n - at, 1 + rng.Uniform(20));
+      for (size_t k = at; k < at + len; k++) {
+        post[k] = static_cast<char>('a' + rng.Uniform(3));
+      }
+    }
+    const uint64_t offset = rng.Uniform(1 << 20);
+    std::vector<wal::WalWrite> writes;
+    wal::AppendChangedRanges(offset, pre, post, &writes);
+    ASSERT_EQ(ReplayOver(offset, pre, writes), post) << "iter " << iter;
+    if (pre == post) {
+      EXPECT_TRUE(writes.empty());
+    }
+    uint64_t prev_end = 0;
+    for (size_t i = 0; i < writes.size(); i++) {
+      const wal::WalWrite& w = writes[i];
+      ASSERT_FALSE(w.data.empty());
+      ASSERT_GE(w.offset, offset);
+      const size_t begin = w.offset - offset;
+      const size_t end = begin + w.data.size();
+      ASSERT_LE(end, n);
+      EXPECT_NE(pre[begin], post[begin]) << "iter " << iter;
+      EXPECT_NE(pre[end - 1], post[end - 1]) << "iter " << iter;
+      if (i > 0) {
+        ASSERT_GE(begin, prev_end) << "iter " << iter;
+        EXPECT_GE(begin - prev_end, wal::kWriteHeaderBytes) << "iter " << iter;
+      }
+      prev_end = end;
+    }
+  }
 }
 
 TEST_F(WalTest, AppendAssignsMonotonicLsnsAndReopenContinues) {

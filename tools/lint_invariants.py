@@ -60,6 +60,14 @@ docs/ARCHITECTURE.md, "Concurrency invariants & tooling"):
                       log-before-apply order, the message and round
                       charges). Commit through Coordinator::Execute
                       instead.
+  one-redo            Coordinator::LogDurable is the one redo writer: in
+                      src/ only it may call a WAL's Append (through wal()
+                      or wal_). A record carries only the bytes its commit
+                      changes, taken against the pre-image the participant
+                      holds locked; a second appender is free to log
+                      outside that lock window or against another image,
+                      and recovery would rebuild the omitted bytes wrong.
+                      Log through Coordinator::Execute instead.
   metrics             stat counters in src/ (outside src/obs/) must be
                       obs::Counter, not raw std::atomic integers — raw
                       atomics are invisible to the MetricsRegistry and
@@ -146,6 +154,11 @@ MEMNODE_COMMIT_CALL_RE = re.compile(
     r"(?:->|\.)\s*(?:Prepare|Commit|Abort)\s*\(\s*[^)\s]")
 COMMIT_FUNCTION = "RunCommit"
 
+# Rule: one-redo. A WAL append reached through a store's wal() accessor or
+# a wal_ member, and the one function that may make it.
+WAL_APPEND_RE = re.compile(r"\bwal(?:_|\(\))\s*(?:->|\.)\s*Append\s*\(")
+REDO_FUNCTION = "LogDurable"
+
 # Rule: metrics. A raw std::atomic integer DECLARATION whose identifier
 # reads like a stat counter. Matches plain members/globals and array forms
 # (e.g. unique_ptr<std::atomic<uint64_t>[]>); loads/stores of such members
@@ -200,7 +213,7 @@ def lint_file(path, rel, findings):
     check_one_settle = rel.startswith("src/btree/")
     check_one_fetch = rel == ONE_FETCH_FILE
     # Enclosing namespace-scope function (one-settle, one-fetch,
-    # one-commit).
+    # one-commit, one-redo).
     function = None
     in_block_comment = False
     # Active exclusive guards: stack of brace depths at declaration.
@@ -328,6 +341,14 @@ def lint_file(path, rel, findings):
                              "Coordinator::RunCommit; commit through "
                              "Coordinator::Execute, the one commit "
                              "pipeline")
+            # --- one-redo ----------------------------------------------
+            if (WAL_APPEND_RE.search(code)
+                    and function != REDO_FUNCTION
+                    and not allowed("one-redo", raw_lines, i)):
+                findings.add(rel, lineno, "one-redo",
+                             "WAL Append called outside "
+                             "Coordinator::LogDurable; log through "
+                             "Coordinator::Execute, the one redo writer")
             # --- retry-loop --------------------------------------------
             constructs_txn = (check_retry_loop
                               and TXN_CONSTRUCT_RE.search(code)
