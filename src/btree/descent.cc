@@ -22,14 +22,16 @@
 //                              (tree.cc),
 //   - BTree::ApplyWritesInTxn  WriteBatch leaf resolution + per-leaf
 //                              dedupe (Proxy::Apply),
-//   - BTree::PartitionRange    recursive, depth-bounded scan partitioning
-//                              for Cursor::Options::fanout,
+//   - BTree::WalkRange         the range walk under every scan: snapshot
+//                              chunks, SnapshotScan and TipScan (one
+//                              batched leaf round per chunk),
 //   - BTree::CollectTipPlacement  the rebalancer's placement walk
 //                              (migrate.cc).
 #include <algorithm>
 #include <functional>
 
 #include "btree/tree.h"
+#include "common/key_compare.h"
 
 namespace minuet::btree {
 
@@ -453,87 +455,114 @@ Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
   return Status::OK();
 }
 
-Result<std::vector<BTree::ScanPartition>> BTree::PartitionRange(
-    const SnapshotRef& snap, const std::string& start, const std::string& end,
-    uint32_t max_levels) {
-  if (max_levels == 0) max_levels = 1;
-  std::vector<ScanPartition> parts;
-  Status st = TransactSnapshotRead(snap.sid, [&](DynamicTxn& txn) -> Status {
-    parts.clear();
-    std::vector<Addr> visited;
+Status BTree::WalkRange(DynamicTxn& txn, uint64_t sid, Addr root,
+                        TraverseMode mode, const std::string& start,
+                        const std::string& end, size_t limit,
+                        std::vector<std::pair<std::string, std::string>>* out,
+                        std::string* resume) {
+  resume->clear();
+  const Slice stop(end);  // "" = unbounded
+  if (!end.empty() && CompareKeys(Slice(start), stop) >= 0) {
+    return Status::OK();
+  }
+  if (out->size() >= limit) {
+    *resume = start;
+    return Status::OK();
+  }
+  // The leaf budget: the most leaves whose expected yield at the last
+  // batch's mean fill stays within the wanted pairs — the first leaf is
+  // entered mid-way, so it yields half a leaf on average — at least one
+  // (one before any batch has been read), capped per round. Staying
+  // within ends most batches on a leaf boundary, so the next batch reads
+  // no leaf twice.
+  constexpr size_t kMaxLeavesPerBatch = 64;
+  const size_t wanted = limit - out->size();
+  const size_t fill = scan_leaf_fill_.load();
+  const size_t budget =
+      fill == 0 ? 1
+                : std::clamp<size_t>((wanted + fill / 2) / fill, 1,
+                                     kMaxLeavesPerBatch);
 
-    // The clipped key range each pending subtree is responsible for within
-    // [start, end), indexed by the frontier items' tags (hi exclusive;
-    // "" = unbounded).
-    std::vector<std::pair<std::string, std::string>> ranges;
-    ranges.emplace_back(start, end);
-
-    FrontierCallbacks cb;
-    cb.on_leaf = [&](const FrontierItem& it, const FetchedNode*,
+  // Descend left to right. Tag 0 marks the node on `start`'s path; every
+  // other node is entered at its first child. A level keeps at most
+  // `budget` items: each subtree holds at least one leaf, so the leaf level
+  // still gets every leaf the budget allows.
+  std::vector<Addr> visited;
+  std::vector<Addr> addrs;  // the batch's leaves, in key order
+  auto on_leaf = [&](const FrontierItem&, const FetchedNode*,
                      Addr at) -> Status {
-      // A single-leaf tree (the root only — heights are uniform, so deeper
-      // levels are cut at height 1 below).
-      const auto& [lo, hi] = ranges[it.tag];
-      parts.push_back(ScanPartition{lo, hi, at.memnode});
-      return Status::OK();
-    };
-    cb.on_internal = [&](const FrontierItem& it, const FetchedNode& fetched,
-                         Addr, uint32_t level,
+    addrs.push_back(at);
+    return Status::OK();
+  };
+  auto on_internal = [&](const FrontierItem& it, const FetchedNode& node,
+                         Addr, uint32_t,
                          std::vector<FrontierItem>* next) -> Status {
-      const NodeView& node = fetched.view;
-      // Expand the children intersecting the subtree's clipped range.
-      // Children of height-1 nodes are leaves — emit partitions instead of
-      // descending further (the frontier never fetches leaves); same when
-      // the level budget is spent.
-      const bool cut = level + 1 >= max_levels || node.height() == 1;
-      const size_t n = node.num_entries();
-      const std::pair<std::string, std::string> range = ranges[it.tag];
-      for (size_t i = 0; i < n; i++) {
-        // Child i covers [key_i, key_{i+1}); clip to the subtree's range.
-        std::string lo = node.EntryKey(i).ToString();
-        if (lo < range.first) lo = range.first;
-        std::string hi =
-            i + 1 < n ? node.EntryKey(i + 1).ToString() : range.second;
-        if (!range.second.empty() && (hi.empty() || hi > range.second)) {
-          hi = range.second;
-        }
-        if (!hi.empty() && lo >= hi) continue;
-        if (cut) {
-          parts.push_back(ScanPartition{lo, hi, node.EntryChild(i).memnode});
-        } else {
-          next->push_back(FrontierItem{node.EntryChild(i), node.height() - 1,
-                                       ranges.size()});
-          ranges.emplace_back(std::move(lo), std::move(hi));
-        }
+    const NodeView& view = node.view;
+    const size_t first = it.tag == 0 ? view.ChildIndexFor(start) : 0;
+    for (size_t i = first; i < view.num_entries() && next->size() < budget;
+         i++) {
+      if (i > first && !end.empty() &&
+          CompareKeys(view.EntryKey(i), stop) >= 0) {
+        break;
       }
-      return Status::OK();
-    };
-    MINUET_RETURN_NOT_OK(
-        VisitFrontier(txn, snap.sid, TraverseMode::kSnapshotRead,
-                      {FrontierItem{snap.root, -1, 0}}, cb, &visited));
-    if (parts.empty()) {
-      parts.push_back(ScanPartition{start, end, snap.root.memnode});
+      next->push_back(FrontierItem{view.EntryChild(i), view.height() - 1,
+                                   i == first ? it.tag : 1});
     }
     return Status::OK();
-  });
-  if (!st.ok()) return st;
-  return parts;
-}
+  };
+  MINUET_RETURN_NOT_OK(VisitFrontier(
+      txn, sid, mode, {FrontierItem{root, -1, 0}},
+      FrontierCallbacks{std::ref(on_leaf), std::ref(on_internal)}, &visited));
 
-Status BTree::PrewarmSnapshotPaths(const SnapshotRef& snap,
-                                   const std::vector<std::string>& keys) {
-  if (keys.empty() || cache_ == nullptr) return Status::OK();
-  // A handful of attempts only: this is an optimization pass, and callers
-  // proceed cold if the tree is churning too hard to settle. The descent
-  // only dirty-reads, so each attempt's commit is free.
-  return txn::RunTransaction(
-      coord_, cache_, {}, /*max_attempts=*/3, [&](DynamicTxn& txn) {
-        std::vector<LeafGroup> groups;
-        std::vector<Addr> visited;
-        return ResolveLeafGroups(txn, snap.sid, snap.root,
-                                 TraverseMode::kSnapshotRead, keys, &groups,
-                                 &visited);
-      });
+  // ONE round reads the whole batch. Every leaf is checked before any pair
+  // is taken, so an aborted attempt leaves `out` as it found it.
+  std::vector<FetchedNode> leaves(addrs.size());
+  MINUET_RETURN_NOT_OK(ReadNodes(txn, addrs.data(), addrs.size(),
+                                 /*as_leaf=*/true, mode, visited,
+                                 leaves.data()));
+  size_t entries = 0;
+  for (size_t k = 0; k < leaves.size(); k++) {
+    const FetchedNode* node = &leaves[k];
+    FetchedNode hop;
+    MINUET_RETURN_NOT_OK(SettleNodeForSid(txn, sid, mode, /*as_leaf=*/true,
+                                          &node, &hop, &addrs[k], &visited));
+    if (node != &leaves[k]) leaves[k] = std::move(hop);
+    const NodeView& leaf = leaves[k].view;
+    if (!leaf.is_leaf()) {
+      return AbortDescent(txn, addrs[k], visited, "height mismatch");
+    }
+    const Slice prev_high =
+        k == 0 ? Slice() : leaves[k - 1].view.high_fence();
+    const bool chained =
+        k == 0 ? leaf.InFenceRange(start)
+               : !prev_high.empty() && leaf.low_fence() == prev_high;
+    if (!chained) {
+      return AbortDescent(txn, addrs[k], visited,
+                          "leaf breaks the range's fence chain");
+    }
+    entries += leaf.num_entries();
+  }
+  scan_leaf_fill_.store(
+      static_cast<uint32_t>(std::max<size_t>(1, entries / leaves.size())));
+
+  for (size_t k = 0; k < leaves.size(); k++) {
+    const NodeView& leaf = leaves[k].view;
+    for (size_t i = k == 0 ? leaf.LowerBound(start) : 0;
+         i < leaf.num_entries(); i++) {
+      const Slice key = leaf.EntryKey(i);
+      if (!end.empty() && CompareKeys(key, stop) >= 0) return Status::OK();
+      if (out->size() >= limit) {
+        *resume = key.ToString();
+        return Status::OK();
+      }
+      out->emplace_back(key.ToString(), leaf.EntryValue(i).ToString());
+    }
+  }
+  const Slice next = leaves.back().view.high_fence();
+  if (!next.empty() && (end.empty() || CompareKeys(next, stop) < 0)) {
+    *resume = next.ToString();
+  }
+  return Status::OK();
 }
 
 Result<uint32_t> BTree::Depth() {

@@ -600,28 +600,15 @@ Status BTree::SnapshotMultiGet(
 }
 
 Status BTree::SnapshotScanChunk(
-    const SnapshotRef& snap, const std::string& start_key, size_t limit,
+    const SnapshotRef& snap, const std::string& start_key,
+    const std::string& end_key, size_t limit,
     std::vector<std::pair<std::string, std::string>>* out,
     std::string* resume_key) {
   // A scan start is a position, not a key: any byte string is valid ("" =
   // the beginning; cursor resume keys may exceed the max entry size).
-  resume_key->clear();
   return TransactSnapshotRead(snap.sid, [&](DynamicTxn& txn) -> Status {
-    auto path = Traverse(txn, snap.sid, snap.root, start_key,
-                         TraverseMode::kSnapshotRead);
-    if (!path.ok()) return path.status();
-    const NodeView& leaf = path->back().view;
-    size_t i = leaf.LowerBound(start_key);
-    for (; i < leaf.num_entries() && out->size() < limit; i++) {
-      out->emplace_back(leaf.EntryKey(i).ToString(),
-                        leaf.EntryValue(i).ToString());
-    }
-    if (i < leaf.num_entries()) {
-      *resume_key = leaf.EntryKey(i).ToString();  // limit hit mid-leaf
-    } else if (!leaf.high_fence().empty()) {
-      *resume_key = leaf.high_fence().ToString();
-    }
-    return Status::OK();
+    return WalkRange(txn, snap.sid, snap.root, TraverseMode::kSnapshotRead,
+                     start_key, end_key, limit, out, resume_key);
   });
 }
 
@@ -629,39 +616,33 @@ Status BTree::SnapshotScan(
     const SnapshotRef& snap, const std::string& start_key, size_t limit,
     std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
-  std::string cursor = start_key;
+  std::string from = start_key;
+  std::string resume;
   while (out->size() < limit) {
-    std::string resume;
     MINUET_RETURN_NOT_OK(
-        SnapshotScanChunk(snap, cursor, limit, out, &resume));
-    if (resume.empty()) break;  // rightmost leaf or limit reached
-    cursor = std::move(resume);
+        SnapshotScanChunk(snap, from, /*end_key=*/"", limit, out, &resume));
+    if (resume.empty()) break;  // rightmost leaf reached
+    from = std::move(resume);
   }
   return Status::OK();
 }
 
-Status BTree::TipScan(
-    const std::string& start_key, size_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  // A scan start is a position, not a key: any byte string is valid ("" =
-  // the beginning; cursor resume keys may exceed the max entry size).
+Status BTree::TipScan(const std::string& start_key, size_t limit,
+                      std::vector<std::pair<std::string, std::string>>* out,
+                      const std::string& end_key) {
   return Transact([&](DynamicTxn& txn) -> Status {
     out->clear();
     auto tip = ReadTipInTxn(txn, Tip::Linear(), /*for_write=*/false);
     if (!tip.ok()) return tip.status();
-    std::string cursor = start_key;
+    // Every batch's leaves join this one transaction's read set.
+    std::string from = start_key;
+    std::string resume;
     while (out->size() < limit) {
-      auto path = Traverse(txn, tip->sid, tip->root, cursor,
-                           TraverseMode::kUpToDate);
-      if (!path.ok()) return path.status();
-      const NodeView& leaf = path->back().view;
-      for (size_t i = leaf.LowerBound(cursor);
-           i < leaf.num_entries() && out->size() < limit; i++) {
-        out->emplace_back(leaf.EntryKey(i).ToString(),
-                          leaf.EntryValue(i).ToString());
-      }
-      if (leaf.high_fence().empty()) break;
-      cursor = leaf.high_fence().ToString();
+      MINUET_RETURN_NOT_OK(WalkRange(txn, tip->sid, tip->root,
+                                     TraverseMode::kUpToDate, from, end_key,
+                                     limit, out, &resume));
+      if (resume.empty()) break;
+      from = std::move(resume);
     }
     return Status::OK();
   });

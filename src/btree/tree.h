@@ -157,54 +157,31 @@ class BTree {
   Status SnapshotMultiGet(const SnapshotRef& snap,
                           const std::vector<std::string>& keys,
                           std::vector<std::optional<std::string>>* values);
-  // Scan up to `limit` pairs starting at `start_key` (inclusive).
+  // Scan up to `limit` pairs starting at `start_key` (inclusive): chunks
+  // of the range walk (WalkRange) until the limit or the tree's end.
   Status SnapshotScan(const SnapshotRef& snap, const std::string& start_key,
                       size_t limit,
                       std::vector<std::pair<std::string, std::string>>* out);
-  // One cursor step: read a single leaf's worth of pairs starting at
-  // `start_key` (at most `limit`). On return `*resume_key` is where the
-  // next chunk begins — empty once the scan is exhausted. Streaming scans
-  // (minuet::Cursor) chain chunks so a long scan never materializes.
+  // One cursor step: ONE batch of the range walk over [start_key, end_key)
+  // (end_key "" = unbounded), appending pairs while `out` holds fewer than
+  // `limit`. On return `*resume_key` is where the next chunk begins — empty
+  // once the range is exhausted. Streaming scans (minuet::Cursor) chain
+  // chunks so a long scan never materializes.
   Status SnapshotScanChunk(const SnapshotRef& snap,
-                           const std::string& start_key, size_t limit,
+                           const std::string& start_key,
+                           const std::string& end_key, size_t limit,
                            std::vector<std::pair<std::string, std::string>>*
                                out,
                            std::string* resume_key);
 
   // Strictly serializable scan against the tip: every leaf joins the read
   // set, so concurrent updates within the range abort the scan. This is the
-  // operation the paper shows "may never commit" without snapshots.
+  // operation the paper shows "may never commit" without snapshots. ONE
+  // transaction, taking as many range-walk batches as `limit` needs;
+  // `end_key` (exclusive, "" = unbounded) stops it early.
   Status TipScan(const std::string& start_key, size_t limit,
-                 std::vector<std::pair<std::string, std::string>>* out);
-
-  // One contiguous slice of a scan range, tagged with the memnode that owns
-  // the root-child subtree covering it — the unit of scan fan-out.
-  struct ScanPartition {
-    std::string start;  // inclusive ("" = from the range start)
-    std::string end;    // exclusive ("" = to the range end / +infinity)
-    sinfonia::MemnodeId home = 0;
-  };
-  // Split [start, end) of `snap` into disjoint, key-ordered partitions by
-  // descending up to `max_levels` internal levels (1 = the root's child
-  // subtrees; 2 = their children, the default) with the level-synchronized
-  // batched descent — every level costs ONE coordinator round no matter
-  // how many subtrees it holds. Each partition is tagged with the memnode
-  // owning its subtree (or leaf), so deeper cuts give finer per-memnode
-  // balance for fan-out scans. A single-leaf tree yields one partition.
-  Result<std::vector<ScanPartition>> PartitionRange(const SnapshotRef& snap,
-                                                    const std::string& start,
-                                                    const std::string& end,
-                                                    uint32_t max_levels = 2);
-
-  // Warm the proxy cache along the root-to-leaf path of every key in
-  // `keys` on `snap`, with ONE level-synchronized frontier descent: a cold
-  // cache pays ~depth batched rounds for ANY number of keys, a warm cache
-  // pays nothing. Fan-out scans call this with their partition start keys
-  // before spawning workers, so no worker descends serially from the root
-  // on its first chunk after a cache drop. Best-effort: a persistent abort
-  // is returned but safe to ignore (workers fall back to cold descents).
-  Status PrewarmSnapshotPaths(const SnapshotRef& snap,
-                              const std::vector<std::string>& keys);
+                 std::vector<std::pair<std::string, std::string>>* out,
+                 const std::string& end_key = "");
 
   // Number of levels (including the leaf level) on the current tip's
   // root-to-leaf paths. Diagnostic aid for the cold-descent round budgets
@@ -385,8 +362,8 @@ class BTree {
         on_internal;
   };
   // The one tree walker, behind every descent — Traverse and
-  // ResolveLeafGroups (per-key descents), PartitionRange (scan
-  // partitioning), CollectTipPlacement (rebalancer/drain placement): the
+  // ResolveLeafGroups (per-key descents), WalkRange (scans),
+  // CollectTipPlacement (rebalancer/drain placement): the
   // whole frontier advances one level at a time, each level's distinct
   // nodes are fetched in ONE minitransaction round (ReadNodes, with the
   // internal-node discipline ReadModeFor gives `mode`), each node is
@@ -461,6 +438,25 @@ class BTree {
                      std::vector<LeafGroup>* groups,
                      std::vector<FetchedNode>* leaves,
                      std::vector<Addr>* visited);
+  // The range walk, the one way a scan reads leaves: VisitFrontier descends
+  // [start, end) left to right, keeping at most a leaf budget of items per
+  // level, and at the leaf level ONE batched round (ReadNodes, `mode`'s
+  // leaf discipline) reads every leaf the range covers up to that budget.
+  // Each leaf settles through SettleNodeForSid, must be a leaf, and must
+  // continue the fence chain — the first holds `start`, each later one's
+  // low fence is the previous one's high fence — or the walk aborts through
+  // AbortDescent (the parent pointers came from a stale dirty or cached
+  // read). Only then are pairs appended while `out` holds fewer than
+  // `limit`. `*resume` is where the next batch starts: the first key not
+  // taken, else the last leaf's high fence; empty once the range or the
+  // tree ends. The budget is the most leaves whose expected yield at the
+  // previous batch's mean fill (scan_leaf_fill_) stays within the pairs
+  // still wanted, capped per round.
+  Status WalkRange(DynamicTxn& txn, uint64_t sid, Addr root,
+                   TraverseMode mode, const std::string& start,
+                   const std::string& end, size_t limit,
+                   std::vector<std::pair<std::string, std::string>>* out,
+                   std::string* resume);
 
   // Shared body of MultiGetInTxn / SnapshotMultiGet (and, with one key, of
   // GetAt): ResolveLeafGroups, then FetchLeaves, then the lookups.
@@ -537,6 +533,10 @@ class BTree {
   // handed a catalog-shared Stats (see Stats doc above).
   mutable Stats own_stats_;
   Stats* stats_;
+  // Mean entries per leaf in the last range-walk batch (0: none yet). It
+  // sizes the next batch's leaf budget and is never a correctness input: a
+  // short batch resumes, an over-read one only fetches more.
+  std::atomic<uint32_t> scan_leaf_fill_{0};
 };
 
 // Encoders for the small tip/catalog payloads (shared with mvcc/version).

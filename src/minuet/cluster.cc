@@ -579,11 +579,9 @@ Status Proxy::Scan(const TreeHandle& tree, const std::string& start,
   out->clear();
   if (limit > 0) {
     copts.chunk_size = std::min(limit, copts.chunk_size);
-    // Bound the fetch too: a fan-out cursor materializes per partition,
-    // and must not fetch far beyond what this call will drain.
     copts.limit = limit;
   }
-  if (copts.refresh_lease && copts.fanout <= 1) {
+  if (copts.refresh_lease) {
     // §4.4 long-scan mode: an UNPINNED policy snapshot plus transparent
     // re-leasing. GC is never held back by the scan; if the horizon
     // overtakes the snapshot mid-scan, the cursor splices onto the newest
@@ -597,9 +595,7 @@ Status Proxy::Scan(const TreeHandle& tree, const std::string& start,
     if (!view.ok()) return view.status();
     return view->NewCursor(start, copts)->Drain(limit, out);
   }
-  // Pinned path — also taken for fan-out scans regardless of
-  // refresh_lease: a fan-out cursor reads exactly its acquisition snapshot
-  // and cannot re-lease, so the pin is what keeps the horizon off it.
+  // Pinned path: the pin keeps the horizon off the snapshot.
   auto view = RecentSnapshot(tree);
   if (!view.ok()) return view.status();
   return view->NewCursor(start, copts)->Drain(limit, out);

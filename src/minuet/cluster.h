@@ -184,8 +184,8 @@ class Proxy {
   // runs on an UNPINNED policy snapshot and transparently re-leases the
   // newest one when the GC horizon overtakes it mid-scan (§4.4) — GC is
   // never blocked by the scan. Without it, the snapshot is pinned for the
-  // scan's duration instead (the horizon waits). `copts.fanout`/`prefetch`
-  // apply as documented on Cursor::Options.
+  // scan's duration instead (the horizon waits). Each cursor fetch is one
+  // batch of the range walk (Cursor::Options).
   Status Scan(const TreeHandle& tree, const std::string& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out,
               Cursor::Options copts = {});

@@ -1,9 +1,6 @@
 #include "minuet/view.h"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
-#include <thread>
 
 #include "minuet/cluster.h"
 #include "mvcc/snapshot_service.h"
@@ -75,14 +72,8 @@ Cursor::Cursor(ChunkFetcher fetch, const std::string& start, Options options)
 
 Cursor::Cursor(Status error) : exhausted_(true), status_(std::move(error)) {}
 
-Cursor::~Cursor() {
-  // Join a still-running prefetch: its closure borrows the view's tree and
-  // lease, which must outlive it.
-  if (inflight_.valid()) inflight_.get();
-}
-
 bool Cursor::Valid() {
-  if (pos_ >= buf_.size() && !exhausted_) FetchChunk(std::move(resume_));
+  if (pos_ >= buf_.size() && !exhausted_) FetchChunk(options_.chunk_size);
   return pos_ < buf_.size();
 }
 
@@ -90,77 +81,39 @@ void Cursor::Next() {
   if (pos_ < buf_.size()) pos_++;
 }
 
-Cursor::Chunk Cursor::RunFetch(std::string start) {
-  Chunk chunk;
-  while (true) {
-    chunk.pairs.clear();
-    chunk.resume.clear();
-    chunk.status =
-        fetch_(start, options_.chunk_size, &chunk.pairs, &chunk.resume);
-    if (!chunk.status.ok()) {
-      chunk.pairs.clear();
-      return chunk;
-    }
-    // Enforce the end bound: drop pairs at/after it and stop the scan once
-    // it is reached.
-    if (!options_.end_key.empty()) {
-      bool clipped = false;
-      while (!chunk.pairs.empty() &&
-             chunk.pairs.back().first >= options_.end_key) {
-        chunk.pairs.pop_back();
-        clipped = true;
-      }
-      if (clipped ||
-          (!chunk.resume.empty() && chunk.resume >= options_.end_key)) {
-        chunk.resume.clear();
-      }
-    }
-    if (!chunk.pairs.empty() || chunk.resume.empty()) return chunk;
-    // The fetch landed on an empty leaf (removes retain empty leaves);
-    // keep walking right.
-    start = std::move(chunk.resume);
-  }
-}
-
-void Cursor::FetchChunk(std::string start) {
-  // Prefer the prefetched chunk: the invariant is that an in-flight fetch
-  // was launched with exactly this resume position.
-  Chunk chunk =
-      inflight_.valid() ? inflight_.get() : RunFetch(std::move(start));
-  buf_ = std::move(chunk.pairs);
+void Cursor::FetchChunk(size_t want) {
+  want = std::min(want, options_.chunk_size);
+  if (options_.limit > 0) want = std::min(want, options_.limit - yielded_);
+  buf_.clear();
   pos_ = 0;
-  status_ = std::move(chunk.status);
-  if (!status_.ok()) {
-    buf_.clear();
-    exhausted_ = true;
-    return;
-  }
-  if (options_.limit > 0) {
-    // Overall yield cap: truncate the final chunk and stop fetching.
-    if (yielded_ + buf_.size() >= options_.limit) {
-      buf_.resize(options_.limit - yielded_);
-      chunk.resume.clear();
+  // An empty chunk with a resume point crossed only empty leaves (removes
+  // retain them): keep walking right.
+  do {
+    std::string start = std::move(resume_);
+    resume_.clear();
+    status_ = fetch_(start, options_.end_key, want, &buf_, &resume_);
+    if (!status_.ok()) {
+      buf_.clear();
+      exhausted_ = true;
+      return;
     }
-    yielded_ += buf_.size();
-  }
-  resume_ = std::move(chunk.resume);
-  exhausted_ = resume_.empty();
-  if (!exhausted_ && options_.prefetch) {
-    // Double-buffer: start chunk n+1 while the client consumes chunk n.
-    inflight_ = std::async(
-        std::launch::async,
-        [this, from = resume_]() mutable { return RunFetch(std::move(from)); });
-  }
+  } while (buf_.empty() && !resume_.empty());
+  yielded_ += buf_.size();
+  exhausted_ = resume_.empty() ||
+               (options_.limit > 0 && yielded_ >= options_.limit);
 }
 
 Status Cursor::Drain(size_t limit,
                      std::vector<std::pair<std::string, std::string>>* out) {
   // Appends up to `limit` pairs regardless of what `out` already holds.
-  // Pairs are MOVED out of the chunk buffer (it is discarded on the next
-  // fetch and never re-read once the position advances).
-  for (size_t appended = 0; appended < limit && Valid(); appended++) {
-    out->push_back(std::move(buf_[pos_]));
-    Next();
+  // A chunk fetched here asks only for the pairs still to be appended, so
+  // the range walk sizes its leaf batch for them. Pairs are MOVED out of the
+  // chunk buffer (it is discarded on the next fetch and never re-read once
+  // the position advances).
+  for (size_t appended = 0; appended < limit; appended++) {
+    if (pos_ >= buf_.size() && !exhausted_) FetchChunk(limit - appended);
+    if (pos_ >= buf_.size()) break;
+    out->push_back(std::move(buf_[pos_++]));
   }
   return status_;
 }
@@ -305,12 +258,13 @@ std::unique_ptr<Cursor> TipView::NewCursor(const std::string& start,
   btree::BTree* tree = btree();
   const Proxy* proxy = proxy_;
   auto fetch = [tree, proxy](
-                   const std::string& from, size_t limit,
+                   const std::string& from, const std::string& end,
+                   size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out,
                    std::string* resume) -> Status {
     MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
     // The cursor hands over a cleared buffer, so TipScan fills it directly.
-    MINUET_RETURN_NOT_OK(tree->TipScan(from, limit, out));
+    MINUET_RETURN_NOT_OK(tree->TipScan(from, limit, out, end));
     resume->clear();
     if (out->size() == limit) {
       // Possibly more beyond the last pair: resume at its successor.
@@ -378,91 +332,6 @@ Status SnapshotView::MultiGet(const std::vector<std::string>& keys,
 
 namespace {
 
-// Drain one fan-out partition [part.start, part.end) with chunked snapshot
-// reads, clipping at the partition's end bound.
-Status DrainPartition(btree::BTree* tree, const btree::SnapshotRef& snap,
-                      const btree::BTree::ScanPartition& part, size_t chunk,
-                      size_t max_pairs,
-                      std::vector<std::pair<std::string, std::string>>* out) {
-  std::string cursor = part.start;
-  while (true) {
-    std::vector<std::pair<std::string, std::string>> pairs;
-    std::string resume;
-    MINUET_RETURN_NOT_OK(
-        tree->SnapshotScanChunk(snap, cursor, chunk, &pairs, &resume));
-    for (auto& kv : pairs) {
-      if (!part.end.empty() && kv.first >= part.end) return Status::OK();
-      out->push_back(std::move(kv));
-      // A stitched prefix of max_pairs needs at most max_pairs from each
-      // partition, so a per-partition cap never drops a needed pair.
-      if (max_pairs > 0 && out->size() >= max_pairs) return Status::OK();
-    }
-    if (resume.empty()) return Status::OK();
-    if (!part.end.empty() && resume >= part.end) return Status::OK();
-    cursor = std::move(resume);
-  }
-}
-
-// The fan-out scan body: partition [start, end_key) along root-child
-// subtrees, group partitions by owning memnode, scan the groups with up to
-// `fanout` parallel workers, and stitch the per-partition results back in
-// key order (partitions are disjoint and pre-sorted, so the stitch is a
-// concatenation by partition index).
-Status FanoutScan(btree::BTree* tree, const btree::SnapshotRef& snap,
-                  const std::string& start, const Cursor::Options& options,
-                  std::vector<std::pair<std::string, std::string>>* out) {
-  auto parts = tree->PartitionRange(snap, start, options.end_key,
-                                    options.partition_levels);
-  if (!parts.ok()) return parts.status();
-  const size_t chunk = std::max<size_t>(options.chunk_size, 1);
-
-  // Pre-warm every partition's first descent through the frontier engine:
-  // one batched round per tree level covers ALL partition starts, so after
-  // a cache drop no worker pays a serial root-to-leaf descent for its
-  // first chunk. Best-effort — cold workers are correct, just slower.
-  {
-    std::vector<std::string> starts;
-    starts.reserve(parts->size());
-    for (const auto& p : *parts) starts.push_back(p.start);
-    IgnoreStatus(tree->PrewarmSnapshotPaths(snap, starts));
-  }
-
-  std::map<sinfonia::MemnodeId, std::vector<size_t>> by_node;
-  for (size_t i = 0; i < parts->size(); i++) {
-    by_node[(*parts)[i].home].push_back(i);
-  }
-  std::vector<std::vector<size_t>> groups;
-  groups.reserve(by_node.size());
-  for (auto& [node, idxs] : by_node) groups.push_back(std::move(idxs));
-
-  std::vector<std::vector<std::pair<std::string, std::string>>> results(
-      parts->size());
-  std::vector<Status> statuses(parts->size(), Status::OK());
-  std::atomic<size_t> next{0};
-  auto work = [&] {
-    for (size_t g = next.fetch_add(1); g < groups.size();
-         g = next.fetch_add(1)) {
-      for (size_t i : groups[g]) {
-        statuses[i] = DrainPartition(tree, snap, (*parts)[i], chunk,
-                                     options.limit, &results[i]);
-      }
-    }
-  };
-  const size_t workers =
-      std::min<size_t>(std::max<uint32_t>(options.fanout, 1), groups.size());
-  std::vector<std::thread> threads;
-  for (size_t w = 1; w < workers; w++) threads.emplace_back(work);
-  work();
-  for (auto& t : threads) t.join();
-
-  for (const Status& st : statuses) MINUET_RETURN_NOT_OK(st);
-  for (auto& r : results) {
-    for (auto& kv : r) out->push_back(std::move(kv));
-  }
-  return Status::OK();
-}
-
-
 // Shared cursor lease: keeps its snapshot pinned independently of the view
 // (the cursor may be re-leased onto a newer snapshot mid-scan). Pins are
 // accounted to `owner` — the proxy the cursor was minted through — so a
@@ -511,35 +380,10 @@ struct CursorLease {
 
 }  // namespace
 
-std::unique_ptr<Cursor> View::NewFanoutCursor(const Proxy* proxy,
-                                              btree::BTree* tree,
-                                              const btree::SnapshotRef& snap,
-                                              const std::string& start,
-                                              Cursor::Options options) {
-  Cursor::Options fan = options;
-  auto fetch = [proxy, tree, snap, fan](
-                   const std::string& from, size_t limit,
-                   std::vector<std::pair<std::string, std::string>>* out,
-                   std::string* resume) -> Status {
-    (void)limit;
-    MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
-    resume->clear();  // one-shot: everything arrives in this chunk
-    return FanoutScan(tree, snap, from, fan, out);
-  };
-  options.end_key.clear();  // FanoutScan already applies the bound
-  options.prefetch = false;
-  return std::unique_ptr<Cursor>(new Cursor(std::move(fetch), start, options));
-}
-
 std::unique_ptr<Cursor> SnapshotView::NewCursor(const std::string& start,
                                                 Cursor::Options options) {
   if (Status st = CheckUsable(); !st.ok()) {
     return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
-  }
-  if (options.fanout > 1) {
-    // Reads exactly snap_ — the view's pin (if any) covers the one-shot
-    // fetch, which completes before the cursor outlives anything.
-    return NewFanoutCursor(proxy_, btree(), snap_, start, std::move(options));
   }
   // The cursor needs its own pin only when it may re-lease onto a sid the
   // view does not hold; otherwise the view's pin covers it (a cursor must
@@ -550,7 +394,8 @@ std::unique_ptr<Cursor> SnapshotView::NewCursor(const std::string& start,
   const bool refresh = options.refresh_lease;
   const Proxy* proxy = proxy_;
   auto fetch = [lease, refresh, proxy](
-                   const std::string& from, size_t limit,
+                   const std::string& from, const std::string& end,
+                   size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out,
                    std::string* resume) -> Status {
     MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
@@ -560,8 +405,8 @@ std::unique_ptr<Cursor> SnapshotView::NewCursor(const std::string& start,
       // snapshot and continue the scan from the same key.
       MINUET_RETURN_NOT_OK(lease->Refresh());
     }
-    Status st =
-        lease->tree->SnapshotScanChunk(lease->snap, from, limit, out, resume);
+    Status st = lease->tree->SnapshotScanChunk(lease->snap, from, end, limit,
+                                               out, resume);
     // Reactive backstop: the snapshot aged out between the check and the
     // chunk read. Under a snapshot storm the RE-LEASED snapshot can age
     // out again before its own chunk lands, so splice repeatedly
@@ -573,7 +418,7 @@ std::unique_ptr<Cursor> SnapshotView::NewCursor(const std::string& start,
          splice < 64;
          splice++) {
       MINUET_RETURN_NOT_OK(lease->Refresh());
-      st = lease->tree->SnapshotScanChunk(lease->snap, from, limit, out,
+      st = lease->tree->SnapshotScanChunk(lease->snap, from, end, limit, out,
                                           resume);
     }
     return st;
@@ -613,16 +458,14 @@ std::unique_ptr<Cursor> BranchView::NewCursor(const std::string& start,
   }
   btree::BTree* tree = btree();
   const btree::SnapshotRef snap{tip_.sid, info->root};
-  if (options.fanout > 1) {
-    return NewFanoutCursor(proxy_, tree, snap, start, std::move(options));
-  }
   const Proxy* proxy = proxy_;
   auto fetch = [tree, snap, proxy](
-                   const std::string& from, size_t limit,
+                   const std::string& from, const std::string& end,
+                   size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out,
                    std::string* resume) -> Status {
     MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
-    return tree->SnapshotScanChunk(snap, from, limit, out, resume);
+    return tree->SnapshotScanChunk(snap, from, end, limit, out, resume);
   };
   return std::unique_ptr<Cursor>(new Cursor(fetch, start, options));
 }

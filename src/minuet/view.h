@@ -12,14 +12,14 @@
 //   BranchView    proxy.Branch(tree, sid)     a version-tree vertex; writable
 //                                             while it has no child branch
 //
-// Reads stream through Cursor (leaf-at-a-time, never materializing the
-// range); writes on read-only views fail with Status::ReadOnly. A
-// SnapshotView owns a lease on its snapshot: the GC horizon will not pass
-// it while the view is alive (mvcc::SnapshotService pinning).
+// Reads stream through Cursor (a batch of leaves per round, never
+// materializing the range); writes on read-only views fail with
+// Status::ReadOnly. A SnapshotView owns a lease on its snapshot: the GC
+// horizon will not pass it while the view is alive
+// (mvcc::SnapshotService pinning).
 #pragma once
 
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,17 +37,18 @@ class SnapshotService;
 
 class Proxy;
 
-// Streaming scan over a view: pulls one leaf's worth of pairs per fetch,
-// so arbitrarily long scans run in constant client memory. Obtained from
+// Streaming scan over a view: each fetch is one batch of the range walk
+// (BTree::WalkRange) — every leaf the chunk needs read in one round — so
+// arbitrarily long scans run in constant client memory. Obtained from
 // View::NewCursor; iterate with Valid()/Next(), or Drain() into a vector.
 class Cursor {
  public:
   struct Options {
-    // Upper bound on pairs buffered per fetch. Snapshot/branch cursors
-    // additionally stop at leaf boundaries (one leaf read per fetch); a
-    // TIP cursor's fetch is one strictly serializable transaction that
-    // fills the whole chunk, so a large chunk_size there means a large
-    // multi-leaf read set that aborts more easily under write contention.
+    // Upper bound on pairs buffered per fetch; the range walk reads the
+    // leaves that many pairs need in one batched round. A TIP cursor's
+    // fetch is one strictly serializable transaction whose read set is
+    // that batch, so a large chunk_size there means a large read set that
+    // aborts more easily under write contention.
     size_t chunk_size = 256;
     // For snapshot cursors acquired under a staleness policy: when the GC
     // horizon overtakes the pinned snapshot mid-scan, transparently
@@ -55,34 +56,13 @@ class Cursor {
     // of failing the scan (the paper's long-scan re-acquisition, §4.4).
     // The scan is then consistent per-snapshot, not end-to-end.
     bool refresh_lease = false;
-    // Exclusive upper bound for the scan; "" = unbounded. Enforced by the
-    // cursor for every view kind.
+    // Exclusive upper bound for the scan; "" = unbounded. The range walk
+    // reads no leaf past it, for every view kind.
     std::string end_key;
     // Overall cap on pairs the cursor will yield (0 = unlimited). Scan
-    // entry points set it from their limit, which also keeps a fan-out
-    // fetch from materializing far beyond what will be consumed.
+    // entry points set it from their limit, so the last fetch asks for
+    // only what will be consumed.
     size_t limit = 0;
-    // Double-buffering: while the client consumes chunk n, the fetch for
-    // chunk n+1 is already in flight on a background thread. Purely a
-    // latency overlap — chunk contents and ordering are unchanged (each
-    // snapshot/tip chunk was an independent fetch already).
-    bool prefetch = false;
-    // Scan fan-out: partition [start, end_key) along the root's child
-    // subtrees, group partitions by the memnode owning each subtree, and
-    // fetch the groups in parallel with up to `fanout` threads, stitching
-    // the results back in key order. Snapshot/branch cursors only (a tip
-    // cursor keeps its per-chunk transactional semantics and ignores it);
-    // the partitions are materialized client-side, so bound the range.
-    // Fan-out cursors read exactly their acquisition snapshot
-    // (refresh_lease does not apply).
-    uint32_t fanout = 1;
-    // How many internal levels the fan-out partitioner descends
-    // (BTree::PartitionRange): 1 splits at the root's children only; 2
-    // (default) splits at their children, giving ~fanout² finer partitions
-    // and much better per-memnode balance on skewed trees. Every level is
-    // ONE batched coordinator round regardless of subtree count. Only
-    // meaningful with fanout > 1.
-    uint32_t partition_levels = 2;
   };
 
   // Fetches lazily: the next chunk is pulled only when Valid() is asked
@@ -99,32 +79,23 @@ class Cursor {
   Status Drain(size_t limit,
                std::vector<std::pair<std::string, std::string>>* out);
 
-  ~Cursor();  // joins any in-flight prefetch
-
  private:
-  friend class View;
   friend class TipView;
   friend class SnapshotView;
   friend class BranchView;
 
-  // Fetch pairs from `start` (inclusive, at most `limit`) into `out`;
+  // Fetch pairs of [start, end) (at most `limit`) into the empty `out`;
   // set `resume` to where the next fetch begins, empty when exhausted.
   using ChunkFetcher = std::function<Status(
-      const std::string& start, size_t limit,
+      const std::string& start, const std::string& end, size_t limit,
       std::vector<std::pair<std::string, std::string>>* out,
       std::string* resume)>;
 
-  // One fetched chunk, as produced by a (possibly background) fetch.
-  struct Chunk {
-    Status status;
-    std::vector<std::pair<std::string, std::string>> pairs;
-    std::string resume;
-  };
-
   Cursor(ChunkFetcher fetch, const std::string& start, Options options);
   explicit Cursor(Status error);  // a cursor born failed (e.g. bad branch)
-  void FetchChunk(std::string start);
-  Chunk RunFetch(std::string start);
+  // Refill the buffer with the next chunk of at most `want` pairs (also
+  // capped by chunk_size and the yield limit).
+  void FetchChunk(size_t want);
 
   ChunkFetcher fetch_;
   Options options_;
@@ -134,9 +105,6 @@ class Cursor {
   bool exhausted_ = false;
   size_t yielded_ = 0;  // pairs buffered so far, against options_.limit
   Status status_;
-  // Prefetch double-buffer: when valid, holds the in-flight fetch for
-  // resume_. At most one fetch is ever outstanding.
-  std::future<Chunk> inflight_;
 };
 
 enum class ViewKind { kTip, kSnapshot, kBranch };
@@ -185,16 +153,6 @@ class View {
   // InvalidArgument when the handle does not name a tree of this cluster,
   // or when the proxy was removed from it (Cluster::RemoveProxy).
   Status CheckUsable() const;
-  // Shared by the snapshot-mode views: a cursor whose single fetch runs
-  // the whole parallel fan-out scan of `snap` and then streams from the
-  // stitched buffer. `proxy` is re-checked per fetch so a cursor
-  // outliving its proxy's removal fails cleanly instead of scanning on.
-  static std::unique_ptr<Cursor> NewFanoutCursor(const Proxy* proxy,
-                                                 btree::BTree* tree,
-                                                 const btree::SnapshotRef& snap,
-                                                 const std::string& start,
-                                                 Cursor::Options options);
-
   Proxy* proxy_;
   TreeHandle tree_;
 };

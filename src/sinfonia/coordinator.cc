@@ -129,7 +129,9 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
     }
   }
 
-  const bool one_phase = parts.size() == 1;
+  const bool one_phase =
+      parts.size() == 1 ||
+      (mtx.piecewise && mtx.compares.empty() && mtx.writes.empty());
   Status last = Status::OK();
   for (uint32_t attempt = 0; attempt <= kMaxBusyRetries; attempt++) {
     if (attempt > 0) {
@@ -188,12 +190,18 @@ Status Coordinator::RunCommit(TxId tx, const std::vector<PerNode>& parts,
                               MiniResult* result) {
   bool read_only = true;
   for (const PerNode& pn : parts) read_only &= pn.writes.empty();
+  // A read-only one-phase participant (the lone one, or each of a
+  // piecewise read) has nothing to log or apply: its vote message also
+  // releases it, so a piecewise read holds no lock while it reads the
+  // next participant.
+  const bool release_on_vote = one_phase && read_only;
 
   // Phase 1: lock, compare, read and vote at every participant. The
   // messages overlap on the wire, so they share one round trip. The first
   // `voted` participants answered: those in `no` voted no and released
-  // their locks, the rest hold theirs until phase 2 or 3. (Listing the
-  // no-voters keeps the common all-yes path free of an allocation.)
+  // their locks, the rest hold theirs until phase 2 or 3 (unless released
+  // on their vote). (Listing the no-voters keeps the common all-yes path
+  // free of an allocation.)
   size_t voted = 0;
   std::vector<const PerNode*> no;
   Status failure = Status::OK();
@@ -217,6 +225,7 @@ Status Coordinator::RunCommit(TxId tx, const std::vector<PerNode>& parts,
         for (uint32_t i = 0; i < reads.size(); i++) {
           result->read_results[pn.read_index[i]] = std::move(reads[i]);
         }
+        if (release_on_vote) memnodes_[pn.node]->Commit(tx, pn.writes);
       } else {
         no.push_back(&pn);
         for (uint32_t idx : failed) {
@@ -234,7 +243,7 @@ Status Coordinator::RunCommit(TxId tx, const std::vector<PerNode>& parts,
   if (!failure.ok() || !no.empty()) {
     const bool async = failure.ok() && read_only;
     net::RoundTripScope rt;
-    for (size_t i = 0; i < voted; i++) {
+    for (size_t i = 0; i < voted && !release_on_vote; i++) {
       const PerNode& pn = parts[i];
       if (std::find(no.begin(), no.end(), &pn) != no.end()) continue;
       // Local cleanup even if the node is down.
@@ -255,6 +264,10 @@ Status Coordinator::RunCommit(TxId tx, const std::vector<PerNode>& parts,
   // leaves the critical path. A participant that crashes after voting yes
   // does not stop the others: Sinfonia's recovery would replay from the
   // backup.
+  if (release_on_vote) {
+    result->committed = true;
+    return Status::OK();
+  }
   Status commit_failure = Status::OK();
   {
     net::RoundTripScope rt;
@@ -582,8 +595,11 @@ Status Coordinator::AddMemnode(Memnode* node, uint64_t replicated_bytes) {
     // primary — consistent, as no writes run under the exclusive lock), and
     // `first` hosts the new node's image — seeded from the region copy
     // above, so a crash BEFORE the node's first replicated write still
-    // recovers the pre-join history.
+    // recovers the pre-join history. last's ring watermark (a RequireReseed
+    // pin included) moves with its image: recovery compares its local log
+    // against it.
     node->SeedBackupFrom(last, *memnodes_[last]);
+    node->SetBackupLsn(last, memnodes_[first]->BackupLsn(last));
     memnodes_[first]->SeedBackupFrom(n, *node);
     if (last != first) memnodes_[first]->DropBackup(last);
   }
@@ -623,6 +639,8 @@ Status Coordinator::RetireMemnode(MemnodeId id) {
       // With exactly two live nodes prev == next == the survivor, which
       // backs itself (a no-op ring); only the orphaned image is dropped.
       memnodes_[next]->SeedBackupFrom(prev, *memnodes_[prev]);
+      // The watermark moves with the image, as in AddMemnode.
+      memnodes_[next]->SetBackupLsn(prev, memnodes_[id]->BackupLsn(prev));
     }
     memnodes_[next]->DropBackup(id);
   }

@@ -46,6 +46,12 @@ struct MiniTxn {
   // which would otherwise livelock under snapshot storms.
   bool blocking = false;
 
+  // The reads need no atomicity ACROSS participants: each object is
+  // checked on its own (dirty and fresh fetches), so every participant of
+  // a read-only minitransaction without compares commits one-phase on its
+  // vote message, and no release message follows.
+  bool piecewise = false;
+
   void AddCompare(Addr addr, std::string expected) {
     compares.push_back({addr, std::move(expected)});
   }

@@ -3,9 +3,10 @@
 // traversal safety checks (fence keys, heights, copied-snapshot ids) detect
 // staleness instead. Bounded by entry count with CLOCK eviction.
 //
-// The cache is SHARDED by address hash: scan fan-out workers, cursor
-// prefetch threads and level-synchronized batch descents hit one proxy's
-// cache concurrently, and a single global mutex serializes them all. Each
+// The cache is SHARDED by address hash: client threads sharing a proxy
+// (point operations, range walks, level-synchronized batch descents) hit
+// its cache concurrently, and a single global mutex would serialize them
+// all. Each
 // shard has its own mutex, map, CLOCK hand and hit/miss/eviction counters;
 // Stats() sums the shards. Small caches collapse to one shard so per-shard
 // capacity (and the CLOCK behavior tests rely on) stays meaningful.

@@ -129,6 +129,10 @@ Status DynamicTxn::ReadInto(const ObjectRef* refs, size_t n, ReadMode mode,
       const MemnodeId at = mtx.reads[0].addr.memnode;
       for (const ReadRecord& r : reads_) AddSeqCompare(&mtx, r, at);
     }
+    // A fetch that joins and validates nothing is checked object by object
+    // (fences, versions), so its participants need not hold their locks
+    // for one another.
+    mtx.piecewise = !joins && mtx.compares.empty();
     MiniResult result;
     MINUET_RETURN_NOT_OK(coord_->Execute(mtx, &result));
     if (!result.committed) {

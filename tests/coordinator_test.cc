@@ -125,6 +125,13 @@ TEST_F(CoordinatorTest, ShapeTableOutcomesAndCosts) {
          t->AddRead(Addr{2, 64}, 8);
        },
        true, true, 4, 1},
+      {"piecewise read-only", false, -1,
+       [](MiniTxn* t) {
+         t->AddRead(Addr{1, 64}, 8);
+         t->AddRead(Addr{2, 64}, 8);
+         t->piecewise = true;
+       },
+       true, true, 2, 1},
       {"2pc read-only compare mismatch", false, -1,
        [](MiniTxn* t) {
          t->AddCompare(Addr{1, 64}, "x");

@@ -909,6 +909,58 @@ TEST(RecoveryTest, AsyncModeFallsBackToPeerWhenLogIsBehind) {
   VerifyKeys(cluster, *tree, kKeys, 1);
 }
 
+// A backup-ring rewire moves a primary's backup image to a new host; the
+// ring watermark must move with it. Here memnode 3's image moves from
+// memnode 0 to the joining memnode 4 while memnode 3's async log tail is
+// unsynced, so a crash of memnode 3 must re-seed from memnode 4: a
+// watermark left behind reads 0, recovery trusts the short local log, and
+// acked writes vanish.
+TEST(RecoveryTest, AddMemnodeRewireCarriesRingWatermark) {
+  constexpr uint32_t kRehomed = 3;
+  constexpr int kKeys = 300;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kAsync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, kKeys);
+  store::CheckpointedStore* ds = cluster.durable_store(kRehomed);
+  ASSERT_GT(ds->wal().CurrentLsn(), ds->wal().SyncedLsn());
+
+  auto added = cluster.AddMemnode();
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  ASSERT_EQ(cluster.coordinator()->BackupOf(kRehomed), *added);
+
+  cluster.CrashMemnode(kRehomed);
+  cluster.RecoverMemnode(kRehomed);
+  ASSERT_TRUE(cluster.fabric()->IsUp(kRehomed));
+  EXPECT_EQ(ds->metrics().recoveries_reseed.Value(), 1u);
+  EXPECT_EQ(ds->metrics().recoveries_local.Value(), 0u);
+  VerifyKeys(cluster, *tree, kKeys, 0);
+}
+
+// The scale-in rewire: retiring memnode 2 moves memnode 1's backup image
+// from memnode 2 to memnode 3, and memnode 1's watermark must follow.
+TEST(RecoveryTest, RetireMemnodeRewireCarriesRingWatermark) {
+  constexpr uint32_t kRetired = 2;
+  constexpr uint32_t kRehomed = 1;
+  constexpr int kKeys = 300;
+  Cluster cluster(DurableOpts(wal::DurabilityMode::kAsync));
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Preload(cluster, *tree, kKeys);
+
+  ASSERT_TRUE(cluster.RemoveMemnode(kRetired).ok());
+  ASSERT_EQ(cluster.coordinator()->BackupOf(kRehomed), kRetired + 1);
+  store::CheckpointedStore* ds = cluster.durable_store(kRehomed);
+  ASSERT_GT(ds->wal().CurrentLsn(), ds->wal().SyncedLsn());
+
+  cluster.CrashMemnode(kRehomed);
+  cluster.RecoverMemnode(kRehomed);
+  ASSERT_TRUE(cluster.fabric()->IsUp(kRehomed));
+  EXPECT_EQ(ds->metrics().recoveries_reseed.Value(), 1u);
+  EXPECT_EQ(ds->metrics().recoveries_local.Value(), 0u);
+  VerifyKeys(cluster, *tree, kKeys, 0);
+}
+
 // --- The acceptance gate: full-cluster cold restart ------------------------
 //
 // Four nodes, durability=sync: checkpoint everything, keep writing, then

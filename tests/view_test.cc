@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <thread>
 
@@ -199,7 +200,7 @@ TEST(ViewTest, ViewsThroughRemovedProxyFailCleanly) {
                  return Status::OK();
                }).IsInvalidArgument());
 
-  // A streaming cursor already past its prefetched window surfaces the
+  // A streaming cursor already past its buffered chunk surfaces the
   // detach as a failed (invalid) cursor rather than stale rows forever.
   int streamed = 0;
   while (cursor->Valid() && streamed < 1000) {
@@ -574,9 +575,9 @@ TEST(ViewTest, TipMultiGetIsAtomicUnderMemnodeCrash) {
   }
 }
 
-TEST(ViewTest, PrefetchingCursorStreamsWholeTreeInOrder) {
+TEST(ViewTest, BatchedCursorStreamsWholeTreeInOrder) {
   ClusterOptions opts = SmallOptions();
-  opts.node_size = 512;  // many leaves → many chunks in flight
+  opts.node_size = 512;  // many leaves → many leaves per batch
   Cluster cluster(opts);
   auto tree = cluster.CreateTree();
   ASSERT_TRUE(tree.ok());
@@ -588,34 +589,41 @@ TEST(ViewTest, PrefetchingCursorStreamsWholeTreeInOrder) {
   auto snap = p.Snapshot(*tree);
   ASSERT_TRUE(snap.ok());
 
-  Cursor::Options copts;
-  copts.chunk_size = 7;  // mid-leaf chunk boundaries, dozens of prefetches
-  copts.prefetch = true;
-  int n = 0;
-  auto cur = snap->NewCursor("", copts);
-  for (; cur->Valid(); cur->Next(), n++) {
-    EXPECT_EQ(cur->key(), EncodeUserKey(n * 2));
-    EXPECT_EQ(DecodeValue(cur->value()), static_cast<uint64_t>(n));
-  }
-  EXPECT_TRUE(cur->status().ok()) << cur->status().ToString();
-  EXPECT_EQ(n, kKeys);
+  // A chunk of 7 pairs ends mid-leaf; one of 1000 spans many leaves read
+  // in one round (and, past the per-round cap, several rounds).
+  uint64_t rounds[2] = {0, 0};
+  for (size_t chunk : {size_t{7}, size_t{1000}}) {
+    Cursor::Options copts;
+    copts.chunk_size = chunk;
+    net::OpTrace trace;
+    trace.Reset(opts.machines);
+    net::Fabric::SetThreadTrace(&trace);
+    int n = 0;
+    auto cur = snap->NewCursor("", copts);
+    for (; cur->Valid(); cur->Next(), n++) {
+      EXPECT_EQ(cur->key(), EncodeUserKey(n * 2)) << chunk;
+      EXPECT_EQ(DecodeValue(cur->value()), static_cast<uint64_t>(n)) << chunk;
+    }
+    net::Fabric::SetThreadTrace(nullptr);
+    rounds[chunk == 7 ? 0 : 1] = trace.round_trips;
+    EXPECT_TRUE(cur->status().ok()) << cur->status().ToString();
+    EXPECT_EQ(n, kKeys) << chunk;
 
-  // An abandoned prefetching cursor joins its in-flight fetch cleanly.
-  auto abandoned = snap->NewCursor("", copts);
-  ASSERT_TRUE(abandoned->Valid());
-  abandoned.reset();
-
-  // end_key bounds the prefetched stream exactly like a serial one.
-  copts.end_key = EncodeUserKey(100);
-  n = 0;
-  for (auto bounded = snap->NewCursor("", copts); bounded->Valid();
-       bounded->Next(), n++) {
-    EXPECT_LT(bounded->key(), copts.end_key);
+    // end_key stops the walk inside a batch exactly like a leaf boundary.
+    copts.end_key = EncodeUserKey(100);
+    n = 0;
+    for (auto bounded = snap->NewCursor("", copts); bounded->Valid();
+         bounded->Next(), n++) {
+      EXPECT_LT(bounded->key(), copts.end_key);
+    }
+    EXPECT_EQ(n, 50) << chunk;  // records 0,2,..,98
   }
-  EXPECT_EQ(n, 50);  // records 0,2,..,98
+  // 700 keys over ~50 leaves: 100 small chunks against a few batches.
+  EXPECT_GE(rounds[0], 100u);
+  EXPECT_LE(rounds[1], 5u);
 }
 
-TEST(ViewTest, FanoutCursorMatchesSerialScanAcrossMemnodes) {
+TEST(ViewTest, BatchedCursorMatchesPairAtATimeScanAcrossViews) {
   ClusterOptions opts = SmallOptions();
   opts.node_size = 512;  // deep enough for a multi-child root
   Cluster cluster(opts);
@@ -634,38 +642,138 @@ TEST(ViewTest, FanoutCursorMatchesSerialScanAcrossMemnodes) {
   auto snap = p.Snapshot(*linear);
   ASSERT_TRUE(snap.ok());
 
-  for (View* view : std::vector<View*>{&*snap, &*v0}) {
+  for (View* view : std::vector<View*>{&*snap, &*v0, &tip}) {
     for (auto [lo, hi] : std::vector<std::pair<int, int>>{
              {0, kKeys}, {113, 677}, {850, 899}, {200, 201}}) {
       Cursor::Options serial;
       serial.end_key = EncodeUserKey(hi);
+      serial.chunk_size = 1;  // one pair per fetch
       Rows expected;
       ASSERT_TRUE(view->NewCursor(EncodeUserKey(lo), serial)
                       ->Drain(100000, &expected)
                       .ok());
 
-      Cursor::Options fan = serial;
-      fan.fanout = 4;
-      fan.chunk_size = 16;
+      Cursor::Options batched = serial;
+      batched.chunk_size = 100000;
       Rows got;
-      ASSERT_TRUE(
-          view->NewCursor(EncodeUserKey(lo), fan)->Drain(100000, &got).ok());
+      ASSERT_TRUE(view->NewCursor(EncodeUserKey(lo), batched)
+                      ->Drain(100000, &got)
+                      .ok());
       ASSERT_EQ(got.size(), expected.size()) << lo << ".." << hi;
       EXPECT_EQ(got, expected) << lo << ".." << hi;
       EXPECT_EQ(expected.size(), static_cast<size_t>(hi - lo));
     }
   }
 
-  // Proxy::Scan with fanout (and refresh_lease, which fan-out cannot
-  // honor — the pinned path covers it) respects the drain limit.
+  // Proxy::Scan with refresh_lease respects the drain limit.
   Cursor::Options copts;
-  copts.fanout = 4;
   copts.refresh_lease = true;
+  copts.chunk_size = 100000;
   Rows limited;
   ASSERT_TRUE(p.Scan(*linear, EncodeUserKey(100), 7, &limited, copts).ok());
   ASSERT_EQ(limited.size(), 7u);
   for (int i = 0; i < 7; i++) {
     EXPECT_EQ(limited[i].first, EncodeUserKey(100 + i));
+  }
+}
+
+// The range walk's round budget: once the proxy cache is warm and an
+// earlier scan has shown the leaf fill, a 1000-key snapshot drain with
+// chunk_size >= 1000 reads its whole range in one batched leaf round, and
+// a tip scan of the same range adds only its commit. Leaf-at-a-time
+// scans paid one round per leaf (~14 here).
+TEST(ViewTest, WarmThousandKeyRangeScansCostAtMostThreeRounds) {
+  ClusterOptions opts;  // 4 memnodes, 4 KiB nodes
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Proxy& p = cluster.proxy(0);
+  constexpr uint64_t kKeys = 3000;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(p.Put(*tree, EncodeUserKey(i), EncodeValue(i)).ok());
+  }
+  auto snap = p.Snapshot(*tree);
+  ASSERT_TRUE(snap.ok());
+  TipView tip = p.Tip(*tree);
+  Cursor::Options copts;
+  copts.chunk_size = 1000;
+  const std::string start = EncodeUserKey(1000);
+  auto drain = [&](Rows* rows) {
+    rows->clear();
+    return snap->NewCursor(start, copts)->Drain(1000, rows);
+  };
+  Rows rows;
+  ASSERT_TRUE(drain(&rows).ok());  // warm: cache and leaf fill
+  ASSERT_TRUE(tip.Scan(start, 1000, &rows).ok());
+
+  net::OpTrace trace;
+  trace.Reset(opts.machines);
+  net::Fabric::SetThreadTrace(&trace);
+  ASSERT_TRUE(drain(&rows).ok());
+  const uint64_t snapshot_rounds = trace.round_trips;
+  trace.Reset(opts.machines);
+  const uint64_t aborts_before = p.tree(*tree)->stats().op_aborts.Value();
+  ASSERT_TRUE(tip.Scan(start, 1000, &rows).ok());
+  const uint64_t tip_rounds = trace.round_trips;
+  net::Fabric::SetThreadTrace(nullptr);
+
+  ASSERT_EQ(p.tree(*tree)->stats().op_aborts.Value(), aborts_before)
+      << "the tip scan retried: its rounds are not one attempt's";
+  ASSERT_EQ(rows.size(), 1000u);
+  for (uint64_t i = 0; i < 1000; i++) {
+    EXPECT_EQ(rows[i].first, EncodeUserKey(1000 + i));
+  }
+  std::printf("[ MEASURED ] warm 1000-key scan rounds: snapshot %llu, "
+              "tip %llu\n",
+              static_cast<unsigned long long>(snapshot_rounds),
+              static_cast<unsigned long long>(tip_rounds));
+  EXPECT_LE(snapshot_rounds, 3u);
+  EXPECT_LE(tip_rounds, 3u);
+}
+
+// A tip range scan whose leaf batch meets a leaf split it did not see: the
+// proxy's cached parent still lists the pre-split leaves, so the batch
+// reads the split leaf (with its shrunken high fence) followed by its old
+// neighbor, the fence chain breaks, and the scan retries with a fresh
+// parent — returning every key of the range exactly once.
+TEST(ViewTest, TipRangeScanRetriesWhenLeafBatchMeetsSplit) {
+  ClusterOptions opts = SmallOptions();
+  opts.node_size = 512;
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Proxy& reader = cluster.proxy(0);
+  Proxy& writer = cluster.proxy(1);
+  std::map<std::string, std::string> model;
+  for (uint64_t i = 0; i < 600; i++) {
+    const std::string key = EncodeUserKey(i * 10);
+    ASSERT_TRUE(reader.Put(*tree, key, EncodeValue(i)).ok());
+    model[key] = EncodeValue(i);
+  }
+  TipView tip = reader.Tip(*tree);
+  Rows rows;
+  const std::string start = EncodeUserKey(1000);
+  ASSERT_TRUE(tip.Scan(start, 300, &rows).ok());  // warm cache and fill
+
+  // Another proxy splits leaves inside the range; the reader's cached
+  // parents go stale.
+  for (uint64_t i = 0; i < 60; i++) {
+    const std::string key = EncodeUserKey(2001 + i);
+    ASSERT_TRUE(writer.Put(*tree, key, "split").ok());
+    model[key] = "split";
+  }
+  btree::BTree* t = reader.tree(*tree);
+  const uint64_t aborts_before = t->stats().traversal_aborts.Value();
+  ASSERT_TRUE(tip.Scan(start, 300, &rows).ok());
+  EXPECT_GT(t->stats().traversal_aborts.Value(), aborts_before)
+      << "the batch should have met the split and retried";
+
+  ASSERT_EQ(rows.size(), 300u);
+  auto it = model.lower_bound(start);
+  for (size_t i = 0; i < rows.size(); i++, ++it) {
+    ASSERT_NE(it, model.end());
+    EXPECT_EQ(rows[i].first, it->first) << i;
+    EXPECT_EQ(rows[i].second, it->second) << i;
   }
 }
 
@@ -844,95 +952,6 @@ TEST(ViewTest, BatchedPathsWorkWithValidatedTraversals) {
   EXPECT_EQ(value, "fresh");
 }
 
-// Recursive PartitionRange: on a ≥3-level tree, descending one extra level
-// yields ≥ 2× more partitions than root-only splitting, and the finer
-// partitions spread a skewed tree's keys across memnodes to within 2× of
-// the ideal per-memnode share.
-TEST(ViewTest, RecursivePartitionRangeBalancesSkewedTrees) {
-  ClusterOptions opts = SmallOptions();
-  opts.node_size = 512;
-  Cluster cluster(opts);
-  auto tree = cluster.CreateTree();
-  ASSERT_TRUE(tree.ok());
-  Proxy& p = cluster.proxy(0);
-  TipView tip = p.Tip(*tree);
-  // A skewed keyspace: 80% of the keys are packed into one narrow hot
-  // range, the rest spread over the whole domain — so equal KEY RANGES
-  // hold wildly different key counts, and only the tree's own subtree
-  // boundaries (which recursive partitioning follows one level deeper)
-  // split the population evenly. Insertion order is shuffled so node
-  // placement is not aliased to the round-robin allocator.
-  constexpr uint64_t kKeys = 1500;
-  std::vector<uint64_t> ids;
-  for (uint64_t i = 0; i < kKeys; i++) {
-    ids.push_back(i < kKeys * 4 / 5 ? 5000000000ULL + i
-                                    : (i - kKeys * 4 / 5) * 7000000ULL);
-  }
-  Rng rng(99);
-  for (size_t i = ids.size(); i > 1; i--) {
-    std::swap(ids[i - 1], ids[rng.Uniform(i)]);
-  }
-  for (uint64_t id : ids) {
-    ASSERT_TRUE(tip.Put(EncodeUserKey(id), EncodeValue(id)).ok());
-  }
-  auto snap = p.Snapshot(*tree);
-  ASSERT_TRUE(snap.ok());
-  btree::BTree* t = p.tree(*tree);
-  auto depth = t->Depth();
-  ASSERT_TRUE(depth.ok());
-  ASSERT_GE(*depth, 3u);
-
-  auto root_only = t->PartitionRange(snap->ref(), "", "", /*max_levels=*/1);
-  auto recursive = t->PartitionRange(snap->ref(), "", "", /*max_levels=*/2);
-  ASSERT_TRUE(root_only.ok() && recursive.ok());
-  ASSERT_GE(recursive->size(), 2 * root_only->size());
-
-  // Partitions tile the range: key-ordered, disjoint, contiguous.
-  for (size_t i = 0; i + 1 < recursive->size(); i++) {
-    EXPECT_EQ((*recursive)[i].end, (*recursive)[i + 1].start) << i;
-  }
-  EXPECT_EQ(recursive->front().start, "");
-  EXPECT_EQ(recursive->back().end, "");
-
-  // The finer partitioning changes nothing about scan results.
-  Cursor::Options fan;
-  fan.fanout = 4;
-  Rows rows;
-  ASSERT_TRUE(snap->NewCursor("", fan)->Drain(100000, &rows).ok());
-  ASSERT_EQ(rows.size(), kKeys);
-  std::vector<std::string> sorted_keys;
-  for (const auto& kv : rows) sorted_keys.push_back(kv.first);
-  ASSERT_TRUE(std::is_sorted(sorted_keys.begin(), sorted_keys.end()));
-
-  // Count the keys each home memnode would serve under both splits.
-  auto per_home_max = [&](const std::vector<btree::BTree::ScanPartition>&
-                              parts,
-                          std::map<uint32_t, uint64_t>* homes) {
-    homes->clear();
-    for (const auto& part : parts) {
-      auto lo = part.start.empty()
-                    ? sorted_keys.begin()
-                    : std::lower_bound(sorted_keys.begin(), sorted_keys.end(),
-                                       part.start);
-      auto hi = part.end.empty()
-                    ? sorted_keys.end()
-                    : std::lower_bound(sorted_keys.begin(), sorted_keys.end(),
-                                       part.end);
-      if (hi > lo) (*homes)[part.home] += hi - lo;
-    }
-    uint64_t max_keys = 0;
-    for (const auto& [home, n] : *homes) max_keys = std::max(max_keys, n);
-    return max_keys;
-  };
-  std::map<uint32_t, uint64_t> homes1, homes2;
-  const uint64_t max1 = per_home_max(*root_only, &homes1);
-  const uint64_t max2 = per_home_max(*recursive, &homes2);
-  const double ideal = static_cast<double>(kKeys) / homes2.size();
-  EXPECT_LE(max2, 2.0 * ideal)
-      << "homes " << homes2.size() << " max " << max2;
-  EXPECT_LE(max2, max1);  // never worse than root-only splitting
-}
-
 // Strict-serializability smoke for the batched path: concurrent atomic
 // pair-writes (via WriteBatch) are never observed torn by tip MultiGet.
 TEST(ViewTest, TipMultiGetNeverObservesTornBatches) {
@@ -1038,65 +1057,6 @@ TEST(ViewTest, WriteBatchAndTransactionReachBranchTips) {
   ASSERT_TRUE(v0->Get(EncodeUserKey(2), &value).ok());  // parent untouched
   ASSERT_TRUE(p.Get(*linear, EncodeUserKey(4), &value).ok());
   EXPECT_EQ(value, "linear-too");
-}
-
-// The fan-out prewarm satellite: after a cache drop, PrewarmSnapshotPaths
-// resolves all partition starts in ~depth batched rounds, and each
-// partition's first chunk read then descends warm (one leaf round, no
-// serial root-to-leaf refetch).
-TEST(ViewTest, PrewarmedFanoutPartitionsReadFirstChunksWarm) {
-  ClusterOptions opts = SmallOptions();
-  opts.node_size = 512;
-  Cluster cluster(opts);
-  auto tree = cluster.CreateTree();
-  ASSERT_TRUE(tree.ok());
-  Proxy& p = cluster.proxy(0);
-  for (uint64_t i = 0; i < 1500; i++) {
-    ASSERT_TRUE(p.Put(*tree, EncodeUserKey(i), EncodeValue(i)).ok());
-  }
-  auto snap = p.Snapshot(*tree);
-  ASSERT_TRUE(snap.ok());
-  btree::BTree* t = p.tree(*tree);
-  auto depth = t->Depth();
-  ASSERT_TRUE(depth.ok());
-  ASSERT_GE(*depth, 3u);
-
-  auto parts = t->PartitionRange(snap->ref(), "", "", /*max_levels=*/2);
-  ASSERT_TRUE(parts.ok());
-  ASSERT_GT(parts->size(), 4u);
-  std::vector<std::string> starts;
-  for (const auto& part : *parts) starts.push_back(part.start);
-
-  cluster.DropProxyCaches();
-  net::OpTrace trace;
-  trace.Reset(cluster.n_memnodes());
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(t->PrewarmSnapshotPaths(snap->ref(), starts).ok());
-  const uint64_t prewarm_rounds = trace.round_trips;
-  // The frontier engine: one batched round per internal level for ALL
-  // partition starts (plus nothing else — leaves are not fetched).
-  EXPECT_LE(prewarm_rounds, static_cast<uint64_t>(*depth));
-
-  // Warm now: each partition's first chunk costs one leaf round, not a
-  // serial descent.
-  for (const auto& part : *parts) {
-    trace.Reset(cluster.n_memnodes());
-    Rows rows;
-    std::string resume;
-    ASSERT_TRUE(
-        t->SnapshotScanChunk(snap->ref(), part.start, 8, &rows, &resume).ok());
-    EXPECT_LE(trace.round_trips, 1u) << "partition at " << part.start;
-  }
-  net::Fabric::SetThreadTrace(nullptr);
-
-  // And the stitched fan-out scan (which performs the prewarm itself)
-  // returns the full population after a fresh drop.
-  cluster.DropProxyCaches();
-  Cursor::Options copts;
-  copts.fanout = 4;
-  Rows rows;
-  ASSERT_TRUE(p.Scan(*tree, "", 1500, &rows, copts).ok());
-  EXPECT_EQ(rows.size(), 1500u);
 }
 
 }  // namespace

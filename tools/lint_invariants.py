@@ -68,6 +68,13 @@ docs/ARCHITECTURE.md, "Concurrency invariants & tooling"):
                       outside that lock window or against another image,
                       and recovery would rebuild the omitted bytes wrong.
                       Log through Coordinator::Execute instead.
+  one-range           BTree::WalkRange is the one range walk: in src/,
+                      outside node_view.{h,cc}, only it may read a node's
+                      high_fence(). Stepping from a leaf to the next one
+                      through its high fence is a second scan loop, one
+                      leaf per round and free to drift from the first (the
+                      fence-chain check, the batch budget, the resume
+                      point). Scan through WalkRange instead.
   metrics             stat counters in src/ (outside src/obs/) must be
                       obs::Counter, not raw std::atomic integers — raw
                       atomics are invisible to the MetricsRegistry and
@@ -159,6 +166,12 @@ COMMIT_FUNCTION = "RunCommit"
 WAL_APPEND_RE = re.compile(r"\bwal(?:_|\(\))\s*(?:->|\.)\s*Append\s*\(")
 REDO_FUNCTION = "LogDurable"
 
+# Rule: one-range. A read of a node view's high fence, the files that
+# define the accessor, and the one function that may call it.
+HIGH_FENCE_RE = re.compile(r"\bhigh_fence\s*\(\s*\)")
+NODE_VIEW_FILES = ("src/btree/node_view.h", "src/btree/node_view.cc")
+RANGE_FUNCTION = "WalkRange"
+
 # Rule: metrics. A raw std::atomic integer DECLARATION whose identifier
 # reads like a stat counter. Matches plain members/globals and array forms
 # (e.g. unique_ptr<std::atomic<uint64_t>[]>); loads/stores of such members
@@ -213,7 +226,7 @@ def lint_file(path, rel, findings):
     check_one_settle = rel.startswith("src/btree/")
     check_one_fetch = rel == ONE_FETCH_FILE
     # Enclosing namespace-scope function (one-settle, one-fetch,
-    # one-commit, one-redo).
+    # one-commit, one-redo, one-range).
     function = None
     in_block_comment = False
     # Active exclusive guards: stack of brace depths at declaration.
@@ -349,6 +362,14 @@ def lint_file(path, rel, findings):
                              "WAL Append called outside "
                              "Coordinator::LogDurable; log through "
                              "Coordinator::Execute, the one redo writer")
+            # --- one-range ---------------------------------------------
+            if (rel not in NODE_VIEW_FILES
+                    and HIGH_FENCE_RE.search(code)
+                    and function != RANGE_FUNCTION
+                    and not allowed("one-range", raw_lines, i)):
+                findings.add(rel, lineno, "one-range",
+                             "high_fence() read outside BTree::WalkRange; "
+                             "scan through it, the one range walk")
             # --- retry-loop --------------------------------------------
             constructs_txn = (check_retry_loop
                               and TXN_CONSTRUCT_RE.search(code)
