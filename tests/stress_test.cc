@@ -224,8 +224,8 @@ TEST(StressTest, RangeScansRaceGcHorizonAdvancement) {
         auto snap = cluster.proxy((s + 1) % cluster.n_proxies())
                         .Snapshot(*tree);
         ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-        // One chunk covers the whole keyspace, so each fetch is a batch
-        // of many leaves read in one round while frees race it.
+        // One chunk asks for the whole keyspace, so fetches read batches
+        // of many leaves in one round while frees race them.
         Cursor::Options copts;
         copts.chunk_size = kKeys + 1;
         auto cursor = snap->NewCursor("", copts);
