@@ -77,6 +77,7 @@ NodeAllocator::NodeAllocator(Layout layout, sinfonia::Coordinator* coord,
       coord_(coord),
       options_(options),
       n_memnodes_(layout.n_memnodes) {
+  options_.batch = std::max<uint32_t>(options_.batch, 1);
   const uint32_t capacity = layout_.memnode_capacity();
   reserved_.reserve(capacity);
   live_.reserve(capacity);
@@ -125,15 +126,6 @@ MemnodeId NodeAllocator::NextPlacement() {
     }
   }
   return lightest;
-}
-
-std::vector<uint64_t> NodeAllocator::ApproxLiveSlabsAll() const {
-  const uint32_t n = n_memnodes();
-  std::vector<uint64_t> out(n);
-  for (uint32_t m = 0; m < n; m++) {
-    out[m] = live_[m]->load(std::memory_order_relaxed);
-  }
-  return out;
 }
 
 Result<uint64_t> NodeAllocator::MetaLiveSlabs(MemnodeId m) {
@@ -214,7 +206,7 @@ Status NodeAllocator::Retire(MemnodeId m) {
   // Verify-and-zero in one transaction: the occupancy check and the wipe of
   // the ghost capacity ({bump, free_head, free_count} of a fully drained
   // node describe only recycled history) commit atomically, so a racing
-  // Free cannot slip a live slab past the check.
+  // FreeBatch cannot slip a live slab past the check.
   bool occupied = false;
   Status st = txn::RunTransaction(
       coord_, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
@@ -259,8 +251,9 @@ Status NodeAllocator::FlushReservation(MemnodeId m) {
         if (!meta_raw.ok()) return meta_raw.status();
         Meta meta = ParseMeta(meta_raw->data, layout_);
         for (const PooledSlab& slab : pool) {
-          // Same linking discipline as Free: the head pointer goes into the
-          // slab, whose seqnum advance invalidates any cached copy forever.
+          // Same linking discipline as FreeBatch: the head pointer goes into
+          // the slab, whose seqnum advance invalidates any cached copy
+          // forever.
           const std::string link = EncodeLink(meta.free_head, nullptr, 0,
                                               layout_.slab_payload_len());
           const ObjectRef ref = layout_.SlabRef(Addr{m, slab.offset});
@@ -361,79 +354,22 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
   }
   allocated_.fetch_add(1, std::memory_order_relaxed);
   live_[memnode]->fetch_add(1, std::memory_order_relaxed);
-
-  if (options_.batch > 0) {
-    auto taken = TakeReserved(memnode);
-    if (!taken.ok()) {
-      live_[memnode]->fetch_sub(1, std::memory_order_relaxed);
-      return taken.status();
-    }
-    // An attempt that installs nothing hands the slab back; otherwise it
-    // would stay counted by MetaLiveSlabs yet be no node the GC can free.
-    txn.OnDiscard([this, memnode, slab = *taken] { Unreserve(memnode, slab); });
-    AllocatedSlab slab;
-    slab.ref = layout_.SlabRef(Addr{memnode, taken->offset});
-    slab.known_seqnum = taken->seqnum;
-    return slab;
-  }
-
-  // Unbatched path: manipulate {bump, free_head} inside the caller's
-  // transaction, preferring the free list.
-  auto fail = [&](Status st) {
+  auto taken = TakeReserved(memnode);
+  if (!taken.ok()) {
     live_[memnode]->fetch_sub(1, std::memory_order_relaxed);
-    return st;
-  };
-  auto meta_raw = txn.Read(layout_.MetaRef(memnode), ReadMode::kValidated);
-  if (!meta_raw.ok()) return fail(meta_raw.status());
-  Meta meta = ParseMeta(meta_raw->data, layout_);
-
+    return taken.status();
+  }
+  // An attempt that installs nothing hands the slab back; otherwise it
+  // would stay counted by MetaLiveSlabs yet be no node the GC can free.
+  txn.OnDiscard([this, memnode, slab = *taken] { Unreserve(memnode, slab); });
   AllocatedSlab slab;
-  if (meta.free_head != 0) {
-    const Addr addr{memnode, meta.free_head};
-    slab.ref = layout_.SlabRef(addr);
-    slab.known_seqnum.reset();
-    // Read the freed slab to learn the next free pointer (and to pull its
-    // current seqnum into the read set so the re-initializing Write
-    // validates).
-    auto raw = txn.Read(slab.ref, ReadMode::kValidated);
-    if (!raw.ok()) return fail(raw.status());
-    meta.free_head = LinkNext(raw->data);
-    if (meta.free_count > 0) meta.free_count--;
-  } else {
-    const Addr addr{memnode, meta.bump};
-    slab.ref = layout_.SlabRef(addr);
-    meta.bump += layout_.node_size;
-  }
-  if (Status st = txn.Write(layout_.MetaRef(memnode), SerializeMeta(meta));
-      !st.ok()) {
-    return fail(st);
-  }
-  txn.OnDiscard([this, memnode] { DecrementLive(memnode); });
+  slab.ref = layout_.SlabRef(Addr{memnode, taken->offset});
+  slab.known_seqnum = taken->seqnum;
   return slab;
 }
 
 Result<AllocatedSlab> NodeAllocator::AllocateAnywhere(txn::DynamicTxn& txn) {
   return Allocate(txn, NextPlacement());
-}
-
-Status NodeAllocator::Free(txn::DynamicTxn& txn, Addr slab) {
-  const MemnodeId memnode = slab.memnode;
-  auto meta_raw = txn.Read(layout_.MetaRef(memnode), ReadMode::kValidated);
-  if (!meta_raw.ok()) return meta_raw.status();
-  Meta meta = ParseMeta(meta_raw->data, layout_);
-
-  // Link the slab at the head of the free list. The write bumps the slab's
-  // seqnum, permanently invalidating any cached copy of the node it held.
-  MINUET_RETURN_NOT_OK(txn.Write(
-      layout_.SlabRef(slab),
-      EncodeLink(meta.free_head, nullptr, 0, layout_.slab_payload_len())));
-
-  meta.free_head = slab.offset;
-  meta.free_count++;
-  MINUET_RETURN_NOT_OK(
-      txn.Write(layout_.MetaRef(memnode), SerializeMeta(meta)));
-  DecrementLiveFor(txn, memnode, 1);
-  return Status::OK();
 }
 
 Status NodeAllocator::FreeBatch(txn::DynamicTxn& txn, MemnodeId memnode,

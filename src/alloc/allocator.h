@@ -8,28 +8,29 @@
 // slab payload [next u64][run u32][run × offset u64]: `next` is the
 // following free slab, and the run lists, in chain order, the slabs behind
 // this one that were freed in the same batch (FreeBatch). A plain link has
-// run = 0 — Free, FlushReservation and every image written before runs
-// existed — so a walker that follows `next` alone stays correct. The run is
-// accurate while the link is on the list: slabs leave the list only at the
-// head, and putting one back rewrites its link. Allocation and free run
-// inside the caller's dynamic transaction, so they commit or abort
-// atomically with the operation that needed the node.
+// run = 0 — a FreeBatch of one slab, FlushReservation and every image
+// written before runs existed — so a walker that follows `next` alone stays
+// correct. The run is accurate while the link is on the list: slabs leave
+// the list only at the head, and putting one back rewrites its link.
+// Allocation and free run inside the caller's dynamic transaction, so they
+// commit or abort atomically with the operation that needed the node.
 //
 // To keep concurrent splits from serializing on the metadata object's
-// sequence number, proxies may reserve slabs in batches: a small standalone
-// transaction (a refill) advances the bump pointer by `batch` slabs, or
-// takes recycled slabs off the free list, and the proxy hands them out
-// locally. The refill reads the metadata, the head link, then the link's
-// whole run in one batched read, so taking a run of recycled slabs costs
-// three reads and a commit rather than a read per slab. The refill's commit validates every taken
-// slab's seqnum, and the pool keeps it: the writer installs a recycled slab
-// with a known-base write instead of fetching it again. A slab handed to a
-// transaction attempt that installs nothing (aborted before commit, or a
-// commit that failed a compare or found its locks Busy) comes back to the
-// pool; it was never linked into the tree, so no other proxy can have seen
-// it. It comes back without its seqnum — a carried seqnum is trusted once —
-// and is fetched on its next use, so a slab whose seqnum changed behind the
-// pool's back (a wiped or restored memnode) cannot fail validation forever.
+// sequence number, every allocation comes from a reservation pool: a small
+// standalone transaction (a refill) advances the bump pointer by `batch`
+// slabs, or takes recycled slabs off the free list, and the allocator hands
+// them out locally. The refill reads the metadata, the head link, then the
+// link's whole run in one batched read, so taking a run of recycled slabs
+// costs three reads and a commit rather than a read per slab. The refill's
+// commit validates every taken slab's seqnum, and the pool keeps it: the
+// writer installs a recycled slab with a known-base write instead of
+// fetching it again. A slab handed to a transaction attempt that installs
+// nothing (aborted before commit, or a commit that failed a compare or found
+// its locks Busy) comes back to the pool; it was never linked into the
+// tree, so no other proxy can have seen it. It comes back without its
+// seqnum — a carried seqnum is trusted once — and is fetched on its next
+// use, so a slab whose seqnum changed behind the pool's back (a wiped or
+// restored memnode) cannot fail validation forever.
 //
 // Placement is LOAD-AWARE: the allocator tracks an in-process live-slab
 // count per memnode (handed out minus freed) and NextPlacement compares the
@@ -44,8 +45,8 @@
 // Cluster::RemoveMemnode and docs/ARCHITECTURE.md):
 //   kActive   — receives placements (the only state NextPlacement returns).
 //   kDraining — entered via BeginDrain: excluded from placement and from
-//               explicit Allocate, outstanding proxy reservations returned
-//               to the free list, but Free and MetaLiveSlabs keep working —
+//               explicit Allocate, outstanding reservations returned to
+//               the free list, but FreeBatch and MetaLiveSlabs keep working —
 //               the live counters stay authoritative while the rebalancer
 //               migrates the population off and the GC reclaims the
 //               sources. Reversible with CancelDrain.
@@ -72,21 +73,18 @@ namespace minuet::alloc {
 
 struct AllocatedSlab {
   ObjectRef ref;
-  // The slab's current seqnum when the allocator knows it and the
-  // transaction has not read the slab: 0 for a virgin slab, or the value a
-  // reservation refill validated for a recycled one. Install it with
-  // WriteNew(ref, payload, *known_seqnum): one compare at commit, no fetch.
-  // nullopt when the recycled slab is already in the transaction's read set
-  // (unbatched path) or must be fetched (a slab an aborted attempt handed
-  // back); install those with Write.
+  // The slab's current seqnum when the allocator knows it: 0 for a virgin
+  // slab, or the value a reservation refill validated for a recycled one.
+  // Install it with WriteNew(ref, payload, *known_seqnum): one compare at
+  // commit, no fetch. nullopt when the slab must be fetched (one an
+  // attempt that installed nothing handed back); install those with Write.
   std::optional<uint64_t> known_seqnum = 0;
 };
 
 class NodeAllocator {
  public:
   struct Options {
-    // Slabs reserved per batch; 0 disables batching (every allocation goes
-    // through the shared metadata object transactionally).
+    // Slabs one refill reserves; clamped to at least 1.
     uint32_t batch = 32;
   };
 
@@ -133,16 +131,13 @@ class NodeAllocator {
   // Allocate on a memnode chosen by the load-aware placement rotation.
   Result<AllocatedSlab> AllocateAnywhere(txn::DynamicTxn& txn);
 
-  // Return a slab to the memnode's free list inside `txn`. The slab's
-  // content is replaced by a free-list link; its seqnum keeps advancing, so
-  // stale cached copies can never validate again.
-  Status Free(txn::DynamicTxn& txn, Addr slab);
-
   // Free every slab in `offsets` on `memnode` inside `txn`, with one write
   // of the metadata object: the slabs are chained in order in front of the
   // old head, and each link carries the run of slabs behind it, so a refill
-  // takes them back in one batched read. Read the slabs and MetaRef into
-  // `txn` first (one kValidated Read) or each write fetches on its own.
+  // takes them back in one batched read. Each slab's content is replaced by
+  // its link; its seqnum keeps advancing, so stale cached copies can never
+  // validate again. Read the slabs and MetaRef into `txn` first (one
+  // kValidated Read) or each write fetches on its own.
   Status FreeBatch(txn::DynamicTxn& txn, MemnodeId memnode,
                    const std::vector<uint64_t>& offsets);
 
@@ -167,7 +162,6 @@ class NodeAllocator {
   uint64_t ApproxLiveSlabs(MemnodeId m) const {
     return live_[m]->load(std::memory_order_relaxed);
   }
-  std::vector<uint64_t> ApproxLiveSlabsAll() const;
 
   // Authoritative occupancy from the memnode's allocator metadata object:
   // slabs under the bump pointer minus slabs on the free list (outstanding

@@ -22,9 +22,9 @@
 //                              (tree.cc),
 //   - BTree::ApplyWritesInTxn  WriteBatch leaf resolution + per-leaf
 //                              dedupe (Proxy::Apply),
-//   - BTree::WalkRange         the range walk under every scan: snapshot
-//                              chunks, SnapshotScan and TipScan (one
-//                              batched leaf round per chunk),
+//   - BTree::WalkRange         the range walk under every scan:
+//                              snapshot chunks and TipScan (one batched
+//                              leaf round per chunk),
 //   - BTree::CollectTipPlacement  the rebalancer's placement walk
 //                              (migrate.cc).
 #include <algorithm>

@@ -17,10 +17,10 @@
 //     in-flight snapshot or stale proxy pointer can observe a recycled slab
 //     outside the existing seqnum safety net.
 //
-// CollectTipPlacement feeds the rebalancer (both its balance and drain
-// modes): a walk of the tip with the one descent engine (VisitFrontier)
-// that lists every node with a routing key to re-locate it by;
-// MigrateNodeInTxn re-locates the node through that key's Traverse path.
+// CollectTipPlacement feeds the rebalancer's one pass (balancing and
+// draining alike): a walk of the tip with the one descent engine
+// (VisitFrontier) that lists every node with a routing key to re-locate it
+// by; MigrateNodeInTxn re-locates the node through that key's Traverse path.
 #include "btree/tree.h"
 
 namespace minuet::btree {

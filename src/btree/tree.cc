@@ -91,7 +91,7 @@ Status BTree::CheckKeyValue(const std::string& key,
 
 Status BTree::CreateTree() {
   return txn::RunTransaction(
-      coord_, cache_, {}, options_.max_attempts,
+      coord_, cache_, {}, txn::kMaxOpAttempts,
       [&](DynamicTxn& txn) -> Status {
         Node root;
         root.height = 0;
@@ -610,21 +610,6 @@ Status BTree::SnapshotScanChunk(
     return WalkRange(txn, snap.sid, snap.root, TraverseMode::kSnapshotRead,
                      start_key, end_key, limit, out, resume_key);
   });
-}
-
-Status BTree::SnapshotScan(
-    const SnapshotRef& snap, const std::string& start_key, size_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
-  std::string from = start_key;
-  std::string resume;
-  while (out->size() < limit) {
-    MINUET_RETURN_NOT_OK(
-        SnapshotScanChunk(snap, from, /*end_key=*/"", limit, out, &resume));
-    if (resume.empty()) break;  // rightmost leaf reached
-    from = std::move(resume);
-  }
-  return Status::OK();
 }
 
 Status BTree::TipScan(const std::string& start_key, size_t limit,

@@ -49,8 +49,6 @@ struct TreeOptions {
   bool dirty_traversals = true;
   // Descendant-set bound β for branching versions (≤ kMaxDescendants).
   uint32_t beta = 2;
-  // Retry budget for optimistic B-tree operations.
-  uint32_t max_attempts = 10000;
 };
 
 // A writable tip resolved inside a transaction: operating snapshot id, root
@@ -157,11 +155,6 @@ class BTree {
   Status SnapshotMultiGet(const SnapshotRef& snap,
                           const std::vector<std::string>& keys,
                           std::vector<std::optional<std::string>>* values);
-  // Scan up to `limit` pairs starting at `start_key` (inclusive): chunks
-  // of the range walk (WalkRange) until the limit or the tree's end.
-  Status SnapshotScan(const SnapshotRef& snap, const std::string& start_key,
-                      size_t limit,
-                      std::vector<std::pair<std::string, std::string>>* out);
   // One cursor step: ONE batch of the range walk over [start_key, end_key)
   // (end_key "" = unbounded), appending pairs while `out` holds fewer than
   // `limit`. On return `*resume_key` is where the next chunk begins — empty
@@ -363,7 +356,7 @@ class BTree {
   };
   // The one tree walker, behind every descent — Traverse and
   // ResolveLeafGroups (per-key descents), WalkRange (scans),
-  // CollectTipPlacement (rebalancer/drain placement): the
+  // CollectTipPlacement (the rebalancer's placement): the
   // whole frontier advances one level at a time, each level's distinct
   // nodes are fetched in ONE minitransaction round (ReadNodes, with the
   // internal-node discipline ReadModeFor gives `mode`), each node is
@@ -500,11 +493,11 @@ class BTree {
   // garbage-collection horizon (such snapshots are no longer queryable).
   Status CheckGcHorizon(uint64_t sid);
 
-  // Run `body` under txn::RunTransaction with this tree's attempt budget,
-  // counting every retried attempt in op_aborts.
+  // Run `body` under txn::RunTransaction with the client-op attempt
+  // budget, counting every retried attempt in op_aborts.
   template <typename Body>
   Status Transact(Body&& body) {
-    return txn::RunTransaction(coord_, cache_, {}, options_.max_attempts,
+    return txn::RunTransaction(coord_, cache_, {}, txn::kMaxOpAttempts,
                                std::forward<Body>(body),
                                [this] { stats_->op_aborts.Increment(); });
   }

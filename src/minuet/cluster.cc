@@ -29,6 +29,11 @@ std::string MakeTempDataDir() {
       .string();
 }
 
+// RemoveMemnode's round budgets: balance-pass rounds for the drain, and
+// GC rounds for the reclaim wait.
+constexpr uint32_t kMaxDrainRounds = 64;
+constexpr uint32_t kMaxGcRounds = 64;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -326,7 +331,7 @@ Result<uint32_t> Cluster::AddMemnode() {
   return id;
 }
 
-Status Cluster::RemoveMemnode(uint32_t id, RemoveMemnodeOptions opts) {
+Status Cluster::RemoveMemnode(uint32_t id) {
   if (id >= coord_->n_memnodes() || coord_->retired(id)) {
     return Status::InvalidArgument("no such live memnode");
   }
@@ -345,8 +350,9 @@ Status Cluster::RemoveMemnode(uint32_t id, RemoveMemnodeOptions opts) {
     // crash or a Busy reclaim phase resumes from wherever the drain stood.
     MINUET_RETURN_NOT_OK(allocator_->BeginDrain(id));
 
-    // Phase 2 — migrate every tip-reachable slab off the donor.
-    auto drained = rebalancer()->DrainMemnode(id, opts.max_drain_rounds);
+    // Phase 2 — the balance pass empties the draining node: it is a donor
+    // outside the balance band, and only active nodes receive.
+    auto drained = rebalancer()->RunUntilBalanced(kMaxDrainRounds);
     if (!drained.ok()) return drained.status();
 
     // Phase 3 — wait for the MVCC GC horizon to reclaim the migrated
@@ -355,18 +361,16 @@ Status Cluster::RemoveMemnode(uint32_t id, RemoveMemnodeOptions opts) {
     // reference it, i.e. its authoritative occupancy is zero.
     auto remaining = allocator_->MetaLiveSlabs(id);
     if (!remaining.ok()) return remaining.status();
-    for (uint32_t round = 0; *remaining > 0 && round < opts.max_gc_rounds;
+    for (uint32_t round = 0; *remaining > 0 && round < kMaxGcRounds;
          round++) {
       for (uint32_t slot = 0; slot < n_trees(); slot++) {
         auto handle = OpenTree(slot);
         if (!handle.ok() || handle->branching()) continue;
-        if (opts.advance_horizon) {
-          // Releasing the unpinned snapshots moves the horizon to the tip
-          // (never across a pinned lease — that is what keeps pre-drain
-          // SnapshotViews readable through all of this). Creating fresh
-          // snapshots instead would make every node's next write copy it.
-          IgnoreStatus(catalog_->snapshot_service(slot)->ReleaseUnpinned());
-        }
+        // Releasing the unpinned snapshots moves the horizon to the tip
+        // (never across a pinned lease — that is what keeps pre-drain
+        // SnapshotViews readable through all of this). Creating fresh
+        // snapshots instead would make every node's next write copy it.
+        IgnoreStatus(catalog_->snapshot_service(slot)->ReleaseUnpinned());
         IgnoreStatus(CollectGarbage(slot));
       }
       remaining = allocator_->MetaLiveSlabs(id);
@@ -409,7 +413,6 @@ Result<TreeHandle> Cluster::CreateTree(bool branching) {
   btree::TreeOptions topts;
   topts.dirty_traversals = options_.dirty_traversals;
   topts.beta = options_.beta;
-  topts.max_attempts = options_.max_op_attempts;
 
   mvcc::SnapshotService::Options sopts;
   sopts.min_interval_seconds = options_.snapshot_min_interval_seconds;
@@ -466,7 +469,6 @@ Proxy::Proxy(Cluster* cluster, uint32_t id)
     : cluster_(cluster),
       id_(id),
       coord_(cluster->coord_.get()),
-      max_attempts_(cluster->options_.max_op_attempts),
       cache_(std::make_unique<txn::ObjectCache>(
           cluster->options_.cache_capacity)),
       tree_capacity_(cluster->layout_.max_trees()),

@@ -84,7 +84,6 @@ struct ClusterOptions {
   size_t cache_capacity = 1 << 16;
   double snapshot_min_interval_seconds = 0;  // the paper's k
   uint64_t retain_snapshots = 16;
-  uint32_t max_op_attempts = 10000;
   // Bind every subsystem's counters into the cluster metrics registry
   // (Cluster::DumpStats). The counters themselves always count — binding
   // only affects whether DumpStats sees them — so disabling this is a
@@ -203,7 +202,7 @@ class Proxy {
     if (detached_.load(std::memory_order_acquire)) {
       return Status::InvalidArgument("proxy was removed from its cluster");
     }
-    return txn::RunTransaction(coord_, cache_.get(), {}, max_attempts_,
+    return txn::RunTransaction(coord_, cache_.get(), {}, txn::kMaxOpAttempts,
                                std::forward<Body>(body));
   }
 
@@ -247,7 +246,6 @@ class Proxy {
   Cluster* cluster_;
   uint32_t id_;
   sinfonia::Coordinator* coord_;
-  uint32_t max_attempts_;
   std::unique_ptr<txn::ObjectCache> cache_;
   // Lazily-attached per-tree view stacks, indexed by slot. Fixed capacity
   // (the catalog's slot space) so a concurrent attach never relocates an
@@ -329,34 +327,28 @@ class Cluster {
   Result<uint32_t> AddMemnode();
 
   // --- Elastic scale-in ------------------------------------------------------
-  struct RemoveMemnodeOptions {
-    // Round budgets for the two waiting phases (each drain round re-lists
-    // placement; each GC round runs one collection pass per linear tree).
-    uint32_t max_drain_rounds = 64;
-    uint32_t max_gc_rounds = 64;
-    // Before each GC round, release every linear tree's unpinned retained
-    // snapshots (SnapshotService::ReleaseUnpinned) so the horizon reaches
-    // the tip even on an idle cluster; reads of a released snapshot fail
-    // at the horizon. Disable to only harvest what the workload's own
-    // snapshot cadence has already freed.
-    bool advance_horizon = true;
-  };
   // Take memnode `id` out of a serving cluster: the symmetric inverse of
   // AddMemnode, executed live (reads, writes and pinned snapshots keep
   // working throughout). Four phases, matching the node lifecycle
   // (docs/ARCHITECTURE.md):
   //   1. DRAIN-ONLY — NodeAllocator::BeginDrain excludes the node from
   //      placement and returns reserved slabs, so occupancy only falls.
-  //   2. MIGRATE    — Rebalancer::DrainMemnode moves every tip-reachable
-  //      slab of every linear tree onto the remaining active nodes.
+  //   2. MIGRATE    — the cluster's rebalancer runs RunUntilBalanced (at
+  //      most 64 rounds): the balance pass treats the draining node as a
+  //      donor that must empty, so it moves every tip-reachable slab of
+  //      every linear tree onto the remaining active nodes and leaves
+  //      those inside the balance band.
   //   3. RECLAIM    — the migrated sources still serve snapshots below the
-  //      migration sid; GC passes run until the snapshot horizon passes
-  //      them and the node's authoritative occupancy reaches ZERO. The
-  //      horizon never crosses a pinned snapshot, so a held SnapshotView
-  //      makes this phase return Busy — the node stays drain-only (still
-  //      serving those snapshot reads!) and RemoveMemnode can be called
-  //      again after the pin is released. THE GC-HORIZON RULE: a memnode
-  //      is retired only once nothing queryable can reference it.
+  //      migration sid; up to 64 rounds each release every linear tree's
+  //      unpinned retained snapshots (SnapshotService::ReleaseUnpinned,
+  //      so the horizon reaches the tip even on an idle cluster) and run
+  //      one GC pass per linear tree, until the node's authoritative
+  //      occupancy reaches ZERO. The horizon never crosses a pinned
+  //      snapshot, so a held SnapshotView makes this phase return Busy —
+  //      the node stays drain-only (still serving those snapshot reads!)
+  //      and RemoveMemnode can be called again after the pin is released.
+  //      THE GC-HORIZON RULE: a memnode is retired only once nothing
+  //      queryable can reference it.
   //   4. RETIRE     — under the coordinator's exclusive membership lock:
   //      allocator metadata zeroed, backup ring rewired around the gap,
   //      replicated-write expansion shrunk, fabric id rejected forever.
@@ -368,10 +360,7 @@ class Cluster {
   // rebalanced (matching the GC's scope): their slabs on `id` keep the
   // reclaim phase at Busy. Not safe to call concurrently with itself,
   // AddMemnode, or Crash/RecoverMemnode.
-  Status RemoveMemnode(uint32_t id, RemoveMemnodeOptions opts);
-  Status RemoveMemnode(uint32_t id) {
-    return RemoveMemnode(id, RemoveMemnodeOptions());
-  }
+  Status RemoveMemnode(uint32_t id);
 
   // The cluster's rebalancer (created on first use; see
   // rebalance::Rebalancer for RunOnce/Start/Stop). Tests and benchmarks

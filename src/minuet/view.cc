@@ -137,36 +137,6 @@ Status View::Remove(const std::string&) {
   return Status::ReadOnly("view is read-only");
 }
 
-namespace {
-
-// Shared MultiGet contract: nullopt on a miss, propagate other errors.
-template <typename PointGet>
-Status MultiGetImpl(const std::vector<std::string>& keys,
-                    std::vector<std::optional<std::string>>* values,
-                    PointGet&& get) {
-  values->assign(keys.size(), std::nullopt);
-  for (size_t i = 0; i < keys.size(); i++) {
-    std::string value;
-    Status st = get(keys[i], &value);
-    if (st.ok()) {
-      (*values)[i] = std::move(value);
-    } else if (!st.IsNotFound()) {
-      return st;
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status View::MultiGet(const std::vector<std::string>& keys,
-                      std::vector<std::optional<std::string>>* values) {
-  return MultiGetImpl(keys, values, [this](const std::string& key,
-                                           std::string* value) {
-    return Get(key, value);
-  });
-}
-
 Status View::Scan(const std::string& start, size_t limit,
                   std::vector<std::pair<std::string, std::string>>* out) {
   OpObserver obs(proxy_, ClientOp::kScan);

@@ -132,7 +132,7 @@ class View {
   // writes to a still-writable branch may interleave — fork for frozen
   // reads).
   virtual Status MultiGet(const std::vector<std::string>& keys,
-                          std::vector<std::optional<std::string>>* values);
+                          std::vector<std::optional<std::string>>* values) = 0;
 
   virtual std::unique_ptr<Cursor> NewCursor(const std::string& start = "",
                                             Cursor::Options options = {}) = 0;

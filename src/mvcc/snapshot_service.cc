@@ -37,7 +37,7 @@ Result<SnapshotRef> SnapshotService::CreateLocked(bool pin,
   SnapshotRef snap;
   MINUET_RETURN_NOT_OK(txn::RunTransaction(
       tree_->coordinator(), tree_->cache(), topts,
-      tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
+      txn::kMaxOpAttempts, [&](txn::DynamicTxn& txn) -> Status {
         auto created = tree_->CreateSnapshotInTxn(txn);
         if (!created.ok()) return created.status();
         snap = *created;
@@ -166,7 +166,7 @@ Status SnapshotService::ReleaseUnpinned() {
   uint64_t tip = 0;
   MINUET_RETURN_NOT_OK(txn::RunTransaction(
       tree_->coordinator(), /*cache=*/nullptr, {},
-      tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
+      txn::kMaxOpAttempts, [&](txn::DynamicTxn& txn) -> Status {
         auto raw = txn.Read(tree_->layout().TipIdRef(tree_->tree_slot()),
                             txn::ReadMode::kValidated);
         if (!raw.ok()) return raw.status();

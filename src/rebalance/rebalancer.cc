@@ -89,7 +89,7 @@ Result<Rebalancer::RoundReport> Rebalancer::RunOnce() {
     const double hi_water = mean * options_.imbalance_ratio;
     const double lo_water = mean / options_.imbalance_ratio;
 
-    while (budget > 0) {
+    while (true) {
       // Donor: any draining node still holding slabs outranks the balance
       // band; otherwise the heaviest active node. Receiver: the lightest
       // ACTIVE node.
@@ -112,6 +112,8 @@ Result<Rebalancer::RoundReport> Rebalancer::RunOnce() {
         }
       }
       if (donor == n || receiver == n || donor == receiver) break;
+      // Only balancing moves spend the round budget; a drain must empty.
+      if (!forced && budget == 0) break;
       const uint64_t mx = plan.counts[donor];
       const uint64_t mn = plan.counts[receiver];
       if (!forced) {
@@ -132,7 +134,7 @@ Result<Rebalancer::RoundReport> Rebalancer::RunOnce() {
       const BTree::NodePlacement& victim = placement[pool.back()];
       pool.pop_back();
       report.planned++;
-      budget--;
+      if (!forced) budget--;
       bool migrated = false;
       Status st = tree->MigrateNode(victim, receiver, &migrated);
       if (!st.ok()) {
@@ -173,7 +175,7 @@ Result<Rebalancer::RoundReport> Rebalancer::RunOnce() {
     }
   }
 
-  if (report.migrated > 0 && options_.collect_garbage) {
+  if (report.migrated > 0) {
     // Reclaim migrated sources whose sid already sits below the snapshot
     // horizon; the rest are picked up once the horizon advances.
     for (uint32_t slot = 0; slot < cluster_->n_trees(); slot++) {
@@ -195,82 +197,6 @@ Result<uint64_t> Rebalancer::RunUntilBalanced(uint32_t max_rounds) {
     if (report->balanced && report->migrated == 0) return migrated;
   }
   return Status::Aborted("rebalance did not converge within max_rounds");
-}
-
-Result<Rebalancer::DrainReport> Rebalancer::DrainMemnode(uint32_t donor,
-                                                         uint32_t max_rounds) {
-  using PlacementState = alloc::NodeAllocator::PlacementState;
-  alloc::NodeAllocator* allocator = cluster_->allocator();
-  if (donor >= cluster_->coordinator()->n_memnodes()) {
-    return Status::InvalidArgument("no such memnode");
-  }
-  if (allocator->placement_state(donor) != PlacementState::kDraining) {
-    // Placement exclusion is the convergence guarantee: without it, new
-    // CoW copies keep landing on the donor while we shovel.
-    return Status::InvalidArgument(
-        "memnode is not draining (call NodeAllocator::BeginDrain first)");
-  }
-
-  DrainReport report;
-  for (uint32_t round = 0; round < max_rounds; round++) {
-    report.rounds++;
-    // Receivers come from the load-aware counters; re-anchor them so this
-    // round's choices reflect what previous rounds (and the GC) really did.
-    IgnoreStatus(allocator->ResyncLiveCounters());
-    std::vector<uint64_t> load = allocator->ApproxLiveSlabsAll();
-    uint64_t found = 0;
-    for (uint32_t slot = 0; slot < cluster_->n_trees(); slot++) {
-      auto handle = cluster_->OpenTree(slot);
-      if (!handle.ok() || handle->branching()) continue;
-      // The catalog-owned service tree: proxy-independent (proxy 0 may be
-      // removed from an elastic proxy tier).
-      BTree* tree = cluster_->service_tree(slot);
-      std::vector<BTree::NodePlacement> placement;
-      MINUET_RETURN_NOT_OK(tree->CollectTipPlacement(&placement));
-      for (const BTree::NodePlacement& victim : placement) {
-        if (victim.addr.memnode != donor) continue;
-        found++;
-        // The least-loaded ACTIVE memnode takes this slab.
-        uint32_t receiver = static_cast<uint32_t>(load.size());
-        for (uint32_t m = 0; m < load.size(); m++) {
-          if (allocator->placement_state(m) != PlacementState::kActive) {
-            continue;
-          }
-          if (receiver == load.size() || load[m] < load[receiver]) {
-            receiver = m;
-          }
-        }
-        if (receiver == load.size()) {
-          return Status::InvalidArgument("no active receiver memnode");
-        }
-        report.planned++;
-        bool migrated = false;
-        Status st = tree->MigrateNode(victim, receiver, &migrated);
-        if (!st.ok()) {
-          // Same discipline as the balance pass: retryable aborts are
-          // re-listed next round; hard failures stop the drain (the node
-          // stays drain-only and a later DrainMemnode resumes).
-          if (!st.IsRetryable()) return st;
-          report.skipped++;
-          continue;
-        }
-        if (migrated) {
-          report.migrated++;
-          total_migrated_.fetch_add(1, std::memory_order_relaxed);
-          load[receiver]++;
-        } else {
-          report.skipped++;  // stale placement: already moved or copied
-        }
-      }
-    }
-    if (found == 0) {
-      // A full listing pass saw nothing homed on the donor — and placement
-      // exclusion means nothing new can land there.
-      report.drained = true;
-      return report;
-    }
-  }
-  return Status::Aborted("drain did not converge within max_rounds");
 }
 
 void Rebalancer::Start() {

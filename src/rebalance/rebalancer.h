@@ -17,21 +17,21 @@
 //      the copy, swing the parent pointer. Readers and writers keep
 //      running; snapshots below the migration sid keep reading the source
 //      slab until the MVCC GC reclaims it past the horizon.
-//   3. It optionally drives a GC pass afterwards so reclaimed sources
-//      return to the allocator free lists promptly.
+//   3. It drives a GC pass afterwards so reclaimed sources return to the
+//      allocator free lists promptly.
 //
-// It is also the muscle of elastic scale-IN: DrainMemnode migrates EVERY
-// tip-reachable node off a memnode that NodeAllocator::BeginDrain marked
-// drain-only, which is step two of the add → rebalance → drain → retire
-// lifecycle (Cluster::RemoveMemnode orchestrates the whole sequence; see
-// docs/ARCHITECTURE.md). The balance pass itself is lifecycle-aware:
-// draining memnodes are unconditional donors, and only ACTIVE memnodes are
-// eligible receivers — so a background rebalancer running concurrently with
-// a drain helps it along instead of fighting it.
+// It is also the muscle of elastic scale-IN. The pass is lifecycle-aware:
+// a memnode that NodeAllocator::BeginDrain marked drain-only is an
+// unconditional donor that must empty, its moves do not spend the
+// per-round budget, and only ACTIVE memnodes are eligible receivers.
+// Phase 2 of Cluster::RemoveMemnode is therefore just RunUntilBalanced
+// (add → rebalance → drain → retire; see docs/ARCHITECTURE.md), and a
+// background rebalancer running concurrently with a removal helps it
+// along instead of fighting it.
 //
 // Run it as a per-cluster background thread (Start/Stop, like a GC
-// daemon), or synchronously (RunOnce / RunUntilBalanced / DrainMemnode)
-// from tests and benchmarks.
+// daemon), or synchronously (RunOnce / RunUntilBalanced) from tests and
+// benchmarks.
 #pragma once
 
 #include <atomic>
@@ -56,15 +56,12 @@ struct Options {
   // be > 1; the acceptance bar of "within 2x of ideal" corresponds to 2.0,
   // and the default converges comfortably inside it.
   double imbalance_ratio = 1.5;
-  // Cap on slab migrations per round (bounds the write burst a round may
-  // inject into a busy cluster).
+  // Cap on balancing migrations per round (bounds the write burst a round
+  // may inject into a busy cluster). Moves off a draining memnode are not
+  // capped: a drain must reach zero.
   uint32_t max_moves_per_round = 256;
   // Background thread cadence.
   std::chrono::milliseconds interval{100};
-  // Run one GC pass per tree after a round that migrated slabs, so donor
-  // slabs whose migration sid has passed the snapshot horizon return to
-  // the free lists immediately.
-  bool collect_garbage = true;
 };
 
 class Rebalancer {
@@ -85,32 +82,17 @@ class Rebalancer {
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
 
-  // One synchronous pass over every linear tree.
+  // One synchronous pass over every linear tree. A round that migrated
+  // slabs ends with one GC pass per linear tree, so donor slabs whose
+  // migration sid has passed the snapshot horizon return to the free lists
+  // immediately. `balanced` stays false while a draining memnode still
+  // holds a tip slab.
   Result<RoundReport> RunOnce();
 
   // Run rounds until one reports balanced (returns the number of slabs
-  // migrated overall) or the round budget runs out (Aborted).
+  // migrated overall) or the round budget runs out (Aborted). With a
+  // draining memnode, a balanced round means the drain is done.
   Result<uint64_t> RunUntilBalanced(uint32_t max_rounds = 64);
-
-  // --- Drain mode (elastic scale-in) ---------------------------------------
-  struct DrainReport {
-    uint64_t rounds = 0;
-    uint64_t planned = 0;   // donor-homed placements the rounds saw
-    uint64_t migrated = 0;  // moves that committed
-    uint64_t skipped = 0;   // stale placements / retryable aborts
-    bool drained = false;   // a full listing pass found the donor empty
-  };
-  // Migrate every tip-reachable node of every linear tree off `donor`,
-  // which must already be drain-only (NodeAllocator::BeginDrain — placement
-  // exclusion is what guarantees the drain converges instead of chasing new
-  // allocations). Receivers are the least-loaded ACTIVE memnodes. Rounds
-  // repeat until a full placement listing finds nothing homed on the donor
-  // (stale placements and concurrent writers are re-listed and retried,
-  // exactly like the balance pass); Aborted if `max_rounds` pass without
-  // that. Leaves the donor's MIGRATED SOURCES in place — they serve
-  // snapshots below the migration sid until the MVCC GC reclaims them past
-  // the horizon (Cluster::RemoveMemnode drives that wait).
-  Result<DrainReport> DrainMemnode(uint32_t donor, uint32_t max_rounds = 64);
 
   // Background mode. Start is idempotent; Stop joins the thread.
   void Start();

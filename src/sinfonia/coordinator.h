@@ -206,7 +206,7 @@ class Coordinator {
   // message to the id is rejected. The id is never reused.
   //
   // The caller must have DRAINED the node first (zero live slabs: the
-  // rebalancer's drain pass plus the MVCC GC past the horizon — see
+  // rebalancer's balance pass plus the MVCC GC past the horizon — see
   // Cluster::RemoveMemnode); the coordinator only performs the membership
   // mechanics. Refuses to retire the last live memnode, and — when
   // replication is on — requires both ring neighbors up (re-homing from a

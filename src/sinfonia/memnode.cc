@@ -5,10 +5,8 @@
 
 namespace minuet::sinfonia {
 
-Memnode::Memnode(MemnodeId id, uint32_t node_size, Options options)
-    : id_(id),
-      options_(options),
-      locks_(options.lock_stripes, node_size, options.lock_shards) {}
+Memnode::Memnode(MemnodeId id, uint32_t node_size)
+    : id_(id), locks_(kLockStripes, node_size, kLockShards) {}
 
 std::vector<LockTable::Range> Memnode::TouchedRanges(
     const std::vector<MiniTxn::CompareItem>& compares,
@@ -38,8 +36,7 @@ Status Memnode::Prepare(TxId tx,
                         bool blocking, bool* vote,
                         std::vector<std::string>* read_results,
                         std::vector<uint32_t>* failed_compares) {
-  const auto wait = blocking ? options_.blocking_wait
-                             : std::chrono::microseconds(0);
+  const auto wait = blocking ? kBlockingWait : std::chrono::microseconds(0);
   MINUET_RETURN_NOT_OK(locks_.Lock(tx, TouchedRanges(compares, reads, writes),
                                    wait));
   *vote = true;

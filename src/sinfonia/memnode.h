@@ -28,24 +28,19 @@ using ByteSpace = store::RamSlabStore;
 
 class Memnode {
  public:
-  // Lock-table sizing and the blocking wait. The lock unit is not an
-  // option: it is the node size the memnode is constructed with.
-  struct Options {
-    uint32_t lock_stripes = 4096;
-    uint32_t lock_shards = 8;  // LockTable shard count (clamped there)
-    // Lock-wait threshold for blocking minitransactions (paper §4.1: "the
-    // waiting time is bounded by a threshold small enough so that blocking
-    // minitransactions do not trigger Sinfonia's recovery mechanism").
-    std::chrono::microseconds blocking_wait{2000};
-  };
+  // Lock-table sizing.
+  static constexpr uint32_t kLockStripes = 4096;
+  static constexpr uint32_t kLockShards = 8;  // LockTable shard count
+  // Lock-wait threshold for blocking minitransactions (paper §4.1: "the
+  // waiting time is bounded by a threshold small enough so that blocking
+  // minitransactions do not trigger Sinfonia's recovery mechanism").
+  static constexpr std::chrono::microseconds kBlockingWait{2000};
 
   // `node_size` is the lock unit: the B-tree node (slab) size, to which
   // slabs are aligned, so a minitransaction reading one node and comparing
   // its seqnum locks one stripe. Smaller objects sharing a unit (the
   // per-tree tip objects, 64 catalog entries) share its lock.
-  explicit Memnode(MemnodeId id, uint32_t node_size = 4096)
-      : Memnode(id, node_size, Options()) {}
-  Memnode(MemnodeId id, uint32_t node_size, Options options);
+  explicit Memnode(MemnodeId id, uint32_t node_size = 4096);
 
   MemnodeId id() const { return id_; }
 
@@ -140,7 +135,6 @@ class Memnode {
       const std::vector<MiniTxn::WriteItem>& writes);
 
   MemnodeId id_;
-  Options options_;
   ByteSpace space_;
   LockTable locks_;
 

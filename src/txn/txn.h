@@ -261,6 +261,11 @@ class DynamicTxn {
   std::vector<std::function<void()>> discard_;
 };
 
+// Attempt budget of a client operation: B-tree ops, snapshot creation,
+// branch forks and Proxy::Transaction. Allocator and GC bookkeeping run on
+// small fixed budgets of their own.
+inline constexpr uint32_t kMaxOpAttempts = 10000;
+
 // RunTransaction's default on-retry callback: no caller bookkeeping.
 struct NoRetryHook {
   void operator()() const {}

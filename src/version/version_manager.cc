@@ -89,7 +89,7 @@ Result<uint64_t> VersionManager::CreateBranch(uint64_t from_sid) {
   topts.blocking_commit = true;  // bumps the replicated next-sid (§4.1)
   Status st = txn::RunTransaction(
       tree_->coordinator(), tree_->cache(), topts,
-      tree_->options().max_attempts, [&](txn::DynamicTxn& txn) -> Status {
+      txn::kMaxOpAttempts, [&](txn::DynamicTxn& txn) -> Status {
         // Allocate the next snapshot id (totally ordered, §5.1).
         auto next_raw = txn.Read(layout.NextSidRef(slot), ReadMode::kValidated);
         if (!next_raw.ok()) return next_raw.status();

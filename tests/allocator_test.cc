@@ -1,6 +1,7 @@
-// Tests for the distributed node allocator: layout invariants, batched and
-// unbatched allocation, free-list recycling (plain links and batch runs),
-// carried seqnums, transactional rollback.
+// Tests for the distributed node allocator: layout invariants, allocation
+// through the reservation pool (one-slab and larger refills), free-list
+// recycling (plain links and batch runs), carried seqnums, slabs handed
+// back by attempts that install nothing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -112,8 +113,8 @@ class AllocatorTest : public ::testing::Test {
   std::unique_ptr<Coordinator> coord_;
 };
 
-TEST_F(AllocatorTest, UnbatchedAllocationsAreDistinct) {
-  NodeAllocator alloc = MakeAllocator(0);
+TEST_F(AllocatorTest, SingleSlabReservationsAreDistinct) {
+  NodeAllocator alloc = MakeAllocator(1);
   std::set<uint64_t> offsets;
   for (int i = 0; i < 10; i++) {
     txn::DynamicTxn t(coord_.get(), nullptr);
@@ -150,28 +151,34 @@ TEST_F(AllocatorTest, BatchedAllocationsAreDistinctAcrossThreads) {
   EXPECT_EQ(seen.size(), 400u);
 }
 
-TEST_F(AllocatorTest, AbortedAllocationRollsBackMetadata) {
-  NodeAllocator alloc = MakeAllocator(0);
+TEST_F(AllocatorTest, AbortedAllocationHandsItsSlabBack) {
+  NodeAllocator alloc = MakeAllocator(1);
   uint64_t first_offset = 0;
   {
     txn::DynamicTxn t(coord_.get(), nullptr);
     auto slab = alloc.Allocate(t, 1);
     ASSERT_TRUE(slab.ok());
     first_offset = slab->ref.addr.offset;
-    // Never commit: the bump-pointer update must not take effect.
+    // Never commit: the slab must come back, not leak.
   }
   {
     txn::DynamicTxn t(coord_.get(), nullptr);
     auto slab = alloc.Allocate(t, 1);
     ASSERT_TRUE(slab.ok());
     EXPECT_EQ(slab->ref.addr.offset, first_offset);
-    ASSERT_TRUE(t.WriteNew(slab->ref, "kept").ok());
+    EXPECT_FALSE(slab->known_seqnum) << "handed back: fetched on next use";
+    ASSERT_TRUE(t.Write(slab->ref, "kept").ok());
     ASSERT_TRUE(t.Commit().ok());
   }
+  // The one refill reserved one slab, and the committed write holds it.
+  auto meta_live = alloc.MetaLiveSlabs(1);
+  ASSERT_TRUE(meta_live.ok());
+  EXPECT_EQ(*meta_live, 1u);
+  EXPECT_EQ(alloc.ReservedSlabs(1), 0u);
 }
 
 TEST_F(AllocatorTest, FreeRecyclesThroughFreeList) {
-  NodeAllocator alloc = MakeAllocator(0);
+  NodeAllocator alloc = MakeAllocator(1);
   Addr freed{};
   {
     txn::DynamicTxn t(coord_.get(), nullptr);
@@ -181,24 +188,22 @@ TEST_F(AllocatorTest, FreeRecyclesThroughFreeList) {
     ASSERT_TRUE(t.WriteNew(slab->ref, "shortlived").ok());
     ASSERT_TRUE(t.Commit().ok());
   }
-  {
-    txn::DynamicTxn t(coord_.get(), nullptr);
-    ASSERT_TRUE(alloc.Free(t, freed).ok());
-    ASSERT_TRUE(t.Commit().ok());
-  }
+  ASSERT_TRUE(FreeInOneTxn(alloc, 2, {freed.offset}).ok());
   {
     txn::DynamicTxn t(coord_.get(), nullptr);
     auto slab = alloc.Allocate(t, 2);
     ASSERT_TRUE(slab.ok());
     EXPECT_EQ(slab->ref.addr, freed);
-    EXPECT_FALSE(slab->known_seqnum);  // recycled: already read into the txn
-    ASSERT_TRUE(t.Write(slab->ref, "reborn").ok());
+    // Recycled: the refill validated its seqnum.
+    ASSERT_TRUE(slab->known_seqnum);
+    ASSERT_TRUE(t.WriteNew(slab->ref, "reborn", *slab->known_seqnum).ok());
     ASSERT_TRUE(t.Commit().ok());
   }
+  EXPECT_EQ(alloc.metrics().recycled_slabs.Value(), 1u);
 }
 
 TEST_F(AllocatorTest, FreeBumpsSeqnumSoStaleCachesNeverValidate) {
-  NodeAllocator alloc = MakeAllocator(0);
+  NodeAllocator alloc = MakeAllocator(1);
   Addr addr{};
   {
     txn::DynamicTxn t(coord_.get(), nullptr);
@@ -211,11 +216,7 @@ TEST_F(AllocatorTest, FreeBumpsSeqnumSoStaleCachesNeverValidate) {
   std::string raw;
   memnodes_[0]->RawRead(addr.offset, 8, &raw);
   const uint64_t seq_before = DecodeFixed64(raw.data());
-  {
-    txn::DynamicTxn t(coord_.get(), nullptr);
-    ASSERT_TRUE(alloc.Free(t, addr).ok());
-    ASSERT_TRUE(t.Commit().ok());
-  }
+  ASSERT_TRUE(FreeInOneTxn(alloc, 0, {addr.offset}).ok());
   memnodes_[0]->RawRead(addr.offset, 8, &raw);
   EXPECT_GT(DecodeFixed64(raw.data()), seq_before);
 }
@@ -287,7 +288,7 @@ TEST_F(AllocatorTest, DrainExcludesPlacementAndFlushesReservations) {
 }
 
 TEST_F(AllocatorTest, RetireRequiresZeroOccupancyAndZeroesMeta) {
-  NodeAllocator alloc = MakeAllocator(0);  // unbatched: exact occupancy
+  NodeAllocator alloc = MakeAllocator(1);  // one-slab refills: exact occupancy
   Addr slab_addr;
   {
     txn::DynamicTxn t(coord_.get(), nullptr);
@@ -301,11 +302,7 @@ TEST_F(AllocatorTest, RetireRequiresZeroOccupancyAndZeroesMeta) {
   ASSERT_TRUE(alloc.BeginDrain(2).ok());
   EXPECT_TRUE(alloc.Retire(2).IsBusy()) << "a live slab remains";
 
-  {
-    txn::DynamicTxn t(coord_.get(), nullptr);
-    ASSERT_TRUE(alloc.Free(t, slab_addr).ok());
-    ASSERT_TRUE(t.Commit().ok());
-  }
+  ASSERT_TRUE(FreeInOneTxn(alloc, 2, {slab_addr.offset}).ok());
   ASSERT_TRUE(alloc.Retire(2).ok());
   EXPECT_EQ(alloc.placement_state(2), NodeAllocator::PlacementState::kRetired);
   // Retired nodes report zero occupancy (no ghost bump/free capacity) and
@@ -435,11 +432,9 @@ TEST_F(AllocatorTest, MixedPlainAndRunLinksAreConsumedCompletely) {
   std::vector<uint64_t> live;
   for (int i = 0; i < 30; i++) live.push_back(InstallOne(alloc, 1));
   auto free_one = [&](uint64_t off) {
-    txn::DynamicTxn t(coord_.get(), nullptr);
-    ASSERT_TRUE(alloc.Free(t, Addr{1, off}).ok());
-    ASSERT_TRUE(t.Commit().ok());
+    ASSERT_TRUE(FreeInOneTxn(alloc, 1, {off}).ok());
   };
-  // Plain links (Free, run = 0) between two runs.
+  // Plain links (a FreeBatch of one, run = 0) between two runs.
   free_one(live[0]);
   ASSERT_TRUE(FreeInOneTxn(alloc, 1, {live.begin() + 1, live.begin() + 11})
                   .ok());
@@ -565,7 +560,7 @@ TEST_F(AllocatorTest, FailedFreeLeavesTheLiveCounterUnchanged) {
   };
   {
     txn::DynamicTxn t(coord_.get(), nullptr);
-    ASSERT_TRUE(alloc.Free(t, Addr{0, a}).ok());
+    ASSERT_TRUE(alloc.FreeBatch(t, 0, {a}).ok());
     lose_race(t, a);
   }
   EXPECT_EQ(alloc.ApproxLiveSlabs(0), live);
@@ -581,7 +576,7 @@ TEST_F(AllocatorTest, FailedFreeLeavesTheLiveCounterUnchanged) {
 }
 
 TEST_F(AllocatorTest, CannotDrainLastActiveMemnode) {
-  NodeAllocator alloc = MakeAllocator(0);
+  NodeAllocator alloc = MakeAllocator(1);
   ASSERT_TRUE(alloc.BeginDrain(0).ok());
   ASSERT_TRUE(alloc.BeginDrain(1).ok());
   EXPECT_TRUE(alloc.BeginDrain(2).IsInvalidArgument());

@@ -19,6 +19,7 @@ namespace {
 using btree::BTree;
 using btree::SnapshotRef;
 using btree::TreeOptions;
+using minuet::testing::SnapshotScanAll;
 using minuet::testing::TestCluster;
 
 class MvccTest : public ::testing::Test {
@@ -131,7 +132,7 @@ TEST_F(MvccTest, SnapshotConsistentAcrossSplits) {
   // Snapshot: exactly the original 200 keys with original values.
   std::vector<std::pair<std::string, std::string>> out;
   ASSERT_TRUE(
-      tree().SnapshotScan(*snap, EncodeUserKey(0), 10000, &out).ok());
+      SnapshotScanAll(tree(), *snap, EncodeUserKey(0), 10000, &out).ok());
   ASSERT_EQ(out.size(), 200u);
   for (int i = 0; i < 200; i++) {
     EXPECT_EQ(out[i].first, EncodeUserKey(i));
@@ -159,7 +160,7 @@ TEST_F(MvccTest, SnapshotScanUnaffectedByConcurrentUpdates) {
   for (int round = 0; round < 10; round++) {
     std::vector<std::pair<std::string, std::string>> out;
     ASSERT_TRUE(
-        tree().SnapshotScan(*snap, EncodeUserKey(0), kKeys, &out).ok());
+        SnapshotScanAll(tree(), *snap, EncodeUserKey(0), kKeys, &out).ok());
     ASSERT_EQ(out.size(), static_cast<size_t>(kKeys));
     for (int i = 0; i < kKeys; i++) {
       ASSERT_EQ(DecodeValue(out[i].second), static_cast<uint64_t>(i))

@@ -267,9 +267,7 @@ TEST(RebalanceTest, RebalancerConvergesAfterDoublingTheCluster) {
   auto before = TipCounts(cluster, *tree);
   EXPECT_EQ(before[4] + before[5] + before[6] + before[7], 0u);
 
-  rebalance::Options ropts;
-  ropts.collect_garbage = true;
-  rebalance::Rebalancer rebalancer(&cluster, ropts);
+  rebalance::Rebalancer rebalancer(&cluster);
   auto migrated = rebalancer.RunUntilBalanced(/*max_rounds=*/32);
   ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
   EXPECT_GT(*migrated, 0u);
@@ -528,6 +526,38 @@ TEST(ScaleInTest, RemoveMemnodeDrainsRetiresAndKeepsServing) {
   ASSERT_TRUE(p.Get(*tree, EncodeUserKey(kKeys), &value).ok());
 }
 
+// Removal drains through the balance pass, so it also leaves the nodes
+// that stay inside the balance band: no remaining active node holds more
+// than imbalance_ratio times its share of the tip slabs, or less than its
+// share divided by it.
+TEST(ScaleInTest, RemoveMemnodeLeavesActiveNodesInsideTheBalanceBand) {
+  ClusterOptions opts = SmallOpts(4);
+  opts.retain_snapshots = 2;
+  Cluster cluster(opts);
+  auto tree = cluster.CreateTree();
+  ASSERT_TRUE(tree.ok());
+  Proxy& p = cluster.proxy(0);
+  for (int i = 0; i < 1000; i++) {
+    ASSERT_TRUE(p.Put(*tree, EncodeUserKey(i), EncodeValue(i)).ok());
+  }
+  ASSERT_GT(TipCounts(cluster, *tree)[3], 0u) << "node 3 must hold data";
+
+  ASSERT_TRUE(cluster.RemoveMemnode(3).ok());
+
+  const auto counts = TipCounts(cluster, *tree);
+  EXPECT_EQ(counts[3], 0u);
+  const uint64_t total = counts[0] + counts[1] + counts[2];
+  const double mean = static_cast<double>(total) / 3.0;
+  const double ratio = cluster.rebalancer()->options().imbalance_ratio;
+  for (uint32_t m = 0; m < 3; m++) {
+    const double c = static_cast<double>(counts[m]);
+    EXPECT_LE(c, mean * ratio) << "memnode " << m << " holds " << counts[m]
+                               << " of " << total;
+    EXPECT_GE(c * ratio, mean) << "memnode " << m << " holds " << counts[m]
+                               << " of " << total;
+  }
+}
+
 // Memnode 0 is the default home for replicated-object reads AND for the
 // commit-time validation of all-replicated transactions (the GC's horizon
 // publish reads/writes only LowestSidRef). Retiring it must leave both
@@ -658,9 +688,7 @@ TEST(ScaleInTest, PinnedSnapshotBlocksRetireButStaysReadableMidDrain) {
       ASSERT_TRUE(p.Put(*tree, EncodeUserKey(i), EncodeValue(i + 9000)).ok());
     }
 
-    Cluster::RemoveMemnodeOptions ropts;
-    ropts.max_gc_rounds = 6;
-    Status st = cluster.RemoveMemnode(3, ropts);
+    Status st = cluster.RemoveMemnode(3);
     ASSERT_TRUE(st.IsBusy()) << st.ToString();
 
     // Drained but NOT retired: the node stays drain-only and keeps serving
@@ -719,11 +747,12 @@ TEST(ScaleInTest, CrashMidDrainAbortsCleanlyAndRedrains) {
     moved += migrated ? 1 : 0;
   }
 
-  // Crash the donor mid-drain: the drain aborts cleanly — no retirement,
-  // no membership change — and RemoveMemnode refuses while the node is
-  // down (its remaining slabs must be readable to migrate).
+  // Crash the donor mid-drain: the balance pass that drains it fails
+  // cleanly — no retirement, no membership change — and RemoveMemnode
+  // refuses while the node is down (its remaining slabs must be readable
+  // to migrate).
   cluster.CrashMemnode(2);
-  auto report = cluster.rebalancer()->DrainMemnode(2, /*max_rounds=*/8);
+  auto report = cluster.rebalancer()->RunOnce();
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsUnavailable()) << report.status().ToString();
   EXPECT_FALSE(cluster.fabric()->IsRetired(2));

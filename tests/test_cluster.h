@@ -4,6 +4,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -81,5 +83,23 @@ class TestCluster {
   std::vector<std::unique_ptr<txn::ObjectCache>> caches_;
   btree::LinearOracle linear_oracle_;
 };
+
+// Up to `limit` pairs of `snap` from `start` (inclusive): range-walk
+// chunks (BTree::SnapshotScanChunk) until the limit or the tree's end.
+inline Status SnapshotScanAll(
+    btree::BTree& tree, const btree::SnapshotRef& snap,
+    const std::string& start, size_t limit,
+    std::vector<std::pair<std::string, std::string>>* out) {
+  out->clear();
+  std::string from = start;
+  std::string resume;
+  while (out->size() < limit) {
+    MINUET_RETURN_NOT_OK(tree.SnapshotScanChunk(snap, from, /*end_key=*/"",
+                                                 limit, out, &resume));
+    if (resume.empty()) break;  // rightmost leaf reached
+    from = std::move(resume);
+  }
+  return Status::OK();
+}
 
 }  // namespace minuet::testing

@@ -15,6 +15,7 @@ namespace {
 using btree::BTree;
 using btree::SnapshotRef;
 using btree::TreeOptions;
+using minuet::testing::SnapshotScanAll;
 using minuet::testing::TestCluster;
 
 class VersionTest : public ::testing::Test {
@@ -311,14 +312,14 @@ TEST_F(VersionTest, ScansWorkOnBranches) {
   auto info = vm().Info(0);
   ASSERT_TRUE(info.ok());
   std::vector<std::pair<std::string, std::string>> out;
-  ASSERT_TRUE(tree().SnapshotScan(SnapshotRef{0, info->root},
-                                    EncodeUserKey(0), 1000, &out).ok());
+  ASSERT_TRUE(SnapshotScanAll(tree(), SnapshotRef{0, info->root},
+                              EncodeUserKey(0), 1000, &out).ok());
   EXPECT_EQ(out.size(), 150u);
   // Scan the branch tip (read-only traversal of its current root): 300.
   auto binfo = vm().Info(*b1);
   ASSERT_TRUE(binfo.ok());
-  ASSERT_TRUE(tree().SnapshotScan(SnapshotRef{*b1, binfo->root},
-                                    EncodeUserKey(0), 1000, &out).ok());
+  ASSERT_TRUE(SnapshotScanAll(tree(), SnapshotRef{*b1, binfo->root},
+                              EncodeUserKey(0), 1000, &out).ok());
   EXPECT_EQ(out.size(), 300u);
 }
 

@@ -75,6 +75,14 @@ docs/ARCHITECTURE.md, "Concurrency invariants & tooling"):
                       leaf per round and free to drift from the first (the
                       fence-chain check, the batch budget, the resume
                       point). Scan through WalkRange instead.
+  one-migrate         Rebalancer::RunOnce is the one slab mover: in src/,
+                      only it may call a tree's MigrateNode (or
+                      MigrateNodeInTxn) through `->` or `.`. A second
+                      caller is a second drain or balance loop, free to
+                      drift from the first (the receiver rule, the round
+                      budget, the follow-up GC pass). Move slabs through
+                      Rebalancer::RunOnce instead: a draining memnode is
+                      one of its donors.
   metrics             stat counters in src/ (outside src/obs/) must be
                       obs::Counter, not raw std::atomic integers — raw
                       atomics are invisible to the MetricsRegistry and
@@ -172,6 +180,12 @@ HIGH_FENCE_RE = re.compile(r"\bhigh_fence\s*\(\s*\)")
 NODE_VIEW_FILES = ("src/btree/node_view.h", "src/btree/node_view.cc")
 RANGE_FUNCTION = "WalkRange"
 
+# Rule: one-migrate. A slab migration reached through a tree pointer or
+# reference, and the one function that may make it.
+MIGRATE_CALL_RE = re.compile(
+    r"(?:->|\.)\s*MigrateNode(?:InTxn)?\s*\(")
+MIGRATE_FUNCTION = "RunOnce"
+
 # Rule: metrics. A raw std::atomic integer DECLARATION whose identifier
 # reads like a stat counter. Matches plain members/globals and array forms
 # (e.g. unique_ptr<std::atomic<uint64_t>[]>); loads/stores of such members
@@ -226,7 +240,7 @@ def lint_file(path, rel, findings):
     check_one_settle = rel.startswith("src/btree/")
     check_one_fetch = rel == ONE_FETCH_FILE
     # Enclosing namespace-scope function (one-settle, one-fetch,
-    # one-commit, one-redo, one-range).
+    # one-commit, one-redo, one-range, one-migrate).
     function = None
     in_block_comment = False
     # Active exclusive guards: stack of brace depths at declaration.
@@ -370,6 +384,14 @@ def lint_file(path, rel, findings):
                 findings.add(rel, lineno, "one-range",
                              "high_fence() read outside BTree::WalkRange; "
                              "scan through it, the one range walk")
+            # --- one-migrate -------------------------------------------
+            if (MIGRATE_CALL_RE.search(code)
+                    and function != MIGRATE_FUNCTION
+                    and not allowed("one-migrate", raw_lines, i)):
+                findings.add(rel, lineno, "one-migrate",
+                             "MigrateNode called outside "
+                             "Rebalancer::RunOnce; move slabs through it, "
+                             "the one balance and drain pass")
             # --- retry-loop --------------------------------------------
             constructs_txn = (check_retry_loop
                               and TXN_CONSTRUCT_RE.search(code)
